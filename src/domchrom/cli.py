@@ -41,7 +41,7 @@ from .formats import (
     parse_coloring,
     parse_digraph,
 )
-from .graphs import BaseGraph, cycle_base, path_base
+from .graphs import BaseGraph, cycle_base, path_base, star_base
 from .invariants import dominator_discrepancy, dominator_gap, identity_embedding, orientation_gap
 from .solver import GuardExceeded, dominator_chromatic_number, sweep
 
@@ -145,9 +145,7 @@ def _sweep_base(kind: str, n: int) -> BaseGraph:
         return path_base(n)
     if kind == "cycle":
         return cycle_base(n)
-    if n < 1:
-        raise FormatError("star needs at least one leaf")
-    return BaseGraph(n + 1, [(0, i) for i in range(1, n + 1)])
+    return star_base(n)
 
 
 def _sweep_formula(kind: str, n: int) -> int:

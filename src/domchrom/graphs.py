@@ -9,8 +9,9 @@ which is how the solver enumerates all orientations of a base.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 @dataclass(frozen=True)
@@ -203,8 +204,132 @@ def cycle_base(n: int) -> BaseGraph:
     return BaseGraph(n, [(i, i + 1) for i in range(n - 1)] + [(n - 1, 0)])
 
 
-def _apply_vertex_map(d: Digraph, perm: Sequence[int]) -> Digraph:
-    return Digraph(d.n, tuple((perm[u], perm[v]) for u, v in d.arcs))
+def star_base(leaves: int) -> BaseGraph:
+    """Star with hub 0 and leaves 1..leaves: edges (0, i) in leaf order."""
+    if leaves < 1:
+        raise ValueError("star needs at least one leaf")
+    return BaseGraph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+
+
+def symmetry_generators(base: BaseGraph) -> list[tuple[int, ...]]:
+    """Vertex permutations generating the automorphism group of a base
+    built by path_base, cycle_base or star_base.
+
+    path: the reversal; cycle: one rotation and one reflection; star: a
+    transposition and a cycle of the leaves.  Recognition compares the
+    exact edge tuple, so any other base, one with the same edges in
+    another order included, gets no generators: the trivial group.
+    """
+    n, edges = base.n, base.edges
+    if n >= 2 and edges == path_base(n).edges:
+        perms = [[n - 1 - x for x in range(n)]]
+    elif n >= 3 and edges == cycle_base(n).edges:
+        perms = [[(x + 1) % n for x in range(n)], [(n - x) % n for x in range(n)]]
+    elif n >= 3 and edges == star_base(n - 1).edges:
+        perms = [[0, 2, 1, *range(3, n)], [0, *range(2, n), 1]]
+    else:
+        return []
+    return [tuple(p) for p in perms]
+
+
+class CodeMap:
+    """The map a vertex automorphism induces on orientation codes.
+
+    Edge (u, v) goes to edge (p[u], p[v]), so each code bit moves to the
+    image edge's position, and flips when p[u] > p[v] because bits refer
+    to the ascending endpoint order.  The bit permutation is applied one
+    byte at a time through lookup tables, then the flips as an XOR mask.
+    """
+
+    __slots__ = ("tables", "flip")
+
+    def __init__(self, base: BaseGraph, perm: Sequence[int]):
+        m = len(base.edges)
+        position = {e: m - 1 - i for i, e in enumerate(base.edges)}
+        moved = [0] * m  # moved[p]: image of the code bit at position p
+        flip = 0
+        for (u, v), p in position.items():
+            a, b = perm[u], perm[v]
+            bit = 1 << position[(a, b) if a < b else (b, a)]
+            moved[p] = bit
+            if a > b:
+                flip |= bit
+        tables = []
+        for low in range(0, m, 8):
+            table = [0] * 256
+            for x in range(1, 256):
+                lowest = x & -x
+                p = low + lowest.bit_length() - 1
+                table[x] = table[x ^ lowest] | (moved[p] if p < m else 0)
+            tables.append(table)
+        self.tables = tables
+        self.flip = flip
+
+    def __call__(self, code: int) -> int:
+        image = self.flip
+        for table in self.tables:
+            image ^= table[code & 0xFF]
+            code >>= 8
+        return image
+
+
+class CodeOrbits(NamedTuple):
+    """Orbits of the 2^|edges| orientation codes of a base under the
+    group its symmetry_generators generate.
+
+    reps: the smallest code of each orbit, ascending.  sizes: orbit
+    sizes aligned with reps, or None when every orbit is a single code.
+    label: orbit index (into reps) of every code.
+    """
+
+    reps: Sequence[int]
+    sizes: Sequence[int] | None
+    label: Sequence[int]
+
+
+def code_orbits(base: BaseGraph) -> CodeOrbits:
+    """Label every orientation code of base with its orbit.
+
+    Codes are visited in ascending order; the first code not yet
+    labelled is the smallest of a new orbit, which a depth-first walk
+    along the generator maps then labels in full.  Labels live in one
+    compact array; the trivial group allocates none.
+    """
+    total = 1 << len(base.edges)
+    maps = [CodeMap(base, p) for p in symmetry_generators(base)]
+    if not maps:
+        codes = range(total)
+        return CodeOrbits(codes, None, codes)
+    typecode = "I" if total < 1 << 32 else "Q"
+    unseen = total  # orbit indexes stay below total
+    label = array(typecode, [unseen]) * total
+    reps = array(typecode)
+    sizes = array(typecode)
+    generators = [(m.tables, m.flip) for m in maps]
+    for start in range(total):
+        if label[start] != unseen:
+            continue
+        index = len(reps)
+        reps.append(start)
+        label[start] = index
+        stack = [start]
+        size = 1
+        while stack:
+            code = stack.pop()
+            for tables, flip in generators:
+                # CodeMap.__call__, inlined: the call would add a third
+                # to the labelling time
+                image = flip
+                rest = code
+                for table in tables:
+                    image ^= table[rest & 0xFF]
+                    rest >>= 8
+                if label[image] == unseen:
+                    label[image] = index
+                    stack.append(image)
+                    size += 1
+        sizes.append(size)
+    return CodeOrbits(reps, sizes, label)
 
 
 def cycle_symmetry_classes(n: int) -> list[list[OrientationCode]]:
@@ -218,31 +343,8 @@ def cycle_symmetry_classes(n: int) -> list[list[OrientationCode]]:
     Classes are sorted by smallest member value; members sort ascending.
     """
     base = cycle_base(n)
-    perms = []
-    for j in range(n):
-        perms.append(tuple((x + j) % n for x in range(n)))
-        perms.append(tuple((j - x) % n for x in range(n)))
-
-    total = 1 << n
-    seen = [False] * total
-    classes: list[list[OrientationCode]] = []
-    for start in range(total):
-        if seen[start]:
-            continue
-        orbit = set()
-        frontier = [start]
-        seen[start] = True
-        while frontier:
-            v = frontier.pop()
-            orbit.add(v)
-            d = orient(OrientationCode.from_value(base, v))
-            for p in perms:
-                w = code_of(base, _apply_vertex_map(d, p)).value
-                if not seen[w]:
-                    seen[w] = True
-                    frontier.append(w)
-        classes.append(
-            [OrientationCode.from_value(base, v) for v in sorted(orbit)]
-        )
-    classes.sort(key=lambda cls: cls[0].value)
+    orbits = code_orbits(base)
+    classes: list[list[OrientationCode]] = [[] for _ in orbits.reps]
+    for code, index in enumerate(orbits.label):
+        classes[index].append(OrientationCode.from_value(base, code))
     return classes

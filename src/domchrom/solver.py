@@ -7,11 +7,14 @@ stopping at n (giving every vertex its own class always verifies under
 the sink-exempt requirement).  Each budget runs the backtracking kernel
 selected in the kernel module.
 
-A sweep enumerates every orientation code of a base graph and solves
-each orientation, aggregating the value distribution and the extremal
-code sets.  Sweeps are embarrassingly parallel; with workers > 1 the
-code space is split into contiguous chunks whose partial results merge
-in code order, so the report never depends on scheduling.
+A sweep covers every orientation code of a base graph, aggregating the
+value distribution and the extremal code sets.  Isomorphic orientations
+share their value, so for a path, cycle or star base the codes are first
+labelled with their orbits under the base's automorphisms and only the
+smallest code of each orbit is solved, weighted by the orbit size; any
+other base uses the trivial group.  With workers > 1 the representatives
+are split into contiguous chunks whose values come back in order, so the
+report never depends on scheduling.
 
 Results are deterministic: fixed vertex order, ascending class trials,
 ties between codes broken by ascending numeric value.
@@ -20,12 +23,22 @@ ties between codes broken by ascending numeric value.
 from __future__ import annotations
 
 import os
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 
 from . import kernel
 from .coloring import Coloring, DominationMode, verify
-from .graphs import BaseGraph, Digraph, OrientationCode, orient, underlying
+from .graphs import (
+    BaseGraph,
+    CodeOrbits,
+    Digraph,
+    OrientationCode,
+    code_orbits,
+    orient,
+    underlying,
+)
 
 DEFAULT_MAX_SWEEP_EDGES = 24
 SWEEP_EDGES_ENV = "DOMCHROM_MAX_SWEEP_EDGES"
@@ -120,15 +133,25 @@ def dominator_chromatic_number(
     outs = _out_masks(d)
     required = _required_vertices(d.n, outs, mode)
     lower = chromatic_number(underlying(d))
-    total_nodes = 0
-    for k in range(lower, d.n + 1):
-        assignment, nodes = kernel.solve_fixed_k_dominator(
-            d.n, adj, outs, required, k
-        )
-        total_nodes += nodes
+    assignment, value, nodes = _solve_masks(d.n, adj, outs, required, lower)
+    if assignment is None:
+        return SolveOutcome(None, None, nodes, mode)
+    return SolveOutcome(value, Coloring(assignment, value), nodes, mode)
+
+
+def _solve_masks(
+    n: int, adj: list[int], outs: list[int], required: list[int], lower: int
+) -> tuple[list[int] | None, int | None, int]:
+    """Climb the class budgets k = lower..n until the kernel finds a
+    dominator coloring: (assignment, value, nodes), with assignment and
+    value None when no budget up to n admits one."""
+    nodes = 0
+    for k in range(lower, n + 1):
+        assignment, spent = kernel.solve_fixed_k_dominator(n, adj, outs, required, k)
+        nodes += spent
         if assignment is not None:
-            return SolveOutcome(k, Coloring(assignment, k), total_nodes, mode)
-    return SolveOutcome(None, None, total_nodes, mode)
+            return assignment, k, nodes
+    return None, None, nodes
 
 
 def _partitions_exact(n: int, k: int):
@@ -195,27 +218,15 @@ class SweepReport:
     argmax_overflow: bool
 
 
-def _sweep_chunk(
-    base: BaseGraph,
-    mode: DominationMode,
-    start: int,
-    stop: int,
-    lower: int,
-    arg_limit: int,
-):
+def _solve_codes(base: BaseGraph, mode: DominationMode, lower: int, codes) -> array:
+    """Values of the orientations with the given codes, in order; 0
+    marks an infeasible one."""
     n = base.n
     edges = base.edges
     m = len(edges)
     adj = _adjacency_masks(n, edges)
-    strict = mode is DominationMode.STRICT
-    solve = kernel.solve_fixed_k_dominator
-    dist: dict[int, int] = {}
-    infeasible = 0
-    min_v: int | None = None
-    max_v: int | None = None
-    min_codes: list[int] = []
-    max_codes: list[int] = []
-    for code in range(start, stop):
+    values = array("B")
+    for code in codes:
         outs = [0] * n
         for i in range(m):
             u, v = edges[i]
@@ -223,30 +234,58 @@ def _sweep_chunk(
                 outs[v] |= 1 << u
             else:
                 outs[u] |= 1 << v
-        required = (
-            list(range(n)) if strict else [v for v in range(n) if outs[v]]
-        )
-        value: int | None = None
-        for k in range(lower, n + 1):
-            assignment, _ = solve(n, adj, outs, required, k)
-            if assignment is not None:
-                value = k
+        required = _required_vertices(n, outs, mode)
+        _, value, _ = _solve_masks(n, adj, outs, required, lower)
+        values.append(value or 0)
+    return values
+
+
+def _report(
+    base: BaseGraph,
+    mode: DominationMode,
+    orbits: CodeOrbits,
+    values: array,
+    arg_limit: int,
+) -> SweepReport:
+    """Weight each representative's value by its orbit size, then scan
+    the codes in ascending order for the capped extremal code lists."""
+    dist: dict[int, int] = {}
+    infeasible = 0
+    sizes = repeat(1) if orbits.sizes is None else orbits.sizes
+    for value, size in zip(values, sizes):
+        if value:
+            dist[value] = dist.get(value, 0) + size
+        else:
+            infeasible += size
+    min_v = min(dist) if dist else None
+    max_v = max(dist) if dist else None
+    min_codes: list[int] = []
+    max_codes: list[int] = []
+    if dist:
+        want_min = min(arg_limit, dist[min_v])
+        want_max = min(arg_limit, dist[max_v])
+        label = orbits.label
+        for code in range(len(label)):
+            value = values[label[code]]
+            if value == min_v and len(min_codes) < want_min:
+                min_codes.append(code)
+            if value == max_v and len(max_codes) < want_max:
+                max_codes.append(code)
+            if len(min_codes) == want_min and len(max_codes) == want_max:
                 break
-        if value is None:
-            infeasible += 1
-            continue
-        dist[value] = dist.get(value, 0) + 1
-        if min_v is None or value < min_v:
-            min_v = value
-            min_codes = [code]
-        elif value == min_v and len(min_codes) < arg_limit:
-            min_codes.append(code)
-        if max_v is None or value > max_v:
-            max_v = value
-            max_codes = [code]
-        elif value == max_v and len(max_codes) < arg_limit:
-            max_codes.append(code)
-    return dist, infeasible, min_v, min_codes, max_v, max_codes
+    return SweepReport(
+        base=base,
+        mode=mode,
+        orientations=len(orbits.label),
+        distribution=dict(sorted(dist.items())),
+        infeasible_count=infeasible,
+        min_value=min_v,
+        max_value=max_v,
+        argmin_codes=tuple(OrientationCode.from_value(base, c) for c in min_codes),
+        argmax_codes=tuple(OrientationCode.from_value(base, c) for c in max_codes),
+        argmin_overflow=min_v is not None and dist[min_v] > arg_limit,
+        argmax_overflow=max_v is not None and dist[max_v] > arg_limit,
+    )
 
 
 def _resolve_edge_guard(max_edges: int | None) -> int:
@@ -269,10 +308,16 @@ def sweep(
     arg_limit: int = 64,
     workers: int = 1,
 ) -> SweepReport:
-    """Solve every orientation of base and aggregate the results."""
+    """Aggregate the values of every orientation of base.
+
+    For a path, cycle or star base one orientation per automorphism
+    orbit is solved; the report is the same as solving every code.
+    """
     _check_solvable_size(base.n)
     if arg_limit < 1:
         raise ValueError("arg_limit must be positive")
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     m = len(base.edges)
     guard = _resolve_edge_guard(max_edges)
     if m > guard:
@@ -281,61 +326,24 @@ def sweep(
             f"(raise via {SWEEP_EDGES_ENV} or max_edges)"
         )
     lower = chromatic_number(base)
-    total = 1 << m
+    orbits = code_orbits(base)
+    reps = orbits.reps
 
-    if workers > 1 and total >= 2048:
-        chunk = max(1, total // (workers * 8))
-        bounds = list(range(0, total, chunk)) + [total]
-        parts = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    if workers > 1 and len(reps) >= 2048:
+        step = max(1, len(reps) // (workers * 8))
+        chunks = [reps[i : i + step] for i in range(0, len(reps), step)]
+        # never more processes than requested, CPUs, or chunks to run
+        size = min(workers, os.cpu_count() or 1, len(chunks))
+        values = array("B")
+        with ProcessPoolExecutor(max_workers=size) as pool:
             futures = [
-                pool.submit(
-                    _sweep_chunk, base, mode, bounds[i], bounds[i + 1], lower, arg_limit
-                )
-                for i in range(len(bounds) - 1)
+                pool.submit(_solve_codes, base, mode, lower, chunk) for chunk in chunks
             ]
-            parts = [f.result() for f in futures]
+            for future in futures:
+                values.extend(future.result())
     else:
-        parts = [_sweep_chunk(base, mode, 0, total, lower, arg_limit)]
-
-    dist: dict[int, int] = {}
-    infeasible = 0
-    min_v: int | None = None
-    max_v: int | None = None
-    min_codes: list[int] = []
-    max_codes: list[int] = []
-    for p_dist, p_inf, p_min, p_min_codes, p_max, p_max_codes in parts:
-        for value, count in p_dist.items():
-            dist[value] = dist.get(value, 0) + count
-        infeasible += p_inf
-        if p_min is not None and (min_v is None or p_min < min_v):
-            min_v = p_min
-            min_codes = []
-        if p_min is not None and p_min == min_v:
-            min_codes.extend(p_min_codes[: arg_limit - len(min_codes)])
-        if p_max is not None and (max_v is None or p_max > max_v):
-            max_v = p_max
-            max_codes = []
-        if p_max is not None and p_max == max_v:
-            max_codes.extend(p_max_codes[: arg_limit - len(max_codes)])
-
-    return SweepReport(
-        base=base,
-        mode=mode,
-        orientations=total,
-        distribution=dict(sorted(dist.items())),
-        infeasible_count=infeasible,
-        min_value=min_v,
-        max_value=max_v,
-        argmin_codes=tuple(
-            OrientationCode.from_value(base, c) for c in min_codes
-        ),
-        argmax_codes=tuple(
-            OrientationCode.from_value(base, c) for c in max_codes
-        ),
-        argmin_overflow=min_v is not None and dist[min_v] > arg_limit,
-        argmax_overflow=max_v is not None and dist[max_v] > arg_limit,
-    )
+        values = _solve_codes(base, mode, lower, reps)
+    return _report(base, mode, orbits, values, arg_limit)
 
 
 def _extreme_over_orientations(

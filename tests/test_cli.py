@@ -106,6 +106,8 @@ def test_usage_errors(capsys):
     assert run(["sweep", "path"]) == 2  # no size given
     assert run(["sweep", "path", "--n", "4", "--n-min", "3", "--n-max", "5"]) == 2
     assert run(["sweep", "path", "--n-min", "5", "--n-max", "3"]) == 2
+    assert run(["sweep", "star", "--n", "4", "--workers", "0"]) == 2
+    assert run(["sweep", "star", "--n", "0"]) == 2
     assert run(["--help"]) == 0
     capsys.readouterr()
 

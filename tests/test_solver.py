@@ -1,16 +1,26 @@
 import os
 import random
+from collections import Counter
+from concurrent.futures import Future, ProcessPoolExecutor
+from functools import partial
+from math import comb
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import random_connected_digraph
+from domchrom import solver
 from domchrom import (
     BaseGraph,
     Coloring,
     Digraph,
     DominationMode,
     GuardExceeded,
+    OrientationCode,
+    SweepReport,
     chromatic_number,
+    code_of,
     cycle_base,
     directed_cycle,
     directed_path,
@@ -26,6 +36,7 @@ from domchrom import (
     underlying,
     verify,
 )
+from domchrom.graphs import CodeMap, code_orbits, star_base, symmetry_generators
 
 SINK_EXEMPT = DominationMode.SINK_EXEMPT
 STRICT = DominationMode.STRICT
@@ -145,20 +156,67 @@ def test_sweep_argmin_cap_and_overflow():
         sweep(cycle_base(6), arg_limit=0)
 
 
-def test_sweep_workers_merge_deterministically():
-    serial = sweep(path_base(12))
-    parallel = sweep(path_base(12), workers=2)
-    assert serial.distribution == parallel.distribution
-    assert serial.min_value == parallel.min_value
-    assert serial.max_value == parallel.max_value
-    assert [c.bitstring for c in serial.argmin_codes] == [
-        c.bitstring for c in parallel.argmin_codes
-    ]
-    assert [c.bitstring for c in serial.argmax_codes] == [
-        c.bitstring for c in parallel.argmax_codes
-    ]
-    assert serial.argmin_overflow == parallel.argmin_overflow
-    assert serial.infeasible_count == parallel.infeasible_count
+# a 7-cycle with four chords: no recognised symmetry, so its 2^11 codes
+# are 2048 representatives, exactly the pool threshold
+CHORDED_CYCLE = BaseGraph(
+    7, [(i, (i + 1) % 7) for i in range(7)] + [(0, 2), (0, 3), (1, 4), (2, 5)]
+)
+
+
+class InlinePool:
+    """Stands in for ProcessPoolExecutor: records the requested size and
+    runs each chunk at once, in this process."""
+
+    def __init__(self, requested, max_workers):
+        requested.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+def test_sweep_workers_merge_deterministically(monkeypatch):
+    pools = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(solver, "ProcessPoolExecutor", RecordingPool)
+    serial = sweep(CHORDED_CYCLE, arg_limit=3)
+    assert pools == []
+    parallel = sweep(CHORDED_CYCLE, arg_limit=3, workers=2)
+    assert pools == [min(2, os.cpu_count() or 1)]
+    assert serial == parallel
+    assert serial.argmin_overflow and serial.argmax_overflow
+
+
+def test_sweep_rejects_fewer_than_one_worker():
+    for workers in (0, -1):
+        with pytest.raises(ValueError, match="workers"):
+            sweep(path_base(4), workers=workers)
+
+
+def test_sweep_pool_size_is_capped(monkeypatch):
+    requested = []
+    monkeypatch.setattr(solver, "ProcessPoolExecutor", partial(InlinePool, requested))
+    serial = sweep(CHORDED_CYCLE)
+    monkeypatch.setattr(solver.os, "cpu_count", lambda: 3)
+    assert sweep(CHORDED_CYCLE, workers=10_000) == serial
+    # 10,000 workers make chunks of one code: 2048 chunks
+    monkeypatch.setattr(solver.os, "cpu_count", lambda: 1_000_000)
+    assert sweep(CHORDED_CYCLE, workers=10_000) == serial
+    monkeypatch.setattr(solver.os, "cpu_count", lambda: None)
+    assert sweep(CHORDED_CYCLE, workers=2) == serial
+    assert requested == [3, 2048, 1]
 
 
 def test_sweep_edge_guard(monkeypatch):
@@ -202,3 +260,124 @@ def test_underlying_of_min_witness_is_the_base():
     base = cycle_base(7)
     _, code, _ = min_over_orientations(base)
     assert underlying(orient(code)) == base
+
+
+def per_code_values(base, mode):
+    """Every code's value, solved one digraph at a time."""
+    return [
+        dominator_chromatic_number(
+            orient(OrientationCode.from_value(base, c)), mode
+        ).value
+        for c in range(1 << len(base.edges))
+    ]
+
+
+def reference_report(base, mode, values, arg_limit):
+    dist = Counter(v for v in values if v is not None)
+    lo = min(dist, default=None)
+    hi = max(dist, default=None)
+
+    def codes_with(target):
+        hits = [c for c, v in enumerate(values) if v is not None and v == target]
+        return tuple(OrientationCode.from_value(base, c) for c in hits[:arg_limit])
+
+    return SweepReport(
+        base=base,
+        mode=mode,
+        orientations=len(values),
+        distribution=dict(sorted(dist.items())),
+        infeasible_count=values.count(None),
+        min_value=lo,
+        max_value=hi,
+        argmin_codes=codes_with(lo),
+        argmax_codes=codes_with(hi),
+        argmin_overflow=lo is not None and dist[lo] > arg_limit,
+        argmax_overflow=hi is not None and dist[hi] > arg_limit,
+    )
+
+
+def assert_sweep_matches_reference(base):
+    for mode in DominationMode:
+        values = per_code_values(base, mode)
+        for arg_limit in (1, 3, 64):
+            want = reference_report(base, mode, values, arg_limit)
+            got = sweep(base, mode, arg_limit=arg_limit)
+            assert got == want, (base, mode, arg_limit)
+            assert list(got.distribution) == list(want.distribution)
+
+
+RECOGNISED_BASES = (
+    [pytest.param(path_base(n), id=f"path{n}") for n in range(1, 13)]
+    + [pytest.param(cycle_base(n), id=f"cycle{n}") for n in range(3, 13)]
+    + [pytest.param(star_base(k), id=f"star{k}") for k in range(1, 11)]
+)
+
+
+@pytest.mark.parametrize("base", RECOGNISED_BASES)
+def test_symmetric_sweep_matches_per_code_solves(base):
+    assert_sweep_matches_reference(base)
+
+
+def test_unrecognised_bases_sweep_every_code():
+    triangle_with_tail = BaseGraph(
+        6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5)]
+    )
+    reordered_cycle = BaseGraph(7, reversed(cycle_base(7).edges))
+    for base in (triangle_with_tail, reordered_cycle):
+        assert symmetry_generators(base) == []
+        orbits = code_orbits(base)
+        assert orbits.sizes is None
+        assert orbits.label == range(1 << len(base.edges))
+        assert_sweep_matches_reference(base)
+
+
+def relabel(d, perm):
+    return Digraph(d.n, [(perm[u], perm[v]) for u, v in d.arcs])
+
+
+@st.composite
+def symmetric_codes(draw):
+    """A path, cycle or star base on at most 9 vertices, and one of its codes."""
+    base = draw(
+        st.one_of(
+            st.integers(2, 9).map(path_base),
+            st.integers(3, 9).map(cycle_base),
+            st.integers(2, 8).map(star_base),
+        )
+    )
+    return base, draw(st.integers(0, (1 << len(base.edges)) - 1))
+
+
+@given(symmetric_codes())
+def test_code_maps_follow_the_vertex_automorphisms(case):
+    base, code = case
+    d = orient(OrientationCode.from_value(base, code))
+    generators = symmetry_generators(base)
+    assert generators
+    for perm in generators:
+        image = CodeMap(base, perm)(code)
+        assert image == code_of(base, relabel(d, perm)).value
+        e = orient(OrientationCode.from_value(base, image))
+        for mode in DominationMode:
+            assert (
+                dominator_chromatic_number(e, mode).value
+                == dominator_chromatic_number(d, mode).value
+            )
+
+
+@pytest.mark.parametrize("kind", ["path", "cycle", "star"])
+def test_orbits_partition_the_code_space(kind):
+    make = {"path": path_base, "cycle": cycle_base, "star": star_base}[kind]
+    for n in range(3, 13):
+        base = make(n)
+        orbits = code_orbits(base)
+        total = 1 << len(base.edges)
+        assert sum(orbits.sizes) == total
+        assert len(orbits.label) == total
+        assert Counter(orbits.label) == dict(enumerate(orbits.sizes))
+        assert list(orbits.reps) == sorted(orbits.reps)
+        for index, rep in enumerate(orbits.reps):
+            assert orbits.label[rep] == index
+        assert all(orbits.reps[orbits.label[c]] <= c for c in range(total))
+        if kind == "star":
+            assert list(orbits.sizes) == [comb(n, j) for j in range(n + 1)]
