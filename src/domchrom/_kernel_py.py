@@ -13,8 +13,27 @@ index is still free to open (opened < k) and v has an uncolored
 out-neighbor to put there.  Classes only grow as the search deepens, so
 once neither holds the branch is dead.
 
+That predicate is evaluated here on bitmasks over the required vertices
+rather than by a loop over requirements and classes:
+
+- into[u]: the required v with u in out(v);
+- due_at[i]: the required v whose highest out-neighbor is <= i (from
+  i = 0 for an empty out-set); every required v is due once all k
+  classes are open;
+- inside[j]: the required v whose out-neighborhood contains class j,
+  req & into[u] when u opens j, narrowed by & into[u] for each later
+  member, and restored from a per-depth copy on backtrack;
+- cover: the union of inside[j] over the opened classes, kept exact per
+  depth.
+
+A placement survives iff due is a subset of cover.  Opening a class, and
+adding a vertex that leaves inside[c] unchanged, cost O(1); only a
+shrinking inside[c] recomputes the O(k) union, and only when the old
+cover did not already refute the placement.
+
 This module is the reference twin of the compiled kernel in
-_kernel_c.pyx; the two must stay in lockstep, including node counts.
+_kernel_c.pyx, which evaluates the same predicate with the loop; the two
+must stay in lockstep, including node counts.
 Masks are Python ints, so callers must keep n <= 64 for parity with the
 compiled twin.
 """
@@ -79,13 +98,26 @@ def solve_fixed_k_dominator(
     """
     if n == 0:
         return [], 0
-    req = []
+    req = 0
+    into = [0] * n
+    due_at = [0] * n
     for v in required:
+        bit = 1 << v
+        req |= bit
         om = outs[v]
-        req.append((om.bit_length() - 1, ~om))
+        due_at[max(om.bit_length() - 1, 0)] |= bit
+        while om:
+            low = om & -om
+            into[low.bit_length() - 1] |= bit
+            om ^= low
+    for i in range(1, n):
+        due_at[i] |= due_at[i - 1]
     color = [-1] * n
     class_masks = [0] * k
+    inside = [0] * k
+    saved = [0] * n
     used_stack = [0] * (n + 1)
+    cover_stack = [0] * (n + 1)
     trial = [0] * n
     nodes = 0
     i = 0
@@ -95,30 +127,42 @@ def solve_fixed_k_dominator(
         c = trial[i]
         am = adj[i]
         bit = 1 << i
+        into_i = into[i]
+        due_join = req if used == k else due_at[i]
+        due_open = req if used + 1 == k else due_at[i]
+        cover = cover_stack[i]
         placed = False
         while c <= limit:
             cm = class_masks[c]
             if not (cm & am):
                 nodes += 1
-                class_masks[c] = cm | bit
-                new_used = used + (1 if c == used else 0)
-                feasible = True
-                for maxout, not_out in req:
-                    if maxout > i and new_used < k:
-                        continue
-                    for j in range(new_used):
-                        if not (class_masks[j] & not_out):
-                            break
-                    else:
-                        feasible = False
-                        break
-                if feasible:
+                old = inside[c]
+                if c == used:
+                    grown = req & into_i
+                    new_cover = cover | grown
+                    due = due_open
+                else:
+                    grown = old & into_i
+                    new_cover = cover
+                    due = due_join
+                    # the cover can only shrink: refute on the old one
+                    # first, and recompute it only when it may change
+                    if grown != old and not (due & ~cover):
+                        inside[c] = grown
+                        new_cover = 0
+                        for j in range(used):
+                            new_cover |= inside[j]
+                if not (due & ~new_cover):
+                    class_masks[c] = cm | bit
+                    inside[c] = grown
+                    saved[i] = old
                     color[i] = c
                     trial[i] = c + 1
-                    used_stack[i + 1] = new_used
+                    used_stack[i + 1] = used + 1 if c == used else used
+                    cover_stack[i + 1] = new_cover
                     placed = True
                     break
-                class_masks[c] = cm
+                inside[c] = old
             c += 1
         if placed:
             i += 1
@@ -129,5 +173,7 @@ def solve_fixed_k_dominator(
         i -= 1
         if i < 0:
             return None, nodes
-        class_masks[color[i]] &= ~(1 << i)
+        c = color[i]
+        class_masks[c] &= ~(1 << i)
+        inside[c] = saved[i]
         color[i] = -1

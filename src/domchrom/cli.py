@@ -14,6 +14,7 @@ the base as the most significant bit.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from typing import Any
@@ -506,10 +507,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process, built on the first run call rather
+    than at import; parse_args leaves it unchanged, so calls share it."""
+    return build_parser()
+
+
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:

@@ -1,11 +1,15 @@
 """Exact solvers and orientation sweeps.
 
 The dominator chromatic number of a digraph is found by trying class
-budgets k in ascending order, starting at the chromatic number of the
-underlying graph (a proper coloring can never use fewer classes) and
-stopping at n (giving every vertex its own class always verifies under
-the sink-exempt requirement).  Each budget runs the backtracking kernel
-selected in the kernel module.
+budgets k in ascending order and stopping at n (giving every vertex its
+own class always verifies under the sink-exempt requirement).  The
+ladder starts at |S| + chi(G - S): S holds the sole out-neighbors of
+required vertices of out-degree 1, each of which must be a class on its
+own, and chi(G - S) is the chromatic number of the underlying graph
+without S.  With S empty that is chi(G), and it is never below chi(G).
+Under the strict requirement a sink can dominate nothing, so a digraph
+with one is refuted before any budget is tried.  Each budget runs the
+backtracking kernel selected in the kernel module.
 
 A sweep covers every orientation code of a base graph, aggregating the
 value distribution and the extremal code sets.  Isomorphic orientations
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 from itertools import repeat
 
 from . import kernel
-from .coloring import Coloring, DominationMode, verify
+from .coloring import Coloring, DominationMode
 from .graphs import (
     BaseGraph,
     CodeOrbits,
@@ -37,7 +41,6 @@ from .graphs import (
     OrientationCode,
     code_orbits,
     orient,
-    underlying,
 )
 
 DEFAULT_MAX_SWEEP_EDGES = 24
@@ -132,21 +135,40 @@ def dominator_chromatic_number(
     adj = _adjacency_masks(d.n, d.arcs)
     outs = _out_masks(d)
     required = _required_vertices(d.n, outs, mode)
-    lower = chromatic_number(underlying(d))
-    assignment, value, nodes = _solve_masks(d.n, adj, outs, required, lower)
+    assignment, value, nodes = _solve_masks(d.n, adj, outs, required)
     if assignment is None:
         return SolveOutcome(None, None, nodes, mode)
     return SolveOutcome(value, Coloring(assignment, value), nodes, mode)
 
 
+def _lower_bound(n: int, adj: list[int], outs: list[int], required: list[int]) -> int:
+    """|S| + chi(G - S), S the sole out-neighbors of the required
+    vertices of out-degree 1."""
+    forced = 0
+    for v in required:
+        om = outs[v]
+        if om and not om & (om - 1):
+            forced |= om
+    rest = [u for u in range(n) if not forced >> u & 1]
+    if not rest:
+        return n
+    index = {u: j for j, u in enumerate(rest)}
+    edges = [
+        (index[u], index[w]) for u in rest for w in rest if w > u and adj[u] >> w & 1
+    ]
+    return n - len(rest) + chromatic_number(BaseGraph(len(rest), edges))
+
+
 def _solve_masks(
-    n: int, adj: list[int], outs: list[int], required: list[int], lower: int
+    n: int, adj: list[int], outs: list[int], required: list[int]
 ) -> tuple[list[int] | None, int | None, int]:
-    """Climb the class budgets k = lower..n until the kernel finds a
-    dominator coloring: (assignment, value, nodes), with assignment and
-    value None when no budget up to n admits one."""
+    """Climb the class budgets from the lower bound up to n until the
+    kernel finds a dominator coloring: (assignment, value, nodes), with
+    assignment and value None when no budget admits one."""
+    if not all(outs[v] for v in required):
+        return None, None, 0
     nodes = 0
-    for k in range(lower, n + 1):
+    for k in range(_lower_bound(n, adj, outs, required), n + 1):
         assignment, spent = kernel.solve_fixed_k_dominator(n, adj, outs, required, k)
         nodes += spent
         if assignment is not None:
@@ -180,7 +202,7 @@ def dominator_chromatic_number_oracle(
 
     Deliberately shares nothing with the kernel search path: it walks
     every canonical partition for ascending class counts and accepts
-    through the public verifier.  Guarded to n <= 10.
+    through its own yes/no check of the definition.  Guarded to n <= 10.
     """
     if d.n < 1:
         raise ValueError("need at least one vertex")
@@ -188,11 +210,36 @@ def dominator_chromatic_number_oracle(
         raise GuardExceeded(
             f"oracle is exhaustive and limited to n <= {ORACLE_MAX_VERTICES}"
         )
+    outs = [0] * d.n
+    for u, v in d.arcs:
+        outs[u] |= 1 << v
+    strict = mode is DominationMode.STRICT
+    not_outs = [~om for om in outs if om or strict]
     for k in range(1, d.n + 1):
         for assignment in _partitions_exact(d.n, k):
-            if verify(d, Coloring(assignment, k), mode).ok:
+            if _oracle_accepts(d.arcs, not_outs, assignment, k):
                 return k
     return None
+
+
+def _oracle_accepts(arcs, not_outs: list[int], assignment, k: int) -> bool:
+    """Whether a partition is a dominator coloring, stopping at the first
+    violation: no arc inside a class, and for each required vertex
+    (given by the complement of its out-mask) some class that misses
+    the complement."""
+    for u, v in arcs:
+        if assignment[u] == assignment[v]:
+            return False
+    classes = [0] * k
+    for v, c in enumerate(assignment):
+        classes[c] |= 1 << v
+    for not_out in not_outs:
+        for members in classes:
+            if not members & not_out:
+                break
+        else:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -218,9 +265,15 @@ class SweepReport:
     argmax_overflow: bool
 
 
-def _solve_codes(base: BaseGraph, mode: DominationMode, lower: int, codes) -> array:
+def _solve_codes(
+    base: BaseGraph, mode: DominationMode, codes, backend: str | None = None
+) -> array:
     """Values of the orientations with the given codes, in order; 0
-    marks an infeasible one."""
+    marks an infeasible one.  Pool workers are handed the parent's
+    backend by name: one started by spawn or forkserver imports the
+    kernel afresh and would otherwise run the import-time default."""
+    if backend is not None:
+        kernel.use_backend(backend)
     n = base.n
     edges = base.edges
     m = len(edges)
@@ -235,7 +288,7 @@ def _solve_codes(base: BaseGraph, mode: DominationMode, lower: int, codes) -> ar
             else:
                 outs[u] |= 1 << v
         required = _required_vertices(n, outs, mode)
-        _, value, _ = _solve_masks(n, adj, outs, required, lower)
+        _, value, _ = _solve_masks(n, adj, outs, required)
         values.append(value or 0)
     return values
 
@@ -325,7 +378,6 @@ def sweep(
             f"sweep over {m} edges exceeds the guard of {guard} "
             f"(raise via {SWEEP_EDGES_ENV} or max_edges)"
         )
-    lower = chromatic_number(base)
     orbits = code_orbits(base)
     reps = orbits.reps
 
@@ -337,12 +389,13 @@ def sweep(
         values = array("B")
         with ProcessPoolExecutor(max_workers=size) as pool:
             futures = [
-                pool.submit(_solve_codes, base, mode, lower, chunk) for chunk in chunks
+                pool.submit(_solve_codes, base, mode, chunk, kernel.backend_name)
+                for chunk in chunks
             ]
             for future in futures:
                 values.extend(future.result())
     else:
-        values = _solve_codes(base, mode, lower, reps)
+        values = _solve_codes(base, mode, reps)
     return _report(base, mode, orbits, values, arg_limit)
 
 

@@ -12,6 +12,7 @@ from typing import NamedTuple
 
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from domchrom import Digraph, cycle_base, is_connected, path_base, sweep, underlying
 
@@ -54,6 +55,28 @@ def random_connected_digraph(rng: random.Random, n: int, p: float = 0.5) -> Digr
         d = Digraph(n, arcs)
         if is_connected(underlying(d)):
             return d
+
+
+@st.composite
+def digraphs(draw, max_n=7):
+    """Digon-free digraph on at most max_n vertices: each pair carries
+    no arc or an arc in either direction."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    states = draw(
+        st.lists(
+            st.integers(min_value=0, max_value=2),
+            min_size=len(pairs),
+            max_size=len(pairs),
+        )
+    )
+    arcs = []
+    for (u, v), s in zip(pairs, states):
+        if s == 1:
+            arcs.append((u, v))
+        elif s == 2:
+            arcs.append((v, u))
+    return Digraph(n, arcs)
 
 
 @pytest.fixture

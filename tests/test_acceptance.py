@@ -16,9 +16,8 @@ import time
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from conftest import CYCLE_NS, PATH_NS, random_connected_digraph
+from conftest import CYCLE_NS, PATH_NS, digraphs, random_connected_digraph
 from domchrom import (
     Coloring,
     Digraph,
@@ -314,26 +313,6 @@ def test_criterion_08_oracle_equivalence():
     assert time.perf_counter() - t0 < 300
 
 
-@st.composite
-def _digraphs(draw, max_n=7):
-    n = draw(st.integers(min_value=1, max_value=max_n))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    states = draw(
-        st.lists(
-            st.integers(min_value=0, max_value=2),
-            min_size=len(pairs),
-            max_size=len(pairs),
-        )
-    )
-    arcs = []
-    for (u, v), s in zip(pairs, states):
-        if s == 1:
-            arcs.append((u, v))
-        elif s == 2:
-            arcs.append((v, u))
-    return Digraph(n, arcs)
-
-
 def _every_constructive_witness():
     for n in PATH_NS:
         yield path_optimal(n)
@@ -354,7 +333,7 @@ def _every_constructive_witness():
 
 def test_criterion_09_witness_soundness():
     @settings(max_examples=120, deadline=None)
-    @given(_digraphs())
+    @given(digraphs())
     def solver_witnesses_are_sound(d):
         lower = chromatic_number(underlying(d))
         out = dominator_chromatic_number(d)

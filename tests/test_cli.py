@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from domchrom import Coloring, directed_path, path_base, star_oriented
+from domchrom import Coloring, cli, directed_path, path_base, star_oriented
 from domchrom.cli import run
 from domchrom.formats import emit_base, emit_coloring, emit_digraph, parse_coloring, parse_digraph
 
@@ -110,6 +110,44 @@ def test_usage_errors(capsys):
     assert run(["sweep", "star", "--n", "0"]) == 2
     assert run(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_run_reuses_one_parser_without_leaking_state(dpath3, monkeypatch, capsys):
+    calls = [
+        ["solve", dpath3, "--json"],
+        ["solve", dpath3],
+        ["solve", dpath3, "--mode", "lenient"],
+        ["solve", dpath3, "--mode", "strict"],
+    ]
+
+    def outcome(argv):
+        code = run(argv)
+        out, err = capsys.readouterr()
+        if "--json" in argv:
+            out = json.loads(out)
+            del out["outputs"]["elapsed_ms"]
+        return code, out, err
+
+    built = []
+    real_build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real_build())
+    cli._parser.cache_clear()
+    shared = [outcome(argv) for argv in calls]
+    assert built == [1]
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 0, 2, 0]
+    assert shared[1][1].startswith("value: 3\n")
+    # importing the CLI builds no parser; the first run does
+    proc = subprocess.run(
+        [sys.executable, "-c", "import domchrom.cli as c; print(c._parser.cache_info().currsize)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.stdout == "0\n", proc.stderr
 
 
 def test_sweep_text_line(capsys):

@@ -2,7 +2,9 @@
 
 The compiled kernel and the pure-Python kernel implement the same
 search with the same branching order, so they must agree not only on
-values and witnesses but on the number of nodes explored.
+values and witnesses but on the number of nodes explored.  Both must
+also agree, node for node, with the loop-based domination check kept
+below as the reference.
 """
 
 import os
@@ -72,6 +74,80 @@ def test_backend_switch_affects_fixed_budget_search():
     assert (a is None) == (b is None)
     if a is not None:
         assert a.assignment == b.assignment
+
+
+def _reference_dominator(n, adj, outs, required, k):
+    """The loop-based search: every placement scans each due requirement
+    against the opened classes."""
+    req = [((outs[v]).bit_length() - 1, ~outs[v]) for v in required]
+    color = [-1] * n
+    class_masks = [0] * k
+    used_stack = [0] * (n + 1)
+    trial = [0] * n
+    nodes = 0
+    i = 0
+    while True:
+        used = used_stack[i]
+        c = trial[i]
+        placed = False
+        while c <= min(used, k - 1):
+            cm = class_masks[c]
+            if not cm & adj[i]:
+                nodes += 1
+                class_masks[c] = cm | 1 << i
+                new_used = used + (c == used)
+                feasible = all(
+                    maxout > i and new_used < k
+                    or any(not class_masks[j] & not_out for j in range(new_used))
+                    for maxout, not_out in req
+                )
+                if feasible:
+                    color[i], trial[i], used_stack[i + 1] = c, c + 1, new_used
+                    placed = True
+                    break
+                class_masks[c] = cm
+            c += 1
+        if placed:
+            i += 1
+            if i == n:
+                return color, nodes
+            trial[i] = 0
+            continue
+        i -= 1
+        if i < 0:
+            return None, nodes
+        class_masks[color[i]] &= ~(1 << i)
+        color[i] = -1
+
+
+def test_kernel_matches_reference_predicate():
+    rng = random.Random(20261018)
+    backends = [kernel.load_backend(name) for name in kernel.available_backends()]
+    required_sinks = 0
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        density = rng.choice((0.2, 0.35, 0.5, 0.7))
+        adj = [0] * n
+        outs = [0] * n
+        for u in range(n):
+            for v in range(u + 1, n):
+                if rng.random() < density:
+                    a, b = (u, v) if rng.random() < 0.5 else (v, u)
+                    outs[a] |= 1 << b
+                    adj[a] |= 1 << b
+                    adj[b] |= 1 << a
+        for mode in DominationMode:
+            if mode is DominationMode.STRICT:
+                required = list(range(n))
+                required_sinks += outs.count(0)
+            else:
+                required = [v for v in range(n) if outs[v]]
+            for k in range(1, n + 1):
+                expected = _reference_dominator(n, adj, outs, required, k)
+                for impl in backends:
+                    got = impl.solve_fixed_k_dominator(n, adj, outs, required, k)
+                    assert got == expected, (impl.__name__, n, outs, required, k)
+    assert required_sinks > 0
 
 
 def _backend_name_under_env(value: str) -> str:

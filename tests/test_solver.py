@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import random_connected_digraph
-from domchrom import solver
+from conftest import digraphs, random_connected_digraph
+from domchrom import kernel, solver
 from domchrom import (
     BaseGraph,
     Coloring,
@@ -87,7 +87,22 @@ def test_strict_mode_can_be_infeasible():
     assert out.value is None
     assert out.witness is None
     assert not out.feasible
+    assert out.nodes_explored == 0  # refuted at the sinks, before any budget
     assert dominator_chromatic_number_oracle(d, STRICT) is None
+
+
+@given(digraphs(max_n=9))
+def test_ladder_bound_lies_between_chromatic_number_and_value(d):
+    adj = solver._adjacency_masks(d.n, d.arcs)
+    outs = solver._out_masks(d)
+    chi = chromatic_number(underlying(d))
+    for mode in DominationMode:
+        required = solver._required_vertices(d.n, outs, mode)
+        bound = solver._lower_bound(d.n, adj, outs, required)
+        assert chi <= bound
+        value = dominator_chromatic_number(d, mode).value
+        if value is not None:
+            assert bound <= value
 
 
 def test_oracle_agrees_on_small_instances():
@@ -217,6 +232,17 @@ def test_sweep_pool_size_is_capped(monkeypatch):
     monkeypatch.setattr(solver.os, "cpu_count", lambda: None)
     assert sweep(CHORDED_CYCLE, workers=2) == serial
     assert requested == [3, 2048, 1]
+
+
+def test_sweep_workers_run_the_parent_backend(monkeypatch):
+    serial = sweep(CHORDED_CYCLE)
+    requested, chosen = [], []
+    monkeypatch.setattr(solver, "ProcessPoolExecutor", partial(InlinePool, requested))
+    monkeypatch.setattr(kernel, "backend_name", "parent-choice")
+    monkeypatch.setattr(kernel, "use_backend", chosen.append)
+    assert sweep(CHORDED_CYCLE, workers=2) == serial
+    # 2048 representatives in chunks of 2048 // (2 * 8) = 128
+    assert chosen == ["parent-choice"] * 16
 
 
 def test_sweep_edge_guard(monkeypatch):
