@@ -55,9 +55,9 @@ solve_fixed_k_dominator = _impl.solve_fixed_k_dominator
 
 def use_backend(name: str | None) -> str:
     """Rebind the active kernel in this process; None restores the
-    import-time default.  Sweep pool workers are handed the active name;
-    other subprocesses pick their backend at import, honoring
-    DOMCHROM_KERNEL."""
+    import-time default.  Sweep pool workers run it once at start-up with
+    the parent's name; other subprocesses pick their backend at import,
+    honoring DOMCHROM_KERNEL."""
     global _impl, backend_name, solve_fixed_k_proper, solve_fixed_k_dominator
     target = _default_name if name is None else name
     _impl = load_backend(target)

@@ -7,9 +7,7 @@ ladder starts at |S| + chi(G - S): S holds the sole out-neighbors of
 required vertices of out-degree 1, each of which must be a class on its
 own, and chi(G - S) is the chromatic number of the underlying graph
 without S.  With S empty that is chi(G), and it is never below chi(G).
-Under the strict requirement a sink can dominate nothing, so a digraph
-with one is refuted before any budget is tried.  Each budget runs the
-backtracking kernel selected in the kernel module.
+Each budget runs the backtracking kernel selected in the kernel module.
 
 A sweep covers every orientation code of a base graph, aggregating the
 value distribution and the extremal code sets.  Isomorphic orientations
@@ -165,8 +163,6 @@ def _solve_masks(
     """Climb the class budgets from the lower bound up to n until the
     kernel finds a dominator coloring: (assignment, value, nodes), with
     assignment and value None when no budget admits one."""
-    if not all(outs[v] for v in required):
-        return None, None, 0
     nodes = 0
     for k in range(_lower_bound(n, adj, outs, required), n + 1):
         assignment, spent = kernel.solve_fixed_k_dominator(n, adj, outs, required, k)
@@ -265,15 +261,9 @@ class SweepReport:
     argmax_overflow: bool
 
 
-def _solve_codes(
-    base: BaseGraph, mode: DominationMode, codes, backend: str | None = None
-) -> array:
+def _solve_codes(base: BaseGraph, mode: DominationMode, codes) -> array:
     """Values of the orientations with the given codes, in order; 0
-    marks an infeasible one.  Pool workers are handed the parent's
-    backend by name: one started by spawn or forkserver imports the
-    kernel afresh and would otherwise run the import-time default."""
-    if backend is not None:
-        kernel.use_backend(backend)
+    marks an infeasible one."""
     n = base.n
     edges = base.edges
     m = len(edges)
@@ -387,10 +377,15 @@ def sweep(
         # never more processes than requested, CPUs, or chunks to run
         size = min(workers, os.cpu_count() or 1, len(chunks))
         values = array("B")
-        with ProcessPoolExecutor(max_workers=size) as pool:
+        # A worker started by spawn or forkserver imports the kernel
+        # afresh; each one is set to the parent's backend once.
+        with ProcessPoolExecutor(
+            max_workers=size,
+            initializer=kernel.use_backend,
+            initargs=(kernel.backend_name,),
+        ) as pool:
             futures = [
-                pool.submit(_solve_codes, base, mode, chunk, kernel.backend_name)
-                for chunk in chunks
+                pool.submit(_solve_codes, base, mode, chunk) for chunk in chunks
             ]
             for future in futures:
                 values.extend(future.result())
