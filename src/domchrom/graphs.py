@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from functools import partial
+from math import comb
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 
 @dataclass(frozen=True)
@@ -211,6 +213,19 @@ def star_base(leaves: int) -> BaseGraph:
     return BaseGraph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
+def _family(base: BaseGraph) -> str | None:
+    """The family, "path", "cycle" or "star", whose builder gives the
+    exact edge tuple of base for its vertex count, or None."""
+    n, edges = base.n, base.edges
+    if n >= 2 and edges == path_base(n).edges:
+        return "path"
+    if n >= 3 and edges == cycle_base(n).edges:
+        return "cycle"
+    if n >= 3 and edges == star_base(n - 1).edges:
+        return "star"
+    return None
+
+
 def symmetry_generators(base: BaseGraph) -> list[tuple[int, ...]]:
     """Vertex permutations generating the automorphism group of a base
     built by path_base, cycle_base or star_base.
@@ -220,12 +235,13 @@ def symmetry_generators(base: BaseGraph) -> list[tuple[int, ...]]:
     exact edge tuple, so any other base, one with the same edges in
     another order included, gets no generators: the trivial group.
     """
-    n, edges = base.n, base.edges
-    if n >= 2 and edges == path_base(n).edges:
+    n = base.n
+    family = _family(base)
+    if family == "path":
         perms = [[n - 1 - x for x in range(n)]]
-    elif n >= 3 and edges == cycle_base(n).edges:
+    elif family == "cycle":
         perms = [[(x + 1) % n for x in range(n)], [(n - x) % n for x in range(n)]]
-    elif n >= 3 and edges == star_base(n - 1).edges:
+    elif family == "star":
         perms = [[0, 2, 1, *range(3, n)], [0, *range(2, n), 1]]
     else:
         return []
@@ -279,57 +295,97 @@ class CodeOrbits(NamedTuple):
 
     reps: the smallest code of each orbit, ascending.  sizes: orbit
     sizes aligned with reps, or None when every orbit is a single code.
-    label: orbit index (into reps) of every code.
+    members: maps a representative to the codes of its orbit, ascending,
+    so the representative comes first.
     """
 
     reps: Sequence[int]
     sizes: Sequence[int] | None
-    label: Sequence[int]
+    members: Callable[[int], Iterable[int]]
 
 
 def code_orbits(base: BaseGraph) -> CodeOrbits:
-    """Label every orientation code of base with its orbit.
+    """The orbits of base's orientation codes.
 
-    Codes are visited in ascending order; the first code not yet
-    labelled is the smallest of a new orbit, which a depth-first walk
-    along the generator maps then labels in full.  Labels live in one
-    compact array; the trivial group allocates none.
+    A star's leaf permutations move code bits without flipping any and
+    reach every arrangement of them, so its orbits are the popcount
+    classes, given in closed form with no per-code work.  For a path or
+    cycle the first code not yet seen, in ascending order, is the
+    smallest of a new orbit, which a depth-first walk along the
+    generator maps then marks in full, one byte per code.  The trivial
+    group allocates nothing.
     """
-    total = 1 << len(base.edges)
+    m = len(base.edges)
+    total = 1 << m
+    if _family(base) == "star":
+        reps = [(1 << j) - 1 for j in range(m + 1)]
+        return CodeOrbits(
+            reps, [comb(m, j) for j in range(m + 1)], partial(_same_popcount, m)
+        )
     maps = [CodeMap(base, p) for p in symmetry_generators(base)]
     if not maps:
-        codes = range(total)
-        return CodeOrbits(codes, None, codes)
+        return CodeOrbits(range(total), None, _singleton)
     typecode = "I" if total < 1 << 32 else "Q"
-    unseen = total  # orbit indexes stay below total
-    label = array(typecode, [unseen]) * total
+    seen = bytearray(total)
     reps = array(typecode)
     sizes = array(typecode)
-    generators = [(m.tables, m.flip) for m in maps]
-    for start in range(total):
-        if label[start] != unseen:
-            continue
-        index = len(reps)
+    generators = [(f.tables, f.flip) for f in maps]
+    start = 0
+    while start >= 0:
         reps.append(start)
-        label[start] = index
+        seen[start] = 1
         stack = [start]
         size = 1
         while stack:
             code = stack.pop()
             for tables, flip in generators:
                 # CodeMap.__call__, inlined: the call would add a third
-                # to the labelling time
+                # to the marking time
                 image = flip
                 rest = code
                 for table in tables:
                     image ^= table[rest & 0xFF]
                     rest >>= 8
-                if label[image] == unseen:
-                    label[image] = index
+                if not seen[image]:
+                    seen[image] = 1
                     stack.append(image)
                     size += 1
         sizes.append(size)
-    return CodeOrbits(reps, sizes, label)
+        start = seen.find(0, start + 1)  # -1 once every code is seen
+    return CodeOrbits(reps, sizes, partial(_closure, maps))
+
+
+def _singleton(code: int) -> tuple[int]:
+    return (code,)
+
+
+def _same_popcount(m: int, rep: int) -> Iterator[int]:
+    """The m-bit codes with as many set bits as rep = 2^j - 1, ascending,
+    by Gosper's next-same-popcount step."""
+    if not rep:
+        yield 0
+        return
+    code = rep
+    limit = 1 << m
+    while code < limit:
+        yield code
+        low = code & -code
+        ripple = code + low
+        code = ripple | ((code ^ ripple) >> 2) // low
+
+
+def _closure(maps: Sequence[CodeMap], rep: int) -> list[int]:
+    """The orbit of rep under the code maps, ascending."""
+    orbit = {rep}
+    stack = [rep]
+    while stack:
+        code = stack.pop()
+        for f in maps:
+            image = f(code)
+            if image not in orbit:
+                orbit.add(image)
+                stack.append(image)
+    return sorted(orbit)
 
 
 def cycle_symmetry_classes(n: int) -> list[list[OrientationCode]]:
@@ -344,7 +400,7 @@ def cycle_symmetry_classes(n: int) -> list[list[OrientationCode]]:
     """
     base = cycle_base(n)
     orbits = code_orbits(base)
-    classes: list[list[OrientationCode]] = [[] for _ in orbits.reps]
-    for code, index in enumerate(orbits.label):
-        classes[index].append(OrientationCode.from_value(base, code))
-    return classes
+    return [
+        [OrientationCode.from_value(base, code) for code in orbits.members(rep)]
+        for rep in orbits.reps
+    ]

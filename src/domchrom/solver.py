@@ -11,12 +11,13 @@ Each budget runs the backtracking kernel selected in the kernel module.
 
 A sweep covers every orientation code of a base graph, aggregating the
 value distribution and the extremal code sets.  Isomorphic orientations
-share their value, so for a path, cycle or star base the codes are first
-labelled with their orbits under the base's automorphisms and only the
-smallest code of each orbit is solved, weighted by the orbit size; any
-other base uses the trivial group.  With workers > 1 the representatives
-are split into contiguous chunks whose values come back in order, so the
-report never depends on scheduling.
+share their value, so for a path, cycle or star base only the smallest
+code of each orbit under the base's automorphisms is solved, weighted by
+the orbit size; any other base uses the trivial group.  The extremal code
+lists merge the members of the orbits that reach the extreme, so a star,
+whose orbits come in closed form, costs no work per code at all.  With
+workers > 1 the representatives are split into contiguous chunks whose
+values come back in order, so the report never depends on scheduling.
 
 Results are deterministic: fixed vertex order, ascending class trials,
 ties between codes broken by ascending numeric value.
@@ -24,11 +25,13 @@ ties between codes broken by ascending numeric value.
 
 from __future__ import annotations
 
+import heapq
 import os
 from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import islice, repeat
+from typing import Iterator
 
 from . import kernel
 from .coloring import Coloring, DominationMode
@@ -290,8 +293,8 @@ def _report(
     values: array,
     arg_limit: int,
 ) -> SweepReport:
-    """Weight each representative's value by its orbit size, then scan
-    the codes in ascending order for the capped extremal code lists."""
+    """Weight each representative's value by its orbit size, then merge
+    the members of the extremal orbits for the capped code lists."""
     dist: dict[int, int] = {}
     infeasible = 0
     sizes = repeat(1) if orbits.sizes is None else orbits.sizes
@@ -302,33 +305,51 @@ def _report(
             infeasible += size
     min_v = min(dist) if dist else None
     max_v = max(dist) if dist else None
-    min_codes: list[int] = []
-    max_codes: list[int] = []
-    if dist:
-        want_min = min(arg_limit, dist[min_v])
-        want_max = min(arg_limit, dist[max_v])
-        label = orbits.label
-        for code in range(len(label)):
-            value = values[label[code]]
-            if value == min_v and len(min_codes) < want_min:
-                min_codes.append(code)
-            if value == max_v and len(max_codes) < want_max:
-                max_codes.append(code)
-            if len(min_codes) == want_min and len(max_codes) == want_max:
-                break
+
+    def first_codes(target):
+        codes = islice(_codes_with_value(orbits, values, target), arg_limit)
+        return tuple(OrientationCode.from_value(base, c) for c in codes)
+
     return SweepReport(
         base=base,
         mode=mode,
-        orientations=len(orbits.label),
+        orientations=1 << len(base.edges),
         distribution=dict(sorted(dist.items())),
         infeasible_count=infeasible,
         min_value=min_v,
         max_value=max_v,
-        argmin_codes=tuple(OrientationCode.from_value(base, c) for c in min_codes),
-        argmax_codes=tuple(OrientationCode.from_value(base, c) for c in max_codes),
+        argmin_codes=first_codes(min_v),
+        argmax_codes=first_codes(max_v),
         argmin_overflow=min_v is not None and dist[min_v] > arg_limit,
         argmax_overflow=max_v is not None and dist[max_v] > arg_limit,
     )
+
+
+def _codes_with_value(
+    orbits: CodeOrbits, values: array, target: int | None
+) -> Iterator[int]:
+    """The codes whose orbit has the value target, ascending.
+
+    A lazy merge of the member lists of those orbits.  An orbit joins
+    once its representative, its smallest member, is below every queued
+    code, so the top of the queue is always the smallest code not yet
+    given.
+    """
+    matching = (rep for rep, value in zip(orbits.reps, values) if value == target)
+    upcoming = next(matching, None)
+    queue: list[tuple[int, Iterator[int]]] = []
+    while queue or upcoming is not None:
+        if upcoming is not None and (not queue or upcoming < queue[0][0]):
+            stream = iter(orbits.members(upcoming))
+            heapq.heappush(queue, (next(stream), stream))
+            upcoming = next(matching, None)
+        code, stream = queue[0]
+        yield code
+        following = next(stream, None)
+        if following is None:
+            heapq.heappop(queue)
+        else:
+            heapq.heapreplace(queue, (following, stream))
 
 
 def _resolve_edge_guard(max_edges: int | None) -> int:

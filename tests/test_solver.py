@@ -3,10 +3,11 @@ import random
 from collections import Counter
 from concurrent.futures import Future, ProcessPoolExecutor
 from functools import partial
+from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import digraphs, random_connected_digraph
@@ -360,8 +361,45 @@ def test_unrecognised_bases_sweep_every_code():
         assert symmetry_generators(base) == []
         orbits = code_orbits(base)
         assert orbits.sizes is None
-        assert orbits.label == range(1 << len(base.edges))
+        assert orbits.reps == range(1 << len(base.edges))
+        assert all(list(orbits.members(c)) == [c] for c in orbits.reps)
         assert_sweep_matches_reference(base)
+
+
+@st.composite
+def relabelled_bases(draw):
+    """A path, cycle or star base with at most 9 edges, and a vertex
+    relabelling of it that is no longer recognised."""
+    base = draw(
+        st.one_of(
+            st.integers(3, 10).map(path_base),
+            st.integers(3, 9).map(cycle_base),
+            st.integers(2, 9).map(star_base),
+        )
+    )
+    perm = draw(st.permutations(range(base.n)))
+    relabelled = BaseGraph(base.n, [(perm[u], perm[v]) for u, v in base.edges])
+    assume(symmetry_generators(relabelled) == [])
+    return base, relabelled
+
+
+@settings(max_examples=50)
+@given(relabelled_bases())
+def test_relabelled_bases_sweep_like_the_recognised_ones(case):
+    # the relabelled base is solved code by code through the trivial
+    # group, the recognised one through its orbits
+    base, relabelled = case
+    for mode in DominationMode:
+        want = sweep(base, mode)
+        got = sweep(relabelled, mode)
+        for field in (
+            "orientations",
+            "distribution",
+            "infeasible_count",
+            "min_value",
+            "max_value",
+        ):
+            assert getattr(got, field) == getattr(want, field), (field, mode)
 
 
 def relabel(d, perm):
@@ -398,6 +436,28 @@ def test_code_maps_follow_the_vertex_automorphisms(case):
             )
 
 
+def generated_orbits(base):
+    """Every orbit of base's codes as the closure under its generator
+    code maps, found by walking all codes: the reference for code_orbits."""
+    maps = [CodeMap(base, perm) for perm in symmetry_generators(base)]
+    seen = set()
+    orbits = []
+    for start in range(1 << len(base.edges)):
+        if start in seen:
+            continue
+        orbit = {start}
+        stack = [start]
+        while stack:
+            code = stack.pop()
+            for image in (f(code) for f in maps):
+                if image not in orbit:
+                    orbit.add(image)
+                    stack.append(image)
+        seen |= orbit
+        orbits.append(sorted(orbit))
+    return orbits
+
+
 @pytest.mark.parametrize("kind", ["path", "cycle", "star"])
 def test_orbits_partition_the_code_space(kind):
     make = {"path": path_base, "cycle": cycle_base, "star": star_base}[kind]
@@ -405,12 +465,66 @@ def test_orbits_partition_the_code_space(kind):
         base = make(n)
         orbits = code_orbits(base)
         total = 1 << len(base.edges)
-        assert sum(orbits.sizes) == total
-        assert len(orbits.label) == total
-        assert Counter(orbits.label) == dict(enumerate(orbits.sizes))
+        members = [list(orbits.members(rep)) for rep in orbits.reps]
+        assert sorted(c for orbit in members for c in orbit) == list(range(total))
         assert list(orbits.reps) == sorted(orbits.reps)
-        for index, rep in enumerate(orbits.reps):
-            assert orbits.label[rep] == index
-        assert all(orbits.reps[orbits.label[c]] <= c for c in range(total))
+        for rep, size, orbit in zip(orbits.reps, orbits.sizes, members, strict=True):
+            assert orbit[0] == rep
+            assert orbit == sorted(orbit)
+            assert len(orbit) == size
+        assert members == generated_orbits(base)
         if kind == "star":
             assert list(orbits.sizes) == [comb(n, j) for j in range(n + 1)]
+            popcount_classes = [
+                [c for c in range(total) if c.bit_count() == j] for j in range(n + 1)
+            ]
+            assert members == popcount_classes
+
+
+@pytest.mark.parametrize("mode", list(DominationMode))
+def test_star_sweep_at_the_edge_guard(mode):
+    # 2^24 codes in 25 popcount orbits, against one solve per orbit and
+    # the popcount classes enumerated directly
+    m, limit = 24, 64
+    base = star_base(m)
+    assert len(base.edges) == solver.DEFAULT_MAX_SWEEP_EDGES
+    report = sweep(base, mode, max_edges=m, arg_limit=limit)
+    values = [
+        dominator_chromatic_number(
+            orient(OrientationCode.from_value(base, (1 << j) - 1)), mode
+        ).value
+        for j in range(m + 1)
+    ]
+    dist = Counter()
+    for j, value in enumerate(values):
+        dist[value] += comb(m, j)
+    infeasible = dist.pop(None, 0)
+
+    def first_codes(target):
+        # the limit smallest codes with j set bits use only the lowest
+        # width bits, the first width with at least limit such codes
+        codes = []
+        for j, value in enumerate(values):
+            if value == target:
+                width = next(
+                    w for w in range(j, m + 1) if comb(w, j) >= limit or w == m
+                )
+                codes += [sum(1 << b for b in c) for c in combinations(range(width), j)]
+        codes = sorted(codes)[:limit]
+        return tuple(OrientationCode.from_value(base, c) for c in codes)
+
+    lo = min(dist, default=None)
+    hi = max(dist, default=None)
+    assert report == SweepReport(
+        base=base,
+        mode=mode,
+        orientations=1 << m,
+        distribution=dict(sorted(dist.items())),
+        infeasible_count=infeasible,
+        min_value=lo,
+        max_value=hi,
+        argmin_codes=first_codes(lo) if dist else (),
+        argmax_codes=first_codes(hi) if dist else (),
+        argmin_overflow=lo is not None and dist[lo] > limit,
+        argmax_overflow=hi is not None and dist[hi] > limit,
+    )
