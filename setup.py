@@ -2,30 +2,20 @@
 
 The package is fully functional without the extension (a pure-Python twin
 of the kernel is selected at import time), so the build must not fail on
-machines without Cython or a C toolchain.
+machines without a C toolchain.  The extension is one hand-written C
+source; building it needs no Cython:
+
+    python3 setup.py build_ext --inplace
 """
 
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-except ImportError:
-    ext_modules = []
-else:
-    ext_modules = cythonize(
-        [
-            Extension(
-                "domchrom._kernel_c",
-                ["src/domchrom/_kernel_c.pyx"],
-                optional=True,
-            )
-        ],
-        compiler_directives={
-            "language_level": "3",
-            "boundscheck": False,
-            "wraparound": False,
-            "cdivision": True,
-        },
-    )
-
-setup(ext_modules=ext_modules)
+setup(
+    ext_modules=[
+        Extension(
+            "domchrom._kernel_c",
+            ["src/domchrom/_kernel_c.c"],
+            optional=True,
+        )
+    ]
+)

@@ -26,14 +26,28 @@ rather than by a loop over requirements and classes:
 - cover: the union of inside[j] over the opened classes, kept exact per
   depth.
 
-A placement survives iff due is a subset of cover.  Opening a class, and
-adding a vertex that leaves inside[c] unchanged, cost O(1); only a
-shrinking inside[c] recomputes the O(k) union, and only when the old
-cover did not already refute the placement.
+A placement passes that check iff due is a subset of cover.  Opening a
+class, and adding a vertex that leaves inside[c] unchanged, cost O(1);
+only a shrinking inside[c] recomputes the O(k) union, and only when the
+old cover did not already refute the placement.
+
+A placement that passes must then pass the class-packing rule.  The
+required vertices outside the new cover, left = req & ~cover, dominate
+no opened class, and never will: classes only grow.  Each of them needs
+a class opened later and made only of its uncolored out-neighbors,
+R(v) = outs[v] & -(2 << i).  Vertices whose R(v) are pairwise disjoint
+need distinct new classes, and at most spare = k - used' remain (used'
+counting the classes after the placement).  So when left has more than
+spare members, the kernel walks left in ascending vertex order, takes
+each v whose R(v) misses the union of those taken so far, and refutes
+the placement once more than spare are taken.  The rule cuts only
+subtrees that hold no coloring, and the search order is unchanged, so
+the first coloring found, and with it every value and witness, is the
+one the search finds without the rule; only the node count falls.
 
 This module is the reference twin of the compiled kernel in
-_kernel_c.pyx, which evaluates the same predicate with the loop; the two
-must stay in lockstep, including node counts.
+_kernel_c.c, which evaluates the same predicate on 64-bit masks; the
+two must stay in lockstep, including node counts.
 Masks are Python ints, so callers must keep n <= 64 for parity with the
 compiled twin.
 """
@@ -141,10 +155,12 @@ def solve_fixed_k_dominator(
                     grown = req & into_i
                     new_cover = cover | grown
                     due = due_open
+                    spare = k - used - 1
                 else:
                     grown = old & into_i
                     new_cover = cover
                     due = due_join
+                    spare = k - used
                     # the cover can only shrink: refute on the old one
                     # first, and recompute it only when it may change
                     if grown != old and not (due & ~cover):
@@ -152,7 +168,10 @@ def solve_fixed_k_dominator(
                         new_cover = 0
                         for j in range(used):
                             new_cover |= inside[j]
-                if not (due & ~new_cover):
+                left = req & ~new_cover
+                if not (due & left) and (
+                    left.bit_count() <= spare or _packs(left, outs, -(2 << i), spare)
+                ):
                     class_masks[c] = cm | bit
                     inside[c] = grown
                     saved[i] = old
@@ -177,3 +196,19 @@ def solve_fixed_k_dominator(
         class_masks[c] &= ~(1 << i)
         inside[c] = saved[i]
         color[i] = -1
+
+
+def _packs(left: int, outs: list[int], above: int, spare: int) -> bool:
+    """Whether the vertices of left, taken in ascending order, meet no
+    more than spare pairwise disjoint sets outs[v] & above."""
+    taken = 0
+    while left:
+        low = left & -left
+        reach = outs[low.bit_length() - 1] & above
+        if not reach & taken:
+            if not spare:
+                return False
+            spare -= 1
+            taken |= reach
+        left ^= low
+    return True

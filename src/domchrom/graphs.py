@@ -72,6 +72,9 @@ class Digraph:
         object.__setattr__(self, "arcs", arcs)
 
 
+_DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+
+
 @dataclass(frozen=True)
 class OrientationCode:
     """One orientation of a base graph, as a bit per edge.
@@ -104,8 +107,12 @@ class OrientationCode:
             raise ValueError(f"code value {value} out of range for {m} edges")
         if m == 0 and value != 0:
             raise ValueError("edgeless base admits only code 0")
-        bits = tuple((value >> (m - 1 - i)) & 1 for i in range(m))
-        return cls(base, bits)
+        # bits built here are valid by construction: skip __init__
+        code = object.__new__(cls)
+        digits = format(value, f"0{m}b").encode() if m else b""
+        object.__setattr__(code, "base", base)
+        object.__setattr__(code, "bits", tuple(digits.translate(_DIGIT_VALUES)))
+        return code
 
     @property
     def bitstring(self) -> str:

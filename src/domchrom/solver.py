@@ -86,10 +86,26 @@ def chromatic_number(base: BaseGraph) -> int:
     """Exact chromatic number of an undirected graph, n >= 1."""
     _check_solvable_size(base.n)
     adj = _adjacency_masks(base.n, base.edges)
-    for k in range(1, base.n + 1):
+    for k in range(_greedy_clique_size(adj), base.n + 1):
         if kernel.solve_fixed_k_proper(base.n, adj, k) is not None:
             return k
     raise AssertionError("unreachable: n classes always color n vertices")
+
+
+def _greedy_clique_size(adj: list[int]) -> int:
+    """Size of a clique grown by taking, at each step, the candidate with
+    the most candidate neighbors; a lower bound on the chromatic number,
+    and at least 2 once any edge exists."""
+    size = 0
+    candidates = (1 << len(adj)) - 1
+    while candidates:
+        best = max(
+            (u for u in range(len(adj)) if candidates >> u & 1),
+            key=lambda u: (adj[u] & candidates).bit_count(),
+        )
+        candidates &= adj[best]
+        size += 1
+    return size
 
 
 @dataclass(frozen=True)

@@ -68,6 +68,10 @@ def test_orientation_code_value_roundtrip():
         assert code.value == value
         assert len(code.bits) == 3
         assert int(code.bitstring, 2) == value
+        assert code == OrientationCode(base, code.bits)
+        assert hash(code) == hash(OrientationCode(base, code.bits))
+    edgeless = BaseGraph(3, [])
+    assert OrientationCode.from_value(edgeless, 0).bits == ()
 
 
 def test_orientation_code_bitstring_is_msb_first():
@@ -83,10 +87,12 @@ def test_orientation_code_validation():
         OrientationCode(base, [0, 1])
     with pytest.raises(ValueError):
         OrientationCode(base, [0, 2, 0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="code value 8 out of range for 3 edges"):
         OrientationCode.from_value(base, 8)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="code value -1 out of range"):
         OrientationCode.from_value(base, -1)
+    with pytest.raises(ValueError, match="edgeless base admits only code 0"):
+        OrientationCode.from_value(BaseGraph(2, []), 1)
 
 
 def test_orient_and_code_of_are_inverse():

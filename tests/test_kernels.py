@@ -3,20 +3,27 @@
 The compiled kernel and the pure-Python kernel implement the same
 search with the same branching order, so they must agree not only on
 values and witnesses but on the number of nodes explored.  Both must
-also agree, node for node, with the loop-based domination check kept
-below as the reference.
+also agree, node for node, with the loop-based domination check and
+class-packing rule kept below as the reference.  The compiled kernel
+is built here from its C source into a temporary directory, so these
+checks need only a C compiler and the Python headers, not an installed
+extension.
 """
 
+import importlib.util
 import os
 import random
+import shutil
 import subprocess
 import sys
+import sysconfig
+from pathlib import Path
 
 import pytest
 
 from conftest import random_connected_digraph
 from domchrom import DominationMode, dominator_chromatic_number, find_dominator_coloring
-from domchrom import kernel
+from domchrom import _kernel_py, kernel
 
 
 def test_python_backend_is_always_available():
@@ -34,9 +41,7 @@ def test_unknown_backend_is_rejected():
     assert kernel.backend_name == before
 
 
-@pytest.mark.skipif(
-    "c" not in kernel.available_backends(), reason="compiled kernel not built"
-)
+@pytest.mark.usefixtures("compiled_backend")
 def test_backends_agree_exactly():
     rng = random.Random(7)
     cases = [random_connected_digraph(rng, rng.randint(2, 7)) for _ in range(30)]
@@ -56,9 +61,7 @@ def test_backends_agree_exactly():
     assert results["python"] == results["c"]
 
 
-@pytest.mark.skipif(
-    "c" not in kernel.available_backends(), reason="compiled kernel not built"
-)
+@pytest.mark.usefixtures("compiled_backend")
 def test_backend_switch_affects_fixed_budget_search():
     d = random_connected_digraph(random.Random(11), 6)
     kernel.use_backend("python")
@@ -76,10 +79,15 @@ def test_backend_switch_affects_fixed_budget_search():
         assert a.assignment == b.assignment
 
 
-def _reference_dominator(n, adj, outs, required, k):
+def _reference_dominator(n, adj, outs, required, k, packing=True):
     """The loop-based search: every placement scans each due requirement
-    against the opened classes."""
+    against the opened classes.  With packing, it then lists the
+    requirements that dominate no opened class, takes them in ascending
+    vertex order whenever their uncolored out-neighbors miss those of the
+    ones taken before, and refutes the placement when it takes more than
+    the classes still left to open."""
     req = [((outs[v]).bit_length() - 1, ~outs[v]) for v in required]
+    out_lists = [[w for w in range(n) if outs[v] >> w & 1] for v in required]
     color = [-1] * n
     class_masks = [0] * k
     used_stack = [0] * (n + 1)
@@ -101,6 +109,21 @@ def _reference_dominator(n, adj, outs, required, k):
                     or any(not class_masks[j] & not_out for j in range(new_used))
                     for maxout, not_out in req
                 )
+                if feasible and packing:
+                    classes = [
+                        [u for u in range(i + 1) if color[u] == j] for j in range(new_used)
+                    ]
+                    classes[c].append(i)
+                    taken: set[int] = set()
+                    disjoint = 0
+                    for out in out_lists:
+                        if any(set(members) <= set(out) for members in classes):
+                            continue
+                        reach = {w for w in out if w > i}
+                        if not reach & taken:
+                            taken |= reach
+                            disjoint += 1
+                    feasible = disjoint <= k - new_used
                 if feasible:
                     color[i], trial[i], used_stack[i + 1] = c, c + 1, new_used
                     placed = True
@@ -120,10 +143,10 @@ def _reference_dominator(n, adj, outs, required, k):
         color[i] = -1
 
 
-def test_kernel_matches_reference_predicate():
+def _random_instances():
+    """Every budget of 300 random digraphs on at most 12 vertices, under
+    both requirements: (n, adj, outs, required, k)."""
     rng = random.Random(20261018)
-    backends = [kernel.load_backend(name) for name in kernel.available_backends()]
-    required_sinks = 0
     for _ in range(300):
         n = rng.randint(1, 12)
         density = rng.choice((0.2, 0.35, 0.5, 0.7))
@@ -139,15 +162,117 @@ def test_kernel_matches_reference_predicate():
         for mode in DominationMode:
             if mode is DominationMode.STRICT:
                 required = list(range(n))
-                required_sinks += outs.count(0)
             else:
                 required = [v for v in range(n) if outs[v]]
             for k in range(1, n + 1):
-                expected = _reference_dominator(n, adj, outs, required, k)
-                for impl in backends:
-                    got = impl.solve_fixed_k_dominator(n, adj, outs, required, k)
-                    assert got == expected, (impl.__name__, n, outs, required, k)
+                yield n, adj, outs, required, k
+
+
+def test_kernel_matches_reference_predicate():
+    backends = [kernel.load_backend(name) for name in kernel.available_backends()]
+    required_sinks = 0
+    nodes_cut = 0
+    for n, adj, outs, required, k in _random_instances():
+        required_sinks += sum(1 for v in required if not outs[v])
+        expected = _reference_dominator(n, adj, outs, required, k)
+        # the packing rule cuts only subtrees without a coloring
+        unpacked = _reference_dominator(n, adj, outs, required, k, packing=False)
+        assert expected[0] == unpacked[0] and expected[1] <= unpacked[1]
+        nodes_cut += unpacked[1] - expected[1]
+        for impl in backends:
+            got = impl.solve_fixed_k_dominator(n, adj, outs, required, k)
+            assert got == expected, (impl.__name__, n, outs, required, k)
     assert required_sinks > 0
+    assert nodes_cut > 0
+
+
+@pytest.fixture(scope="module")
+def compiled_twin(tmp_path_factory):
+    """_kernel_c.c compiled into a temporary directory and loaded from
+    there, whether or not an in-place build exists."""
+    compiler = shutil.which("cc") or shutil.which("gcc")
+    includes = {sysconfig.get_paths()[key] for key in ("include", "platinclude")}
+    if compiler is None or not any(
+        os.path.exists(os.path.join(d, "Python.h")) for d in includes
+    ):
+        pytest.skip("no C compiler or no Python headers")
+    source = Path(kernel.__file__).with_name("_kernel_c.c")
+    target = tmp_path_factory.mktemp("kernel") / (
+        "_kernel_c" + sysconfig.get_config_var("EXT_SUFFIX")
+    )
+    flags = [f"-I{d}" for d in sorted(includes)]
+    subprocess.run(
+        [compiler, "-O2", "-shared", "-fPIC", *flags, str(source), "-o", str(target)],
+        check=True,
+    )
+    spec = importlib.util.spec_from_file_location("domchrom._kernel_c", target)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def compiled_backend(compiled_twin, monkeypatch):
+    """The compiled twin, importable as domchrom._kernel_c for one test,
+    so that kernel.use_backend("c") selects it without an in-place
+    build."""
+    monkeypatch.setitem(sys.modules, "domchrom._kernel_c", compiled_twin)
+
+
+def _same_dominator(twin, *instance):
+    got = twin.solve_fixed_k_dominator(*instance)
+    assert got == _kernel_py.solve_fixed_k_dominator(*instance), instance
+    return got[0]
+
+
+def _same_proper(twin, n, adj, k):
+    got = twin.solve_fixed_k_proper(n, adj, k)
+    assert got == _kernel_py.solve_fixed_k_proper(n, adj, k), (n, adj, k)
+    return got
+
+
+def test_compiled_source_matches_python_kernel(compiled_twin):
+    for n, adj, outs, required, k in _random_instances():
+        _same_dominator(compiled_twin, n, adj, outs, required, k)
+        _same_proper(compiled_twin, n, adj, k)
+
+
+def test_compiled_source_matches_python_kernel_on_64_vertices(compiled_twin):
+    """Sparse digraphs on 64 vertices, with arcs 62 -> 63 -> 0, put the
+    top mask bit through every step.  Budgets: the three smallest, n,
+    and the class count of the coloring found at n.  A search at that
+    count finds the same coloring and is no larger than the one at n, as
+    every check is at least as strict; this keeps the exponential
+    budgets just below the answer out of the test."""
+    rng = random.Random(64)
+    n = 64
+    for _ in range(12):
+        adj = [0] * n
+        outs = [0] * n
+
+        def arc(a, b):
+            if not adj[a] >> b & 1:
+                outs[a] |= 1 << b
+                adj[a] |= 1 << b
+                adj[b] |= 1 << a
+
+        p = rng.choice((1.0, 1.5, 2.0)) / n
+        for u in range(n):
+            for v in range(u + 1, n):
+                if rng.random() < p:
+                    arc(*((u, v) if rng.random() < 0.5 else (v, u)))
+        arc(n - 2, n - 1)
+        arc(n - 1, 0)
+        for required in (list(range(n)), [v for v in range(n) if outs[v]]):
+            for k in (1, 2, 3):
+                _same_dominator(compiled_twin, n, adj, outs, required, k)
+            found = _same_dominator(compiled_twin, n, adj, outs, required, n)
+            if found is not None:
+                _same_dominator(compiled_twin, n, adj, outs, required, max(found) + 1)
+        found = _same_proper(compiled_twin, n, adj, n)
+        _same_proper(compiled_twin, n, adj, max(found) + 1)
+    with pytest.raises(ValueError):
+        compiled_twin.solve_fixed_k_dominator(65, [0] * 65, [0] * 65, [], 3)
 
 
 def _backend_name_under_env(value: str) -> str:

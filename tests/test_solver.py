@@ -57,6 +57,22 @@ def test_chromatic_number_basics():
     assert chromatic_number(complete_base(5)) == 5
 
 
+@given(st.data())
+def test_chromatic_climb_from_a_clique_matches_the_climb_from_one(data):
+    n = data.draw(st.integers(min_value=1, max_value=9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    base = BaseGraph(n, [e for e, kept in zip(pairs, keep) if kept])
+    adj = solver._adjacency_masks(n, base.edges)
+    from_one = next(
+        k for k in range(1, n + 1) if kernel.solve_fixed_k_proper(n, adj, k) is not None
+    )
+    clique = solver._greedy_clique_size(adj)
+    assert (clique >= 2) == bool(base.edges)
+    assert clique <= from_one
+    assert chromatic_number(base) == from_one
+
+
 def test_find_dominator_coloring_respects_budget():
     d = directed_path(4)  # value 4
     assert find_dominator_coloring(d, 3) is None
