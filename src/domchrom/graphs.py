@@ -73,6 +73,7 @@ class Digraph:
 
 
 _DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+_DIGIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 @dataclass(frozen=True)
@@ -116,7 +117,7 @@ class OrientationCode:
 
     @property
     def bitstring(self) -> str:
-        return "".join(str(b) for b in self.bits)
+        return bytes(self.bits).translate(_DIGIT_CHARS).decode()
 
     @property
     def value(self) -> int:
@@ -360,6 +361,12 @@ def code_orbits(base: BaseGraph) -> CodeOrbits:
         sizes.append(size)
         start = seen.find(0, start + 1)  # -1 once every code is seen
     return CodeOrbits(reps, sizes, partial(_closure, maps))
+
+
+def codes_enumerated(base: BaseGraph) -> bool:
+    """Whether code_orbits(base), or a sweep over its orbits, takes time
+    in proportion to the codes: true for every base but a star."""
+    return _family(base) != "star"
 
 
 def _singleton(code: int) -> tuple[int]:

@@ -3,11 +3,14 @@
 The dominator chromatic number of a digraph is found by trying class
 budgets k in ascending order and stopping at n (giving every vertex its
 own class always verifies under the sink-exempt requirement).  The
-ladder starts at |S| + chi(G - S): S holds the sole out-neighbors of
-required vertices of out-degree 1, each of which must be a class on its
-own, and chi(G - S) is the chromatic number of the underlying graph
-without S.  With S empty that is chi(G), and it is never below chi(G).
-Each budget runs the backtracking kernel selected in the kernel module.
+ladder starts at the packing bound P + chi(G - U): P required vertices
+with independent, pairwise disjoint out-sets, whose union is U, each
+dominate a distinct class inside U, and the other classes properly
+color G - U.  Out-degree 1 is taken first, so the bound is never below
+|S| + chi(G - S), S the sole out-neighbors of such vertices, nor below
+chi(G); and as P <= |U| it is at most n, so every ladder ends in a
+kernel call.  Each budget runs the backtracking kernel selected in the
+kernel module.
 
 A sweep covers every orientation code of a base graph, aggregating the
 value distribution and the extremal code sets.  Isomorphic orientations
@@ -41,6 +44,7 @@ from .graphs import (
     Digraph,
     OrientationCode,
     code_orbits,
+    codes_enumerated,
     orient,
 )
 
@@ -85,24 +89,83 @@ def _required_vertices(n: int, outs: list[int], mode: DominationMode) -> list[in
 def chromatic_number(base: BaseGraph) -> int:
     """Exact chromatic number of an undirected graph, n >= 1."""
     _check_solvable_size(base.n)
-    adj = _adjacency_masks(base.n, base.edges)
-    for k in range(_greedy_clique_size(adj), base.n + 1):
-        if kernel.solve_fixed_k_proper(base.n, adj, k) is not None:
+    return _chromatic_masks(_adjacency_masks(base.n, base.edges), (1 << base.n) - 1)
+
+
+def _chromatic_masks(adj: list[int], keep: int) -> int:
+    """Chromatic number of the subgraph that the vertex mask keep induces.
+
+    No vertex gives 0 and no edge 1; a BFS 2-coloring settles 2.  Else
+    the subgraph is relabelled onto 0..r-1 before the proper kernel
+    climbs from max(3, a greedy clique): with the vertices outside keep
+    left in as isolated ones, the kernel would branch over them too on
+    every budget it refutes.
+    """
+    members = [u for u in range(len(adj)) if keep >> u & 1]
+    if not members:
+        return 0
+    if not any(adj[u] & keep for u in members):
+        return 1
+    if _two_colorable(adj, keep):
+        return 2
+    index = {u: j for j, u in enumerate(members)}
+    sub = []
+    for u in members:
+        rest = adj[u] & keep
+        mask = 0
+        while rest:
+            low = rest & -rest
+            mask |= 1 << index[low.bit_length() - 1]
+            rest ^= low
+        sub.append(mask)
+    r = len(members)
+    for k in range(max(3, _greedy_clique_size(sub)), r + 1):
+        if kernel.solve_fixed_k_proper(r, sub, k) is not None:
             return k
     raise AssertionError("unreachable: n classes always color n vertices")
 
 
+def _two_colorable(adj: list[int], keep: int) -> bool:
+    """Whether the subgraph induced by keep is bipartite, by a BFS that
+    colors each layer by the parity of its depth."""
+    sides = [0, 0]
+    unseen = keep
+    while unseen:
+        frontier = unseen & -unseen
+        unseen ^= frontier
+        parity = 0
+        sides[0] |= frontier
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= adj[low.bit_length() - 1]
+                frontier ^= low
+            # an edge inside a layer, or back to the same parity, closes
+            # an odd cycle
+            if reach & sides[parity]:
+                return False
+            frontier = reach & unseen
+            unseen ^= frontier
+            parity ^= 1
+            sides[parity] |= frontier
+    return True
+
+
 def _greedy_clique_size(adj: list[int]) -> int:
     """Size of a clique grown by taking, at each step, the candidate with
-    the most candidate neighbors; a lower bound on the chromatic number,
-    and at least 2 once any edge exists."""
+    the most candidate neighbors (the lowest such vertex on a tie); a
+    lower bound on the chromatic number, and at least 2 once any edge
+    exists."""
     size = 0
     candidates = (1 << len(adj)) - 1
     while candidates:
-        best = max(
-            (u for u in range(len(adj)) if candidates >> u & 1),
-            key=lambda u: (adj[u] & candidates).bit_count(),
-        )
+        best, most = 0, -1
+        for u in range(len(adj)):
+            if candidates >> u & 1:
+                count = (adj[u] & candidates).bit_count()
+                if count > most:
+                    best, most = u, count
         candidates &= adj[best]
         size += 1
     return size
@@ -159,21 +222,28 @@ def dominator_chromatic_number(
 
 
 def _lower_bound(n: int, adj: list[int], outs: list[int], required: list[int]) -> int:
-    """|S| + chi(G - S), S the sole out-neighbors of the required
-    vertices of out-degree 1."""
-    forced = 0
-    for v in required:
+    """The packing bound P + chi(G - U).
+
+    Walk the required vertices with a nonempty out-set by (out-degree,
+    vertex) and take v when outs[v] is independent and misses U, the
+    union of the out-sets taken so far; P counts the vertices taken.
+    """
+    taken = packed = 0
+    for _, v in sorted((outs[v].bit_count(), v) for v in required if outs[v]):
         om = outs[v]
-        if om and not om & (om - 1):
-            forced |= om
-    rest = [u for u in range(n) if not forced >> u & 1]
-    if not rest:
-        return n
-    index = {u: j for j, u in enumerate(rest)}
-    edges = [
-        (index[u], index[w]) for u in rest for w in rest if w > u and adj[u] >> w & 1
-    ]
-    return n - len(rest) + chromatic_number(BaseGraph(len(rest), edges))
+        if om & taken:
+            continue
+        # an edge inside om has an end above its lowest vertex
+        rest = om & (om - 1)
+        while rest:
+            low = rest & -rest
+            if adj[low.bit_length() - 1] & om:
+                break
+            rest ^= low
+        else:
+            taken |= om
+            packed += 1
+    return packed + _chromatic_masks(adj, ((1 << n) - 1) & ~taken)
 
 
 def _solve_masks(
@@ -400,7 +470,8 @@ def sweep(
         raise ValueError("workers must be at least 1")
     m = len(base.edges)
     guard = _resolve_edge_guard(max_edges)
-    if m > guard:
+    # a star costs one solve per leaf count, bounded by the kernel limit
+    if m > guard and codes_enumerated(base):
         raise GuardExceeded(
             f"sweep over {m} edges exceeds the guard of {guard} "
             f"(raise via {SWEEP_EDGES_ENV} or max_edges)"

@@ -7,10 +7,23 @@ error, 3 guard exceeded.
 import json
 import subprocess
 import sys
+from collections import Counter
+from math import comb
 
 import pytest
 
-from domchrom import Coloring, cli, directed_path, path_base, star_oriented
+from domchrom import (
+    Coloring,
+    OrientationCode,
+    cli,
+    directed_path,
+    dominator_chromatic_number,
+    orient,
+    path_base,
+    solver,
+    star_oriented,
+)
+from domchrom.graphs import star_base
 from domchrom.cli import run
 from domchrom.formats import emit_base, emit_coloring, emit_digraph, parse_coloring, parse_digraph
 
@@ -205,6 +218,26 @@ def test_sweep_guard_exit_code(capsys):
     assert "DOMCHROM_MAX_SWEEP_EDGES" in err
 
 
+def test_sweep_star_past_the_edge_guard_solves_each_orbit_once(monkeypatch, capsys):
+    # 2^25 codes, but only the 26 popcount orbits are solved: the edge
+    # guard is for bases whose codes are enumerated
+    leaves = 25
+    solves = []
+    real = solver._solve_masks
+    monkeypatch.setattr(solver, "_solve_masks", lambda *a: solves.append(a[0]) or real(*a))
+    assert run(["sweep", "star", "--n", str(leaves), "--json"]) == 0
+    (row,) = json.loads(capsys.readouterr().out)["outputs"]["rows"]
+    assert solves == [leaves + 1] * (leaves + 1)
+    base = star_base(leaves)
+    dist = Counter()
+    for j in range(leaves + 1):
+        code = OrientationCode.from_value(base, (1 << j) - 1)
+        dist[str(dominator_chromatic_number(orient(code)).value)] += comb(leaves, j)
+    assert row["orientations"] == 1 << leaves
+    assert row["distribution"] == dict(sorted(dist.items()))
+    assert run(["sweep", "path", "--n", "30"]) == 3
+
+
 def test_family_text(capsys):
     assert run(["family", "path", "7"]) == 0
     out = capsys.readouterr().out
@@ -319,6 +352,18 @@ def test_mine_discrepancy_csv(capsys):
     assert capsys.readouterr().out == (
         "n,host_value,sub_value,discrepancy\n6,3,6,3\n"
     )
+
+
+def test_mine_discrepancy_solves_each_digraph_once(monkeypatch, capsys):
+    sizes = []
+    real = solver._solve_masks
+    monkeypatch.setattr(solver, "_solve_masks", lambda *a: sizes.append(a[0]) or real(*a))
+    for n in (4, 5, 6):
+        sizes.clear()
+        assert run(["mine-discrepancy", "--family", "tilde-cycle", "--n", str(n)]) == 0
+        # the tilde cycle (n + 1 vertices), then the directed cycle
+        assert sizes == [n + 1, n]
+    capsys.readouterr()
 
 
 def test_module_entry_point_runs():

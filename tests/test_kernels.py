@@ -275,10 +275,14 @@ def test_compiled_source_matches_python_kernel_on_64_vertices(compiled_twin):
         compiled_twin.solve_fixed_k_dominator(65, [0] * 65, [0] * 65, [], 3)
 
 
-def _backend_name_under_env(value: str) -> str:
+def _backend_name_under_env(value: str, preamble: str = "") -> str:
     env = dict(os.environ, DOMCHROM_KERNEL=value)
     proc = subprocess.run(
-        [sys.executable, "-c", "import domchrom.kernel as k; print(k.backend_name)"],
+        [
+            sys.executable,
+            "-c",
+            preamble + "import domchrom.kernel as k; print(k.backend_name)",
+        ],
         capture_output=True,
         text=True,
         env=env,
@@ -291,11 +295,18 @@ def test_env_variable_forces_python_backend():
     assert _backend_name_under_env("python") == "python"
 
 
-@pytest.mark.skipif(
-    "c" not in kernel.available_backends(), reason="compiled kernel not built"
-)
-def test_env_variable_forces_compiled_backend():
-    assert _backend_name_under_env("c") == "c"
+def test_env_variable_forces_compiled_backend(compiled_twin):
+    # the subprocess registers the twin as domchrom._kernel_c before the
+    # package imports, as an in-place build would provide it
+    preamble = (
+        "import importlib.util, sys\n"
+        "spec = importlib.util.spec_from_file_location(\n"
+        f"    'domchrom._kernel_c', {compiled_twin.__file__!r})\n"
+        "twin = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(twin)\n"
+        "sys.modules['domchrom._kernel_c'] = twin\n"
+    )
+    assert _backend_name_under_env("c", preamble) == "c"
 
 
 def test_env_variable_with_bad_value_fails_loudly():

@@ -7,11 +7,11 @@ from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import digraphs, random_connected_digraph
-from domchrom import kernel, solver
+from domchrom import _kernel_py, kernel, solver
 from domchrom import (
     BaseGraph,
     Coloring,
@@ -107,21 +107,133 @@ def test_strict_mode_can_be_infeasible():
     assert dominator_chromatic_number_oracle(d, STRICT) is None
 
 
+def _induced_masks(adj, keep):
+    members = [u for u in range(len(adj)) if keep >> u & 1]
+    edges = [
+        (i, j)
+        for i, u in enumerate(members)
+        for j, w in enumerate(members)
+        if i < j and adj[u] >> w & 1
+    ]
+    return len(members), solver._adjacency_masks(len(members), edges)
+
+
+def _chi_by_climb(adj, keep):
+    """chi of the subgraph induced by keep, climbing the pure-Python
+    proper kernel from 1 on a relabelled copy."""
+    r, sub = _induced_masks(adj, keep)
+    return next(
+        (k for k in range(1, r + 1) if _kernel_py.solve_fixed_k_proper(r, sub, k)),
+        0,
+    )
+
+
+def _singleton_bound(n, adj, outs, required):
+    """|S| + chi(G - S), S the sole out-neighbors of the required
+    vertices of out-degree 1: the packing bound must never fall below it."""
+    forced = 0
+    for v in required:
+        om = outs[v]
+        if om and not om & (om - 1):
+            forced |= om
+    return forced.bit_count() + _chi_by_climb(adj, ((1 << n) - 1) & ~forced)
+
+
+def _ladder_from(start, n, adj, outs, required):
+    nodes = 0
+    for k in range(start, n + 1):
+        assignment, spent = kernel.solve_fixed_k_dominator(n, adj, outs, required, k)
+        nodes += spent
+        if assignment is not None:
+            return assignment, k, nodes
+    return None, None, nodes
+
+
 @given(digraphs(max_n=9))
+# taking 0's out-set {1, 2} would drop the bound below |S| + chi(G - S),
+# though an edge joins 1 and 2
+@example(Digraph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]))
+# 0 and 3 share the out-set {1, 2}: taking both would exceed the value
+@example(Digraph(4, [(0, 1), (0, 2), (3, 1), (3, 2)]))
 def test_ladder_bound_lies_between_chromatic_number_and_value(d):
-    # the value comes from the oracle: the ladder starts at the bound,
-    # so its own answer can never fall below it
+    # chi(G) <= |S| + chi(G - S) <= the packing bound <= the oracle's
+    # value; started there, the ladder ends at the same budget and the
+    # same coloring as from |S| + chi(G - S), on no more nodes
     adj = solver._adjacency_masks(d.n, d.arcs)
     outs = solver._out_masks(d)
     chi = chromatic_number(underlying(d))
     for mode in DominationMode:
         required = solver._required_vertices(d.n, outs, mode)
+        reference = _singleton_bound(d.n, adj, outs, required)
         bound = solver._lower_bound(d.n, adj, outs, required)
-        assert chi <= bound
+        assert chi <= reference <= bound
         value = dominator_chromatic_number_oracle(d, mode)
-        if value is not None:
-            assert bound <= value
+        assert bound <= (d.n if value is None else value)
+        assignment, got, nodes = solver._solve_masks(d.n, adj, outs, required)
+        want = _ladder_from(reference, d.n, adj, outs, required)
+        assert (assignment, got) == want[:2]
+        assert nodes <= want[2]
+        assert got == value
         assert dominator_chromatic_number(d, mode).value == value
+
+
+def test_ladder_computes_one_chromatic_number(monkeypatch):
+    calls = []
+    real = solver._chromatic_masks
+
+    def spy(adj, keep):
+        calls.append(keep)
+        return real(adj, keep)
+
+    monkeypatch.setattr(solver, "_chromatic_masks", spy)
+    # once per ladder, infeasible ones included, and also when U takes
+    # every vertex: the directed cycle's answer is the bound n + chi(empty)
+    for d in (directed_cycle(5), directed_path(4), star_oriented(3, 1)):
+        for mode in DominationMode:
+            calls.clear()
+            dominator_chromatic_number(d, mode)
+            assert len(calls) == 1
+    calls.clear()
+    dominator_chromatic_number(directed_cycle(5))
+    assert calls == [0]
+
+
+def test_chromatic_masks_match_the_climb_from_one(monkeypatch):
+    real = kernel.solve_fixed_k_proper
+    sizes = []
+
+    def spy(n, adj, k):
+        sizes.append(n)
+        return real(n, adj, k)
+
+    monkeypatch.setattr(kernel, "solve_fixed_k_proper", spy)
+    # edgeless, bipartite and odd-cycle bases, one with a pendant vertex
+    # that keep drops, then random graphs and random vertex subsets
+    pendant_pentagon = BaseGraph(
+        6, [(0, 1)] + [(1 + u, 1 + v) for u, v in cycle_base(5).edges]
+    )
+    bases = [BaseGraph(4, []), path_base(6), cycle_base(6), cycle_base(7)]
+    bases += [pendant_pentagon, complete_base(4)]
+    rng = random.Random(11)
+    for _ in range(60):
+        n = rng.randint(1, 9)
+        p = rng.random()
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        bases.append(BaseGraph(n, [e for e in pairs if rng.random() < p]))
+    seen = set()
+    for base in bases:
+        adj = solver._adjacency_masks(base.n, base.edges)
+        full = (1 << base.n) - 1
+        for keep in (full, full & ~1, 0, rng.randrange(1 << base.n)):
+            expected = _chi_by_climb(adj, keep)
+            sizes.clear()
+            assert solver._chromatic_masks(adj, keep) == expected, (base, keep)
+            # the proper kernel runs only past 2, and on the subgraph
+            # relabelled onto 0..r-1
+            r = keep.bit_count()
+            assert set(sizes) == ({r} if expected > 2 else set()), (base, keep)
+            seen.add(expected)
+    assert {0, 1, 2, 3} <= seen
 
 
 def test_oracle_agrees_on_small_instances():
