@@ -287,7 +287,7 @@ def _cmd_formulas(args: argparse.Namespace) -> int:
     if args.csv:
         sys.stdout.write(emit_csv(["n", "value"], [[r["n"], r["value"]] for r in rows]))
         return EXIT_OK
-    inputs = {"base": args.base, "n_min": args.n_min, "n_max": args.n_max}
+    inputs = {"base": args.base, "n_min": ns[0], "n_max": ns[-1]}
     outputs = {"rows": rows}
     text = "".join(f"n={r['n']} value={r['value']}\n" for r in rows)
     _print_result(args, RunResult("formulas", inputs, outputs), text)
@@ -402,8 +402,8 @@ def _cmd_mine(args: argparse.Namespace) -> int:
         return EXIT_OK
     inputs = {
         "family": args.family,
-        "n_min": args.n_min,
-        "n_max": args.n_max,
+        "n_min": ns[0],
+        "n_max": ns[-1],
         "mode": mode.value,
     }
     outputs = {"rows": rows, "mode": mode.value, "elapsed_ms": _ms(t0)}

@@ -32,6 +32,7 @@ from .graphs import (
     cycle_base,
     orient,
     path_base,
+    star_base,
     underlying,
 )
 
@@ -108,8 +109,7 @@ def base_graph(spec: FamilySpec) -> BaseGraph:
     if kind == "cycle":
         return cycle_base(params[0])
     if kind == "star":
-        leaves = params[0]
-        return BaseGraph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+        return star_base(params[0])
     if kind == "complete":
         n = params[0]
         return BaseGraph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])

@@ -223,83 +223,60 @@ def star_base(leaves: int) -> BaseGraph:
 
 def _family(base: BaseGraph) -> str | None:
     """The family, "path", "cycle" or "star", whose builder gives the
-    exact edge tuple of base for its vertex count, or None."""
+    exact edge tuple of base for its vertex count, or None: the same
+    edges in another order are not recognised."""
     n, edges = base.n, base.edges
-    if n >= 2 and edges == path_base(n).edges:
+    steps = tuple((i, i + 1) for i in range(n - 1))
+    if n >= 2 and edges == steps:
         return "path"
-    if n >= 3 and edges == cycle_base(n).edges:
+    if n >= 3 and edges == steps + ((0, n - 1),):
         return "cycle"
-    if n >= 3 and edges == star_base(n - 1).edges:
+    if n >= 3 and edges == tuple((0, i) for i in range(1, n)):
         return "star"
     return None
 
 
-def symmetry_generators(base: BaseGraph) -> list[tuple[int, ...]]:
-    """Vertex permutations generating the automorphism group of a base
-    built by path_base, cycle_base or star_base.
+# _REVERSED_BITS[x]: the byte x with its 8 bits in reverse order
+_REVERSED_BITS = bytes(int(f"{x:08b}"[::-1], 2) for x in range(256))
 
-    path: the reversal; cycle: one rotation and one reflection; star: a
-    transposition and a cycle of the leaves.  Recognition compares the
-    exact edge tuple, so any other base, one with the same edges in
-    another order included, gets no generators: the trivial group.
+
+def _mirror(code: int, m: int) -> int:
+    """The m-bit code with its bits in reverse order, each one flipped."""
+    # the bytes, little-endian and each reversed, read big-endian hold
+    # the reversal of all their bits; the -m & 7 lowest are padding
+    reversed_bytes = code.to_bytes((m + 7) >> 3, "little").translate(_REVERSED_BITS)
+    return (int.from_bytes(reversed_bytes, "big") >> (-m & 7)) ^ ((1 << m) - 1)
+
+
+def _orbit(family: str, m: int, code: int) -> list[int]:
+    """The codes of a path or cycle with m edges that are isomorphic to
+    code, ascending.
+
+    Path: the reversal x -> n-1-x sends edge i to edge m-1-i against its
+    direction, so the image of code is its mirror.  Cycle: the closing
+    edge (0, n-1) is read against the way round, so in g = code ^ 1 bit
+    i (from the most significant) is 0 when its arc runs i -> i+1 mod n.
+    The rotation x -> x+1 then rotates g right by one bit, and the
+    reflection x -> -x mirrors it; each image is conjugated back by ^ 1.
     """
-    n = base.n
-    family = _family(base)
     if family == "path":
-        perms = [[n - 1 - x for x in range(n)]]
-    elif family == "cycle":
-        perms = [[(x + 1) % n for x in range(n)], [(n - x) % n for x in range(n)]]
-    elif family == "star":
-        perms = [[0, 2, 1, *range(3, n)], [0, *range(2, n), 1]]
-    else:
-        return []
-    return [tuple(p) for p in perms]
-
-
-class CodeMap:
-    """The map a vertex automorphism induces on orientation codes.
-
-    Edge (u, v) goes to edge (p[u], p[v]), so each code bit moves to the
-    image edge's position, and flips when p[u] > p[v] because bits refer
-    to the ascending endpoint order.  The bit permutation is applied one
-    byte at a time through lookup tables, then the flips as an XOR mask.
-    """
-
-    __slots__ = ("tables", "flip")
-
-    def __init__(self, base: BaseGraph, perm: Sequence[int]):
-        m = len(base.edges)
-        position = {e: m - 1 - i for i, e in enumerate(base.edges)}
-        moved = [0] * m  # moved[p]: image of the code bit at position p
-        flip = 0
-        for (u, v), p in position.items():
-            a, b = perm[u], perm[v]
-            bit = 1 << position[(a, b) if a < b else (b, a)]
-            moved[p] = bit
-            if a > b:
-                flip |= bit
-        tables = []
-        for low in range(0, m, 8):
-            table = [0] * 256
-            for x in range(1, 256):
-                lowest = x & -x
-                p = low + lowest.bit_length() - 1
-                table[x] = table[x ^ lowest] | (moved[p] if p < m else 0)
-            tables.append(table)
-        self.tables = tables
-        self.flip = flip
-
-    def __call__(self, code: int) -> int:
-        image = self.flip
-        for table in self.tables:
-            image ^= table[code & 0xFF]
-            code >>= 8
-        return image
+        image = _mirror(code, m)
+        if image == code:
+            return [code]
+        return [code, image] if code < image else [image, code]
+    mask = (1 << m) - 1
+    g = code ^ 1
+    images = set()
+    for h in (g, _mirror(g, m)):
+        doubled = h | (h << m)
+        images.update(((doubled >> k) & mask) ^ 1 for k in range(m))
+    return sorted(images)
 
 
 class CodeOrbits(NamedTuple):
-    """Orbits of the 2^|edges| orientation codes of a base under the
-    group its symmetry_generators generate.
+    """Orbits of the 2^|edges| orientation codes of a base under its
+    automorphism group: path reversal, cycle rotation and reflection,
+    star leaf permutations, or the trivial group for any other base.
 
     reps: the smallest code of each orbit, ascending.  sizes: orbit
     sizes aligned with reps, or None when every orbit is a single code.
@@ -319,48 +296,33 @@ def code_orbits(base: BaseGraph) -> CodeOrbits:
     reach every arrangement of them, so its orbits are the popcount
     classes, given in closed form with no per-code work.  For a path or
     cycle the first code not yet seen, in ascending order, is the
-    smallest of a new orbit, which a depth-first walk along the
-    generator maps then marks in full, one byte per code.  The trivial
-    group allocates nothing.
+    smallest of a new orbit, whose closed-form members are then marked,
+    one byte per code.  The trivial group allocates nothing.
     """
     m = len(base.edges)
     total = 1 << m
-    if _family(base) == "star":
+    family = _family(base)
+    if family == "star":
         reps = [(1 << j) - 1 for j in range(m + 1)]
         return CodeOrbits(
             reps, [comb(m, j) for j in range(m + 1)], partial(_same_popcount, m)
         )
-    maps = [CodeMap(base, p) for p in symmetry_generators(base)]
-    if not maps:
+    if family is None:
         return CodeOrbits(range(total), None, _singleton)
+    members = partial(_orbit, family, m)
     typecode = "I" if total < 1 << 32 else "Q"
     seen = bytearray(total)
     reps = array(typecode)
     sizes = array(typecode)
-    generators = [(f.tables, f.flip) for f in maps]
     start = 0
     while start >= 0:
+        orbit = members(start)
+        for code in orbit:
+            seen[code] = 1
         reps.append(start)
-        seen[start] = 1
-        stack = [start]
-        size = 1
-        while stack:
-            code = stack.pop()
-            for tables, flip in generators:
-                # CodeMap.__call__, inlined: the call would add a third
-                # to the marking time
-                image = flip
-                rest = code
-                for table in tables:
-                    image ^= table[rest & 0xFF]
-                    rest >>= 8
-                if not seen[image]:
-                    seen[image] = 1
-                    stack.append(image)
-                    size += 1
-        sizes.append(size)
+        sizes.append(len(orbit))
         start = seen.find(0, start + 1)  # -1 once every code is seen
-    return CodeOrbits(reps, sizes, partial(_closure, maps))
+    return CodeOrbits(reps, sizes, members)
 
 
 def codes_enumerated(base: BaseGraph) -> bool:
@@ -386,20 +348,6 @@ def _same_popcount(m: int, rep: int) -> Iterator[int]:
         low = code & -code
         ripple = code + low
         code = ripple | ((code ^ ripple) >> 2) // low
-
-
-def _closure(maps: Sequence[CodeMap], rep: int) -> list[int]:
-    """The orbit of rep under the code maps, ascending."""
-    orbit = {rep}
-    stack = [rep]
-    while stack:
-        code = stack.pop()
-        for f in maps:
-            image = f(code)
-            if image not in orbit:
-                orbit.add(image)
-                stack.append(image)
-    return sorted(orbit)
 
 
 def cycle_symmetry_classes(n: int) -> list[list[OrientationCode]]:

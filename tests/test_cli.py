@@ -296,6 +296,16 @@ def test_formulas_text_and_csv(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv, n_min, n_max",
+    [(["--n", "5"], 5, 5), (["--n-min", "3", "--n-max", "6"], 3, 6)],
+)
+def test_formulas_json_echoes_the_range(argv, n_min, n_max, capsys):
+    assert run(["formulas", "path", *argv, "--json"]) == 0
+    inputs = json.loads(capsys.readouterr().out)["inputs"]
+    assert (inputs["n_min"], inputs["n_max"]) == (n_min, n_max)
+
+
 def test_invariants_digraph(tmp_path, capsys):
     p = tmp_path / "d.txt"
     p.write_text(emit_digraph(directed_path(4)))
@@ -352,6 +362,17 @@ def test_mine_discrepancy_csv(capsys):
     assert capsys.readouterr().out == (
         "n,host_value,sub_value,discrepancy\n6,3,6,3\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv, n_min, n_max",
+    [(["--n", "5"], 5, 5), (["--n-min", "4", "--n-max", "6"], 4, 6)],
+)
+def test_mine_discrepancy_json_echoes_the_range(argv, n_min, n_max, capsys):
+    argv = ["mine-discrepancy", "--family", "tilde-cycle", *argv, "--json"]
+    assert run(argv) == 0
+    inputs = json.loads(capsys.readouterr().out)["inputs"]
+    assert (inputs["n_min"], inputs["n_max"]) == (n_min, n_max)
 
 
 def test_mine_discrepancy_solves_each_digraph_once(monkeypatch, capsys):

@@ -4,7 +4,7 @@ from collections import Counter
 from concurrent.futures import Future, ProcessPoolExecutor
 from functools import partial
 from itertools import combinations
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -37,7 +37,7 @@ from domchrom import (
     underlying,
     verify,
 )
-from domchrom.graphs import CodeMap, code_orbits, star_base, symmetry_generators
+from domchrom.graphs import _mirror, code_orbits, star_base
 
 SINK_EXEMPT = DominationMode.SINK_EXEMPT
 STRICT = DominationMode.STRICT
@@ -486,7 +486,6 @@ def test_unrecognised_bases_sweep_every_code():
     )
     reordered_cycle = BaseGraph(7, reversed(cycle_base(7).edges))
     for base in (triangle_with_tail, reordered_cycle):
-        assert symmetry_generators(base) == []
         orbits = code_orbits(base)
         assert orbits.sizes is None
         assert orbits.reps == range(1 << len(base.edges))
@@ -507,7 +506,7 @@ def relabelled_bases(draw):
     )
     perm = draw(st.permutations(range(base.n)))
     relabelled = BaseGraph(base.n, [(perm[u], perm[v]) for u, v in base.edges])
-    assume(symmetry_generators(relabelled) == [])
+    assume(code_orbits(relabelled).sizes is None)
     return base, relabelled
 
 
@@ -536,26 +535,49 @@ def relabel(d, perm):
 
 @st.composite
 def symmetric_codes(draw):
-    """A path, cycle or star base on at most 9 vertices, and one of its codes."""
-    base = draw(
+    """A path, cycle or star base on at most 9 vertices, its family, and
+    one of its codes."""
+    kind, base = draw(
         st.one_of(
-            st.integers(2, 9).map(path_base),
-            st.integers(3, 9).map(cycle_base),
-            st.integers(2, 8).map(star_base),
+            st.integers(2, 9).map(lambda n: ("path", path_base(n))),
+            st.integers(3, 9).map(lambda n: ("cycle", cycle_base(n))),
+            st.integers(2, 8).map(lambda k: ("star", star_base(k))),
         )
     )
-    return base, draw(st.integers(0, (1 << len(base.edges)) - 1))
+    return kind, base, draw(st.integers(0, (1 << len(base.edges)) - 1))
+
+
+def automorphism_generators(kind, base):
+    """Vertex permutations generating the automorphism group of a path,
+    cycle or star base: the reversal; one rotation and one reflection;
+    a transposition and a cycle of the leaves."""
+    n = base.n
+    if kind == "path":
+        return [[n - 1 - x for x in range(n)]]
+    if kind == "cycle":
+        return [[(x + 1) % n for x in range(n)], [(n - x) % n for x in range(n)]]
+    return [[0, 2, 1, *range(3, n)], [0, *range(2, n), 1]]
+
+
+def relabelled_code(base, code, perm):
+    d = orient(OrientationCode.from_value(base, code))
+    return code_of(base, relabel(d, perm)).value
+
+
+def rep_of(orbits):
+    """Each code of a base mapped to the representative of its orbit."""
+    return {code: rep for rep in orbits.reps for code in orbits.members(rep)}
 
 
 @given(symmetric_codes())
-def test_code_maps_follow_the_vertex_automorphisms(case):
-    base, code = case
+def test_vertex_automorphisms_keep_codes_in_their_orbit(case):
+    kind, base, code = case
+    orbits = code_orbits(base)
+    orbit = list(orbits.members(rep_of(orbits)[code]))
     d = orient(OrientationCode.from_value(base, code))
-    generators = symmetry_generators(base)
-    assert generators
-    for perm in generators:
-        image = CodeMap(base, perm)(code)
-        assert image == code_of(base, relabel(d, perm)).value
+    for perm in automorphism_generators(kind, base):
+        image = relabelled_code(base, code, perm)
+        assert image in orbit
         e = orient(OrientationCode.from_value(base, image))
         for mode in DominationMode:
             assert (
@@ -564,10 +586,11 @@ def test_code_maps_follow_the_vertex_automorphisms(case):
             )
 
 
-def generated_orbits(base):
-    """Every orbit of base's codes as the closure under its generator
-    code maps, found by walking all codes: the reference for code_orbits."""
-    maps = [CodeMap(base, perm) for perm in symmetry_generators(base)]
+def relabelled_orbits(kind, base):
+    """Every orbit of base's codes as the closure under relabelling by
+    the automorphism generators, found by walking all codes: the
+    reference for code_orbits, sharing no code with it."""
+    perms = automorphism_generators(kind, base)
     seen = set()
     orbits = []
     for start in range(1 << len(base.edges)):
@@ -577,7 +600,8 @@ def generated_orbits(base):
         stack = [start]
         while stack:
             code = stack.pop()
-            for image in (f(code) for f in maps):
+            for perm in perms:
+                image = relabelled_code(base, code, perm)
                 if image not in orbit:
                     orbit.add(image)
                     stack.append(image)
@@ -600,13 +624,37 @@ def test_orbits_partition_the_code_space(kind):
             assert orbit[0] == rep
             assert orbit == sorted(orbit)
             assert len(orbit) == size
-        assert members == generated_orbits(base)
+        assert members == relabelled_orbits(kind, base)
         if kind == "star":
             assert list(orbits.sizes) == [comb(n, j) for j in range(n + 1)]
             popcount_classes = [
                 [c for c in range(total) if c.bit_count() == j] for j in range(n + 1)
             ]
             assert members == popcount_classes
+
+
+def test_orbit_counts_follow_burnside():
+    # path: the reversal fixes 2^(m/2) codes when m is even, none when
+    # the middle edge would have to flip; cycle: rotation by k fixes
+    # 2^gcd(k, n), and only the n/2 reflections through two vertices
+    # (n even) fix any code, 2^(n/2) each
+    for n in range(2, 19):
+        m = n - 1
+        fixed = 2 ** (m // 2) if m % 2 == 0 else 0
+        assert len(code_orbits(path_base(n)).reps) == (2**m + fixed) // 2, n
+    for n in range(3, 19):
+        fixed = sum(2 ** gcd(k, n) for k in range(n))
+        if n % 2 == 0:
+            fixed += n // 2 * 2 ** (n // 2)
+        assert len(code_orbits(cycle_base(n)).reps) == fixed // (2 * n), n
+
+
+def test_mirror_reverses_and_flips_the_bits():
+    rng = random.Random(7)
+    for m in range(1, 41):
+        for code in {0, (1 << m) - 1, 1, 1 << (m - 1), rng.getrandbits(m)}:
+            digits = format(code, f"0{m}b")[::-1]
+            assert _mirror(code, m) == int(digits, 2) ^ ((1 << m) - 1), (m, code)
 
 
 @pytest.mark.parametrize("mode", list(DominationMode))
