@@ -1,24 +1,44 @@
 """Backend benchmark: python -m domchrom.bench [--repeat N]
 
 Times the pure-Python and compiled kernels on identical workloads and
-prints a table with the speedup.  Workloads cover single solves and a
-full orientation sweep; both backends must return identical values and
-node counts, which the harness asserts before reporting.
+prints a table with the speedup, after the host's CPU count and Python
+version.  Workloads cover single solves, a full orientation sweep, and
+one in-process `domchrom solve --json` request; both backends must
+return identical values and node counts, which the harness asserts
+before reporting.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
+import json
+import os
+import platform
+import tempfile
 import time
+from pathlib import Path
 
-from . import kernel
+from . import cli, kernel
 from .coloring import DominationMode
 from .families import fig4_digraph, tilde_cycle, tournament
+from .formats import emit_digraph
 from .graphs import cycle_base, path_base
 from .solver import dominator_chromatic_number, sweep
 
 
-def _workloads():
+def _cli_solve(path: str) -> dict:
+    """One in-process `domchrom solve <path> --json` request; its outputs."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.run(["solve", path, "--json"])
+    if code != 0:
+        raise AssertionError(f"solve {path} exited {code}")
+    return json.loads(out.getvalue())["outputs"]
+
+
+def _workloads(fig4_path: str):
     yield "solve tournament n=9", lambda: dominator_chromatic_number(tournament(9, 5))
     yield "solve tilde-cycle n=12", lambda: dominator_chromatic_number(tilde_cycle(12))
     yield "solve fig4", lambda: dominator_chromatic_number(fig4_digraph())
@@ -28,13 +48,14 @@ def _workloads():
         "sweep cycle n=10 strict",
         lambda: sweep(cycle_base(10), DominationMode.STRICT),
     )
+    yield "cli solve --json fig4", lambda: _cli_solve(fig4_path)
 
 
-def _run_backend(name: str, repeat: int):
+def _run_backend(name: str, workloads, repeat: int):
     kernel.use_backend(name)
     results = {}
     timings = {}
-    for label, thunk in _workloads():
+    for label, thunk in workloads:
         best = float("inf")
         value = None
         for _ in range(repeat):
@@ -49,6 +70,8 @@ def _run_backend(name: str, repeat: int):
 def _fingerprint(value):
     if hasattr(value, "distribution"):
         return (value.distribution, value.min_value, value.max_value)
+    if isinstance(value, dict):
+        return (value["value"], value["nodes_explored"])
     return (value.value, value.nodes_explored)
 
 
@@ -58,28 +81,33 @@ def main() -> None:
     args = parser.parse_args()
 
     available = kernel.available_backends()
+    print(f"nproc: {os.cpu_count()}  python: {platform.python_version()}")
     print(f"backends available: {', '.join(available)}")
     if "c" not in available:
         print("compiled kernel not built; benchmarking python only")
 
-    per_backend = {}
-    for name in available:
-        per_backend[name] = _run_backend(name, args.repeat)
-    kernel.use_backend(None)
+    with tempfile.TemporaryDirectory() as tmp:
+        fig4_path = str(Path(tmp) / "fig4.txt")
+        Path(fig4_path).write_text(emit_digraph(fig4_digraph()))
+        workloads = list(_workloads(fig4_path))
+        per_backend = {}
+        for name in available:
+            per_backend[name] = _run_backend(name, workloads, args.repeat)
+        kernel.use_backend(None)
 
     baseline_results, baseline_times = per_backend["python"]
     for name, (results, _) in per_backend.items():
         if results != baseline_results:
             raise AssertionError(f"backend {name} disagrees with python: {results}")
 
-    width = max(len(label) for label, _ in _workloads())
+    width = max(len(label) for label, _ in workloads)
     header = f"{'workload':<{width}}  " + "  ".join(f"{n:>10}" for n in available)
     if "c" in available:
         header += f"  {'speedup':>8}"
     print(header)
-    for label, _ in _workloads():
+    for label, _ in workloads:
         row = f"{label:<{width}}  "
-        row += "  ".join(f"{per_backend[n][1][label] * 1000:>8.1f}ms" for n in available)
+        row += "  ".join(f"{per_backend[n][1][label] * 1000:>8.3f}ms" for n in available)
         if "c" in available:
             ratio = baseline_times[label] / per_backend["c"][1][label]
             row += f"  {ratio:>7.1f}x"

@@ -5,10 +5,11 @@ mine-discrepancy.  Exit codes: 0 success, 1 semantic failure (a
 verification that finds violations, or an invariant undefined on the
 instance), 2 usage or parse error, 3 size guard exceeded.
 
-JSON output is a stable envelope {command, inputs, outputs}; keys
-inside outputs are documented in the README.  CSV rows keep a fixed
-column order.  Orientation codes print as bitstrings, first edge of
-the base as the most significant bit.
+JSON output is a stable one-line envelope {backend, command, inputs,
+outputs}, backend naming the kernel that ran; keys inside outputs are
+documented in the README.  CSV rows keep a fixed column order.
+Orientation codes print as bitstrings, first edge of the base as the
+most significant bit.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import sys
 import time
 from typing import Any
 
+from . import kernel
 from .coloring import Coloring, DominationMode, verify
 from .families import (
     FAMILY_KINDS,
@@ -70,9 +72,20 @@ def _ms(t0: float) -> int:
     return int(round((time.perf_counter() - t0) * 1000))
 
 
-def _print_result(args: argparse.Namespace, result: RunResult, text: str) -> None:
-    if getattr(args, "json", False):
-        sys.stdout.write(emit_json(result))
+def _write_json(command: str, inputs: dict[str, Any], outputs: dict[str, Any]) -> None:
+    result = RunResult(command, inputs, outputs, kernel.backend_name)
+    sys.stdout.write(emit_json(result))
+
+
+def _print_result(
+    args: argparse.Namespace,
+    command: str,
+    inputs: dict[str, Any],
+    outputs: dict[str, Any],
+    text: str,
+) -> None:
+    if args.json:
+        _write_json(command, inputs, outputs)
     else:
         sys.stdout.write(text)
 
@@ -92,13 +105,13 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         "nodes_explored": out.nodes_explored,
         "elapsed_ms": _ms(t0),
     }
-    result = RunResult("solve", {"digraph": args.digraph, "mode": mode.value}, outputs)
-    if out.value is None:
-        text = "value: infeasible\n"
+    if args.json:
+        _write_json("solve", {"digraph": args.digraph, "mode": mode.value}, outputs)
+    elif out.value is None:
+        sys.stdout.write("value: infeasible\n")
     else:
         witness = " ".join(str(c) for c in out.witness.assignment)
-        text = f"value: {out.value}\nwitness: {witness}\n"
-    _print_result(args, result, text)
+        sys.stdout.write(f"value: {out.value}\nwitness: {witness}\n")
     return EXIT_OK
 
 
@@ -128,13 +141,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "mode": mode.value,
         "elapsed_ms": _ms(t0),
     }
-    result = RunResult(
-        "verify",
-        {"digraph": args.digraph, "coloring": args.coloring, "mode": mode.value},
-        outputs,
-    )
+    inputs = {"digraph": args.digraph, "coloring": args.coloring, "mode": mode.value}
     text = "ok\n" if verdict.ok else "".join(f"{ln}\n" for ln in lines)
-    _print_result(args, result, text)
+    _print_result(args, "verify", inputs, outputs, text)
     return EXIT_OK if verdict.ok else EXIT_FAILURE
 
 
@@ -226,7 +235,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         f"orientations={r['orientations']} infeasible={r['infeasible_count']}\n"
         for r in rows
     )
-    _print_result(args, RunResult("sweep", inputs, outputs), text)
+    _print_result(args, "sweep", inputs, outputs, text)
     return EXIT_OK
 
 
@@ -270,7 +279,7 @@ def _cmd_family(args: argparse.Namespace) -> int:
         f"claimed value: {w.claimed_value}\n"
         f"witness: {' '.join(str(c) for c in w.coloring.assignment)}\n"
     )
-    _print_result(args, RunResult("family", inputs, outputs), text)
+    _print_result(args, "family", inputs, outputs, text)
     return EXIT_OK
 
 
@@ -290,7 +299,7 @@ def _cmd_formulas(args: argparse.Namespace) -> int:
     inputs = {"base": args.base, "n_min": ns[0], "n_max": ns[-1]}
     outputs = {"rows": rows}
     text = "".join(f"n={r['n']} value={r['value']}\n" for r in rows)
-    _print_result(args, RunResult("formulas", inputs, outputs), text)
+    _print_result(args, "formulas", inputs, outputs, text)
     return EXIT_OK
 
 
@@ -322,9 +331,7 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
             "mode": mode.value,
             "elapsed_ms": _ms(t0),
         }
-        result = RunResult(
-            "invariants", {"base": args.base, "star": True, "mode": mode.value}, outputs
-        )
+        inputs = {"base": args.base, "star": True, "mode": mode.value}
         text = (
             f"chromatic value: {rep.chromatic_value}\n"
             f"min over orientations: {rep.min_dominator_value}\n"
@@ -333,7 +340,7 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
             f"spread: {rep.spread}\n"
             f"table value: {rep.table_value}\n"
         )
-        _print_result(args, result, text)
+        _print_result(args, "invariants", inputs, outputs, text)
         return EXIT_OK
     if args.digraph is None:
         raise FormatError("need a digraph file, or --base with --star")
@@ -352,15 +359,13 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
         "mode": mode.value,
         "elapsed_ms": _ms(t0),
     }
-    result = RunResult(
-        "invariants", {"digraph": args.digraph, "mode": mode.value}, outputs
-    )
+    inputs = {"digraph": args.digraph, "mode": mode.value}
     text = (
         f"dominator value: {rep.dominator_value}\n"
         f"chromatic value: {rep.chromatic_value}\n"
         f"gap: {rep.gap}\n"
     )
-    _print_result(args, result, text)
+    _print_result(args, "invariants", inputs, outputs, text)
     return EXIT_OK
 
 
@@ -412,7 +417,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
         f"discrepancy={r['discrepancy']}\n"
         for r in rows
     )
-    _print_result(args, RunResult("mine-discrepancy", inputs, outputs), text)
+    _print_result(args, "mine-discrepancy", inputs, outputs, text)
     return EXIT_OK
 
 
@@ -509,15 +514,31 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser of this process, built on the first run call rather
-    than at import; parse_args leaves it unchanged, so calls share it."""
-    return build_parser()
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser of this process and its subcommand parsers by name,
+    built on the first run call rather than at import; parse_args leaves
+    them unchanged, so calls share them."""
+    parser = build_parser()
+    (commands,) = [
+        action.choices
+        for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    return parser, commands
 
 
 def run(argv: list[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    parser, commands = _parser()
+    # a named subcommand parses its own arguments in one pass; the top
+    # level handles help, a missing command and an unknown one
+    command = commands.get(argv[0]) if argv else None
     try:
-        args = _parser().parse_args(argv)
+        if command is None:
+            args = parser.parse_args(argv)
+        else:
+            args = command.parse_args(argv[1:])
     except SystemExit as exc:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:

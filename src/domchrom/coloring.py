@@ -126,17 +126,22 @@ def verify(
     _check_size(d, c)
     a = c.assignment
     violations: list[Violation] = []
+    outs = [0] * d.n
     for u, v in d.arcs:
         if a[u] == a[v]:
             violations.append(Violation("properness", arc=(u, v)))
-
-    outs: list[set[int]] = [set() for _ in range(d.n)]
-    for u, v in d.arcs:
-        outs[u].add(v)
-    members = c.class_members()
-    for v in range(d.n):
-        if mode is DominationMode.SINK_EXEMPT and not outs[v]:
+        outs[u] |= 1 << v
+    classes = [0] * c.k
+    for v, cls in enumerate(a):
+        classes[cls] |= 1 << v
+    sink_exempt = mode is DominationMode.SINK_EXEMPT
+    for v, out in enumerate(outs):
+        if sink_exempt and not out:
             continue
-        if not any(m <= outs[v] for m in members):
+        # v dominates a class when the class has no member outside out
+        for members in classes:
+            if not members & ~out:
+                break
+        else:
             violations.append(Violation("domination", vertex=v))
     return Verdict(ok=not violations, violations=tuple(violations))

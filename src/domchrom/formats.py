@@ -77,18 +77,34 @@ def parse_digraph(text: str) -> Digraph:
     arcs: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(lines[1:], start=2):
+        # one pass per line; a line that fails any check is re-read by
+        # _arc_error, which names the first check it fails
+        try:
+            a, b = raw.split()
+            arc = (int(a), int(b))
+        except ValueError:
+            raise _arc_error(raw, n, seen, lineno) from None
+        u, v = arc
+        if not (0 <= u < n and 0 <= v < n) or u == v or arc in seen or (v, u) in seen:
+            raise _arc_error(raw, n, seen, lineno)
+        seen.add(arc)
+        arcs.append(arc)
+    return Digraph._from_checked(n, tuple(arcs))
+
+
+def _arc_error(raw: str, n: int, seen: set[tuple[int, int]], lineno: int) -> FormatError:
+    """The error for an arc line that parse_digraph rejects."""
+    try:
         u, v = _ints(raw, 2, lineno)
         _check_endpoint(u, n, lineno)
         _check_endpoint(v, n, lineno)
-        if u == v:
-            raise FormatError(f"loop at vertex {u}", lineno)
-        if (u, v) in seen:
-            raise FormatError(f"duplicate arc {u} {v}", lineno)
-        if (v, u) in seen:
-            raise FormatError(f"digon: arc {v} {u} already present", lineno)
-        seen.add((u, v))
-        arcs.append((u, v))
-    return Digraph(n, arcs)
+    except FormatError as exc:
+        return exc
+    if u == v:
+        return FormatError(f"loop at vertex {u}", lineno)
+    if (u, v) in seen:
+        return FormatError(f"duplicate arc {u} {v}", lineno)
+    return FormatError(f"digon: arc {v} {u} already present", lineno)
 
 
 def parse_base(text: str) -> BaseGraph:
@@ -151,11 +167,13 @@ def emit_coloring(c: Coloring) -> str:
 @dataclass(frozen=True)
 class RunResult:
     """Envelope for one command invocation: the command name, an echo
-    of its parameters, and the structured payload it produced."""
+    of its parameters, the structured payload it produced, and the
+    kernel backend that produced it (None when not recorded)."""
 
     command: str
     inputs: dict[str, Any] = field(default_factory=dict)
     outputs: dict[str, Any] = field(default_factory=dict)
+    backend: str | None = None
 
     @classmethod
     def from_json(cls, text: str) -> "RunResult":
@@ -163,16 +181,20 @@ class RunResult:
         for key in ("command", "inputs", "outputs"):
             if key not in data:
                 raise FormatError(f"result object lacks {key!r}")
-        return cls(data["command"], data["inputs"], data["outputs"])
+        return cls(data["command"], data["inputs"], data["outputs"], data.get("backend"))
 
 
 def emit_json(result: RunResult) -> str:
+    """The envelope as one line of JSON with sorted keys; backend is
+    written only when recorded."""
     payload = {
         "command": result.command,
         "inputs": result.inputs,
         "outputs": result.outputs,
     }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    if result.backend is not None:
+        payload["backend"] = result.backend
+    return json.dumps(payload, sort_keys=True) + "\n"
 
 
 def emit_csv(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:

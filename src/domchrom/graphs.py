@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from math import comb
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -71,6 +71,15 @@ class Digraph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "arcs", arcs)
 
+    @classmethod
+    def _from_checked(cls, n: int, arcs: tuple[tuple[int, int], ...]) -> "Digraph":
+        """A digraph from arcs the caller has already checked as
+        __init__ would: skips __init__ and its second pass."""
+        d = object.__new__(cls)
+        object.__setattr__(d, "n", n)
+        object.__setattr__(d, "arcs", arcs)
+        return d
+
 
 _DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 _DIGIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
@@ -104,18 +113,22 @@ class OrientationCode:
     @classmethod
     def from_value(cls, base: BaseGraph, value: int) -> "OrientationCode":
         m = len(base.edges)
-        if not (0 <= value < (1 << m)) and m > 0:
+        if not 0 <= value < 1 << m:
+            if m == 0:
+                raise ValueError("edgeless base admits only code 0")
             raise ValueError(f"code value {value} out of range for {m} edges")
-        if m == 0 and value != 0:
-            raise ValueError("edgeless base admits only code 0")
-        # bits built here are valid by construction: skip __init__
+        # bits built here are valid by construction: skip __init__, and
+        # keep the digits as the cached bitstring; the guard bit at m
+        # pads the digits to m, and to none for an edgeless base
+        digits = bin(value | 1 << m)[3:]
         code = object.__new__(cls)
-        digits = format(value, f"0{m}b").encode() if m else b""
-        object.__setattr__(code, "base", base)
-        object.__setattr__(code, "bits", tuple(digits.translate(_DIGIT_VALUES)))
+        attrs = code.__dict__
+        attrs["base"] = base
+        attrs["bits"] = tuple(digits.encode().translate(_DIGIT_VALUES))
+        attrs["bitstring"] = digits
         return code
 
-    @property
+    @cached_property
     def bitstring(self) -> str:
         return bytes(self.bits).translate(_DIGIT_CHARS).decode()
 

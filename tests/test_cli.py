@@ -17,6 +17,7 @@ from domchrom import (
     OrientationCode,
     cli,
     directed_path,
+    kernel,
     dominator_chromatic_number,
     orient,
     path_base,
@@ -123,6 +124,34 @@ def test_usage_errors(capsys):
     assert run(["sweep", "star", "--n", "0"]) == 2
     assert run(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_subcommand_and_top_level_usage(dpath3, capsys):
+    # a named subcommand parses its own arguments; the rest go to the top
+    assert run(["solve", dpath3, "--bogus"]) == 2
+    err = capsys.readouterr().err
+    assert "usage: domchrom solve" in err
+    assert "unrecognized arguments: --bogus" in err
+    assert run(["-h"]) == 0
+    assert "usage: domchrom" in capsys.readouterr().out
+    assert run(["solve", "-h"]) == 0
+    assert "usage: domchrom solve" in capsys.readouterr().out
+
+
+def test_json_envelope_is_one_line_and_names_the_backend(dpath3, tmp_path, capsys):
+    c = tmp_path / "good.txt"
+    c.write_text(emit_coloring(Coloring([0, 1, 2], 3)))
+    for argv in (
+        ["solve", dpath3, "--json"],
+        ["verify", dpath3, str(c), "--json"],
+        ["sweep", "path", "--n", "4", "--json"],
+    ):
+        assert run(argv) == 0
+        out = capsys.readouterr().out
+        assert out.endswith("\n") and out.count("\n") == 1, argv
+        payload = json.loads(out)
+        assert payload["command"] == argv[0]
+        assert payload["backend"] == kernel.backend_name
 
 
 def test_run_reuses_one_parser_without_leaking_state(dpath3, monkeypatch, capsys):

@@ -2,10 +2,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import digraphs
 from domchrom import (
     Coloring,
     Digraph,
     DominationMode,
+    Verdict,
+    Violation,
     canonicalize,
     directed_path,
     dominated_classes,
@@ -113,3 +116,36 @@ def test_verify_sink_exemption_is_the_only_mode_difference():
 def test_verify_size_mismatch_raises():
     with pytest.raises(ValueError):
         verify(Digraph(3, [(0, 1)]), Coloring([0, 1], 2))
+
+
+def set_verify(d, c, mode):
+    """The verifier on sets of vertices, kept as the reference."""
+    a = c.assignment
+    violations = [
+        Violation("properness", arc=(u, v)) for u, v in d.arcs if a[u] == a[v]
+    ]
+    outs = [set() for _ in range(d.n)]
+    for u, v in d.arcs:
+        outs[u].add(v)
+    members = c.class_members()
+    for v in range(d.n):
+        if mode is DominationMode.SINK_EXEMPT and not outs[v]:
+            continue
+        if not any(m <= outs[v] for m in members):
+            violations.append(Violation("domination", vertex=v))
+    return Verdict(ok=not violations, violations=tuple(violations))
+
+
+@given(digraphs(), st.data())
+def test_verify_matches_the_set_based_reference(d, data):
+    # random labels leave improper arcs, and random digraphs have sinks;
+    # all-distinct labels pass in sink-exempt mode
+    raw = data.draw(
+        st.one_of(
+            st.just(range(d.n)),
+            st.lists(st.integers(0, d.n - 1), min_size=d.n, max_size=d.n),
+        )
+    )
+    c = canonicalize(raw)
+    for mode in DominationMode:
+        assert verify(d, c, mode) == set_verify(d, c, mode)

@@ -64,6 +64,16 @@ def test_coloring_parses_in_any_vertex_order():
         ("digraph 3\n1 1\n", 2, "loop"),
         ("digraph 3\n0 1\n0 1\n", 3, "duplicate arc"),
         ("digraph 3\n0 1\n1 0\n", 3, "digon"),
+        # a fragment that starts with the line prefix is the whole message
+        ("digraph 3\n3 0\n", 2, "line 2: vertex 3 out of range 0..2"),
+        ("digraph 3\n0 1\n1 5\n", 3, "line 3: vertex 5 out of range 0..2"),
+        ("digraph 3\n0 -1\n", 2, "line 2: vertex -1 out of range 0..2"),
+        ("digraph 3\nx 1\n", 2, "line 2: non-integer token 'x'"),
+        ("digraph 3\n0 1\n1 2.5\n", 3, "line 3: non-integer token '2.5'"),
+        ("digraph 3\n0 1\n\n1 2\n", 3, "line 3: expected 2 fields, got 0"),
+        ("digraph 3\n0 1\n2 2\n", 3, "line 3: loop at vertex 2"),
+        ("digraph 3\n0 1\n1 2\n2 1\n", 4, "line 4: digon: arc 1 2 already present"),
+        ("digraph 3\n0 1\n1 2\n1 2\n", 4, "line 4: duplicate arc 1 2"),
     ],
 )
 def test_parse_digraph_errors_carry_line_numbers(text, lineno, fragment):
@@ -73,6 +83,8 @@ def test_parse_digraph_errors_carry_line_numbers(text, lineno, fragment):
     assert fragment in str(info.value)
     if lineno is not None:
         assert str(info.value).startswith(f"line {lineno}:")
+    if fragment.startswith("line "):
+        assert str(info.value) == fragment
 
 
 @pytest.mark.parametrize(
@@ -146,6 +158,13 @@ def test_run_result_json_roundtrip():
     assert RunResult.from_json(text) == result
     payload = json.loads(text)
     assert set(payload) == {"command", "inputs", "outputs"}
+    # one line, keys sorted; a recorded backend is written and read back
+    recorded = RunResult("solve", result.inputs, result.outputs, "python")
+    text = emit_json(recorded)
+    assert text.count("\n") == 1
+    assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+    assert json.loads(text)["backend"] == "python"
+    assert RunResult.from_json(text) == recorded
 
 
 def test_run_result_rejects_missing_keys():

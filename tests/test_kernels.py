@@ -318,3 +318,14 @@ def test_env_variable_with_bad_value_fails_loudly():
     )
     assert proc.returncode != 0
     assert "fortran" in proc.stderr
+
+
+def test_bench_runs_once_per_workload():
+    proc = subprocess.run(
+        [sys.executable, "-m", "domchrom.bench", "--repeat", "1"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert f"nproc: {os.cpu_count()}" in proc.stdout
+    assert "cli solve --json fig4" in proc.stdout

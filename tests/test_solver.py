@@ -348,6 +348,26 @@ def test_sweep_workers_merge_deterministically(monkeypatch):
     assert serial.argmin_overflow and serial.argmax_overflow
 
 
+@st.composite
+def pooled_bases(draw):
+    """A base on 6-8 vertices with 11 or 12 edges and no recognised
+    symmetry: at least 2048 representatives, so workers=2 starts a pool."""
+    n = draw(st.integers(6, 8))
+    pairs = list(combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=11, max_size=12, unique=True))
+    base = BaseGraph(n, edges)
+    assume(code_orbits(base).sizes is None)
+    return base
+
+
+@settings(max_examples=4, deadline=None)
+@given(pooled_bases())
+def test_pooled_sweeps_equal_serial_ones(base):
+    assert len(code_orbits(base).reps) >= 2048  # the pool threshold
+    for mode in DominationMode:
+        assert sweep(base, mode, workers=2) == sweep(base, mode, workers=1), mode
+
+
 def test_sweep_rejects_fewer_than_one_worker():
     for workers in (0, -1):
         with pytest.raises(ValueError, match="workers"):
