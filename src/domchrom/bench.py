@@ -2,8 +2,10 @@
 
 Times the pure-Python and compiled kernels on identical workloads and
 prints a table with the speedup, after the host's CPU count and Python
-version.  Workloads cover single solves, a full orientation sweep, and
-one in-process `domchrom solve --json` request; both backends must
+version.  Workloads cover single solves, orientation sweeps (two of
+them settled without a kernel call: a star, whose packing bounds are
+all attained, and a strict path, whose orientations all have a sink),
+and one in-process `domchrom solve --json` request; both backends must
 return identical values and node counts, which the harness asserts
 before reporting.
 """
@@ -24,7 +26,7 @@ from . import cli, kernel
 from .coloring import DominationMode
 from .families import fig4_digraph, tilde_cycle, tournament
 from .formats import emit_digraph
-from .graphs import cycle_base, path_base
+from .graphs import cycle_base, path_base, star_base
 from .solver import dominator_chromatic_number, sweep
 
 
@@ -47,6 +49,12 @@ def _workloads(fig4_path: str):
     yield (
         "sweep cycle n=10 strict",
         lambda: sweep(cycle_base(10), DominationMode.STRICT),
+    )
+    # settled without the kernel: by the packing certificate, and by sinks
+    yield "sweep star n=16", lambda: sweep(star_base(16))
+    yield (
+        "sweep path n=14 strict",
+        lambda: sweep(path_base(14), DominationMode.STRICT),
     )
     yield "cli solve --json fig4", lambda: _cli_solve(fig4_path)
 

@@ -201,6 +201,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 "argmax_overflow": rep.argmax_overflow,
                 "formula": formula,
                 "matches_formula": rep.min_value == formula,
+                "kernel_solves": rep.kernel_solves,
             }
         )
     inputs = {"base": args.base, "n": ns, "mode": mode.value, "workers": args.workers}

@@ -39,24 +39,20 @@ class Coloring:
 
     def __init__(self, assignment: Sequence[int], k: int):
         assignment = tuple(int(c) for c in assignment)
-        if k < 0 or (len(assignment) > 0 and k < 1):
-            raise ValueError("class count must be positive")
-        used = set()
-        next_new = 0
-        for i, c in enumerate(assignment):
-            if not (0 <= c < k):
-                raise ValueError(f"class {c} at vertex {i} out of range for k={k}")
-            if c not in used:
-                if c != next_new:
-                    raise ValueError(
-                        f"non-canonical labels: class {c} first appears before class {next_new}"
-                    )
-                used.add(c)
-                next_new += 1
-        if len(used) != k:
-            raise ValueError(f"only {len(used)} of {k} classes are nonempty")
+        error = _label_error(assignment, k)
+        if error is not None:
+            raise ValueError(error)
         object.__setattr__(self, "assignment", assignment)
         object.__setattr__(self, "k", k)
+
+    @classmethod
+    def _from_checked(cls, assignment: tuple[int, ...], k: int) -> "Coloring":
+        """A coloring from labels the caller has already checked with
+        _label_error: skips __init__ and its second pass."""
+        c = object.__new__(cls)
+        object.__setattr__(c, "assignment", assignment)
+        object.__setattr__(c, "k", k)
+        return c
 
     @property
     def n(self) -> int:
@@ -67,6 +63,25 @@ class Coloring:
         for v, c in enumerate(self.assignment):
             members[c].add(v)
         return tuple(frozenset(m) for m in members)
+
+
+def _label_error(assignment: Sequence[int], k: int) -> str | None:
+    """Why the labels are not a surjective, canonical assignment onto k
+    classes, or None when they are."""
+    if k < 0 or (len(assignment) > 0 and k < 1):
+        return "class count must be positive"
+    # canonical so far, the classes met are exactly 0..next_new-1
+    next_new = 0
+    for i, c in enumerate(assignment):
+        if c >= next_new or c < 0:
+            if not (0 <= c < k):
+                return f"class {c} at vertex {i} out of range for k={k}"
+            if c != next_new:
+                return f"non-canonical labels: class {c} first appears before class {next_new}"
+            next_new += 1
+    if next_new != k:
+        return f"only {next_new} of {k} classes are nonempty"
+    return None
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-from .coloring import Coloring
+from .coloring import Coloring, _label_error
 from .graphs import BaseGraph, Digraph
 
 
@@ -136,17 +136,34 @@ def parse_coloring(text: str) -> Coloring:
         raise FormatError(f"expected {n} vertex lines, got {len(lines) - 1}", 1)
     assignment: list[int | None] = [None] * n
     for lineno, raw in enumerate(lines[1:], start=2):
+        # one pass per line; a line that fails any check is re-read by
+        # _vertex_error, which names the first check it fails
+        try:
+            a, b = raw.split()
+            v, c = int(a), int(b)
+        except ValueError:
+            raise _vertex_error(raw, n, assignment, lineno) from None
+        if not 0 <= v < n or assignment[v] is not None or c < 0:
+            raise _vertex_error(raw, n, assignment, lineno)
+        assignment[v] = c
+    error = _label_error(assignment, k)  # type: ignore[arg-type]
+    if error is not None:
+        raise FormatError(error)
+    return Coloring._from_checked(tuple(assignment), k)  # type: ignore[arg-type]
+
+
+def _vertex_error(
+    raw: str, n: int, assignment: list[int | None], lineno: int
+) -> FormatError:
+    """The error for a vertex line that parse_coloring rejects."""
+    try:
         v, c = _ints(raw, 2, lineno)
         _check_endpoint(v, n, lineno)
-        if assignment[v] is not None:
-            raise FormatError(f"vertex {v} assigned twice", lineno)
-        if c < 0:
-            raise FormatError(f"negative class {c}", lineno)
-        assignment[v] = c
-    try:
-        return Coloring(assignment, k)  # type: ignore[arg-type]
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+    except FormatError as exc:
+        return exc
+    if assignment[v] is not None:
+        return FormatError(f"vertex {v} assigned twice", lineno)
+    return FormatError(f"negative class {c}", lineno)
 
 
 def emit_digraph(d: Digraph) -> str:

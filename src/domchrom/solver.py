@@ -9,8 +9,20 @@ dominate a distinct class inside U, and the other classes properly
 color G - U.  Out-degree 1 is taken first, so the bound is never below
 |S| + chi(G - S), S the sole out-neighbors of such vertices, nor below
 chi(G); and as P <= |U| it is at most n, so every ladder ends in a
-kernel call.  Each budget runs the backtracking kernel selected in the
-kernel module.
+kernel call.  A required vertex with an empty out-set (a strict-mode
+sink) dominates no class, so no budget succeeds: its bound is n, and
+the ladder's one kernel call, at k = n, refutes it on one node.  Each
+budget runs the backtracking kernel selected in the kernel module.
+
+A sweep needs values only, not witnesses, so it first asks the bound
+for a certificate.  The taken out-sets are independent and pairwise
+disjoint; with a 2-coloring of G - U (when chi(G - U) <= 2) they form a
+proper coloring with exactly P + chi(G - U) classes, in which each taken
+vertex dominates its own class.  When every required vertex the packing
+skipped also contains one of its classes, it is a dominator coloring,
+and the bound is the value: no kernel call.  A strict-mode sink makes
+the orientation infeasible, also with no kernel call.  Only the other
+orientations climb the ladder, from the bound already computed.
 
 A sweep covers every orientation code of a base graph, aggregating the
 value distribution and the extremal code sets.  Isomorphic orientations
@@ -32,7 +44,7 @@ import heapq
 import os
 from array import array
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice, repeat
 from typing import Iterator
 
@@ -95,19 +107,16 @@ def chromatic_number(base: BaseGraph) -> int:
 def _chromatic_masks(adj: list[int], keep: int) -> int:
     """Chromatic number of the subgraph that the vertex mask keep induces.
 
-    No vertex gives 0 and no edge 1; a BFS 2-coloring settles 2.  Else
-    the subgraph is relabelled onto 0..r-1 before the proper kernel
+    A BFS 2-coloring settles 0, 1 and 2: its count of nonempty sides.
+    Else the subgraph is relabelled onto 0..r-1 before the proper kernel
     climbs from max(3, a greedy clique): with the vertices outside keep
     left in as isolated ones, the kernel would branch over them too on
     every budget it refutes.
     """
+    sides = _two_coloring(adj, keep)
+    if sides is not None:
+        return len(sides)
     members = [u for u in range(len(adj)) if keep >> u & 1]
-    if not members:
-        return 0
-    if not any(adj[u] & keep for u in members):
-        return 1
-    if _two_colorable(adj, keep):
-        return 2
     index = {u: j for j, u in enumerate(members)}
     sub = []
     for u in members:
@@ -125,9 +134,10 @@ def _chromatic_masks(adj: list[int], keep: int) -> int:
     raise AssertionError("unreachable: n classes always color n vertices")
 
 
-def _two_colorable(adj: list[int], keep: int) -> bool:
-    """Whether the subgraph induced by keep is bipartite, by a BFS that
-    colors each layer by the parity of its depth."""
+def _two_coloring(adj: list[int], keep: int) -> list[int] | None:
+    """The nonempty sides of a BFS 2-coloring of the subgraph induced by
+    keep, each layer colored by the parity of its depth; None when the
+    subgraph has an odd cycle."""
     sides = [0, 0]
     unseen = keep
     while unseen:
@@ -144,12 +154,12 @@ def _two_colorable(adj: list[int], keep: int) -> bool:
             # an edge inside a layer, or back to the same parity, closes
             # an odd cycle
             if reach & sides[parity]:
-                return False
+                return None
             frontier = reach & unseen
             unseen ^= frontier
             parity ^= 1
             sides[parity] |= frontier
-    return True
+    return [side for side in sides if side]
 
 
 def _greedy_clique_size(adj: list[int]) -> int:
@@ -215,45 +225,76 @@ def dominator_chromatic_number(
     adj = _adjacency_masks(d.n, d.arcs)
     outs = _out_masks(d)
     required = _required_vertices(d.n, outs, mode)
-    assignment, value, nodes = _solve_masks(d.n, adj, outs, required)
+    start, _ = _lower_bound(d.n, adj, outs, required)
+    assignment, value, nodes = _solve_masks(d.n, adj, outs, required, start)
     if assignment is None:
         return SolveOutcome(None, None, nodes, mode)
     return SolveOutcome(value, Coloring(assignment, value), nodes, mode)
 
 
-def _lower_bound(n: int, adj: list[int], outs: list[int], required: list[int]) -> int:
-    """The packing bound P + chi(G - U).
+def _lower_bound(
+    n: int, adj: list[int], outs: list[int], required: list[int], certify: bool = False
+) -> tuple[int, list[int] | None]:
+    """The packing bound P + chi(G - U), and with certify the classes of
+    a dominator coloring that attains it, when the packing's own classes
+    form one (else None).
 
-    Walk the required vertices with a nonempty out-set by (out-degree,
-    vertex) and take v when outs[v] is independent and misses U, the
-    union of the out-sets taken so far; P counts the vertices taken.
+    Walk the required vertices by (out-degree, vertex) and take v when
+    outs[v] is independent and misses U, the union of the out-sets taken
+    so far; P counts the vertices taken.  A required vertex with an empty
+    out-set (a strict-mode sink) dominates no class, so no budget can
+    succeed: the bound is then n, never attained.
+
+    The taken out-sets with an optimal coloring of G - U form a proper
+    coloring with exactly P + chi(G - U) classes; each taken vertex
+    dominates its own.  The certificate uses it when chi(G - U) <= 2,
+    the rest classes being the sides of a BFS 2-coloring, and accepts it
+    when every vertex the walk skipped contains one of its classes.
     """
-    taken = packed = 0
-    for _, v in sorted((outs[v].bit_count(), v) for v in required if outs[v]):
+    order = sorted((outs[v].bit_count(), v) for v in required)
+    if order and not order[0][0]:
+        return n, None
+    taken = 0
+    classes = []
+    skipped = []
+    for _, v in order:
         om = outs[v]
-        if om & taken:
-            continue
-        # an edge inside om has an end above its lowest vertex
-        rest = om & (om - 1)
-        while rest:
-            low = rest & -rest
-            if adj[low.bit_length() - 1] & om:
-                break
-            rest ^= low
-        else:
-            taken |= om
-            packed += 1
-    return packed + _chromatic_masks(adj, ((1 << n) - 1) & ~taken)
+        if not om & taken:
+            # an edge inside om has an end above its lowest vertex
+            rest = om & (om - 1)
+            while rest:
+                low = rest & -rest
+                if adj[low.bit_length() - 1] & om:
+                    break
+                rest ^= low
+            else:
+                taken |= om
+                classes.append(om)
+                continue
+        skipped.append(om)
+    keep = ((1 << n) - 1) & ~taken
+    if certify:
+        sides = _two_coloring(adj, keep)
+        if sides is not None:
+            classes += sides
+            for om in skipped:
+                for members in classes:
+                    if not members & ~om:
+                        break
+                else:
+                    return len(classes), None
+            return len(classes), classes
+    return len(classes) + _chromatic_masks(adj, keep), None
 
 
 def _solve_masks(
-    n: int, adj: list[int], outs: list[int], required: list[int]
+    n: int, adj: list[int], outs: list[int], required: list[int], start: int
 ) -> tuple[list[int] | None, int | None, int]:
-    """Climb the class budgets from the lower bound up to n until the
-    kernel finds a dominator coloring: (assignment, value, nodes), with
-    assignment and value None when no budget admits one."""
+    """Climb the class budgets from start up to n until the kernel finds
+    a dominator coloring: (assignment, value, nodes), with assignment
+    and value None when no budget admits one."""
     nodes = 0
-    for k in range(_lower_bound(n, adj, outs, required), n + 1):
+    for k in range(start, n + 1):
         assignment, spent = kernel.solve_fixed_k_dominator(n, adj, outs, required, k)
         nodes += spent
         if assignment is not None:
@@ -334,7 +375,9 @@ class SweepReport:
     distribution maps value to orientation count; together with
     infeasible_count it accounts for all 2^|edges| codes.  The extremal
     code lists are ascending by numeric value and capped, with overflow
-    flags telling whether codes were dropped.
+    flags telling whether codes were dropped.  kernel_solves counts the
+    orbit representatives whose value took the kernel ladder; it is not
+    part of the answer, so report equality ignores it.
     """
 
     base: BaseGraph
@@ -348,16 +391,23 @@ class SweepReport:
     argmax_codes: tuple[OrientationCode, ...]
     argmin_overflow: bool
     argmax_overflow: bool
+    kernel_solves: int = field(default=0, compare=False)
 
 
-def _solve_codes(base: BaseGraph, mode: DominationMode, codes) -> array:
-    """Values of the orientations with the given codes, in order; 0
-    marks an infeasible one."""
+def _solve_codes(base: BaseGraph, mode: DominationMode, codes) -> tuple[array, int]:
+    """Values of the orientations with the given codes, in order, 0
+    marking an infeasible one; and how many took the kernel ladder.
+
+    A strict-mode sink leaves an orientation infeasible, and a bound
+    its certificate attains is its value: neither runs the kernel.
+    """
     n = base.n
     edges = base.edges
     m = len(edges)
     adj = _adjacency_masks(n, edges)
+    strict = mode is DominationMode.STRICT
     values = array("B")
+    climbed = 0
     for code in codes:
         outs = [0] * n
         for i in range(m):
@@ -366,10 +416,17 @@ def _solve_codes(base: BaseGraph, mode: DominationMode, codes) -> array:
                 outs[v] |= 1 << u
             else:
                 outs[u] |= 1 << v
+        if strict and 0 in outs:
+            values.append(0)
+            continue
         required = _required_vertices(n, outs, mode)
-        _, value, _ = _solve_masks(n, adj, outs, required)
-        values.append(value or 0)
-    return values
+        value, classes = _lower_bound(n, adj, outs, required, certify=True)
+        if classes is None:
+            # the bound is only where the ladder starts
+            value = _solve_masks(n, adj, outs, required, value)[1] or 0
+            climbed += 1
+        values.append(value)
+    return values, climbed
 
 
 def _report(
@@ -377,6 +434,7 @@ def _report(
     mode: DominationMode,
     orbits: CodeOrbits,
     values: array,
+    kernel_solves: int,
     arg_limit: int,
 ) -> SweepReport:
     """Weight each representative's value by its orbit size, then merge
@@ -408,6 +466,7 @@ def _report(
         argmax_codes=first_codes(max_v),
         argmin_overflow=min_v is not None and dist[min_v] > arg_limit,
         argmax_overflow=max_v is not None and dist[max_v] > arg_limit,
+        kernel_solves=kernel_solves,
     )
 
 
@@ -485,6 +544,7 @@ def sweep(
         # never more processes than requested, CPUs, or chunks to run
         size = min(workers, os.cpu_count() or 1, len(chunks))
         values = array("B")
+        kernel_solves = 0
         # A worker started by spawn or forkserver imports the kernel
         # afresh; each one is set to the parent's backend once.
         with ProcessPoolExecutor(
@@ -496,10 +556,12 @@ def sweep(
                 pool.submit(_solve_codes, base, mode, chunk) for chunk in chunks
             ]
             for future in futures:
-                values.extend(future.result())
+                chunk_values, chunk_solves = future.result()
+                values.extend(chunk_values)
+                kernel_solves += chunk_solves
     else:
-        values = _solve_codes(base, mode, reps)
-    return _report(base, mode, orbits, values, arg_limit)
+        values, kernel_solves = _solve_codes(base, mode, reps)
+    return _report(base, mode, orbits, values, kernel_solves, arg_limit)
 
 
 def _extreme_over_orientations(

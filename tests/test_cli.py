@@ -230,6 +230,10 @@ def test_sweep_json_rows(capsys):
     assert all(set(code) <= {"0", "1"} for code in row["argmin_codes"])
     assert all(isinstance(k, str) for k in row["distribution"])
     assert sum(row["distribution"].values()) == 8
+    assert row["kernel_solves"] == 0
+    assert run(["sweep", "path", "--n", "9", "--json"]) == 0
+    (row,) = json.loads(capsys.readouterr().out)["outputs"]["rows"]
+    assert row["kernel_solves"] == 7
 
 
 def test_sweep_strict_mode(capsys):
@@ -252,8 +256,10 @@ def test_sweep_star_past_the_edge_guard_solves_each_orbit_once(monkeypatch, caps
     # guard is for bases whose codes are enumerated
     leaves = 25
     solves = []
-    real = solver._solve_masks
-    monkeypatch.setattr(solver, "_solve_masks", lambda *a: solves.append(a[0]) or real(*a))
+    real = solver._lower_bound
+    monkeypatch.setattr(
+        solver, "_lower_bound", lambda *a, **kw: solves.append(a[0]) or real(*a, **kw)
+    )
     assert run(["sweep", "star", "--n", str(leaves), "--json"]) == 0
     (row,) = json.loads(capsys.readouterr().out)["outputs"]["rows"]
     assert solves == [leaves + 1] * (leaves + 1)

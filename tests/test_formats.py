@@ -120,6 +120,37 @@ def test_parse_coloring_errors(text, fragment):
     assert fragment in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "text, lineno, message",
+    [
+        # checks on one vertex line, in line order
+        ("coloring 3 2\n0 0\n5 1\n1 1\n", 3, "line 3: vertex 5 out of range 0..2"),
+        ("coloring 3 2\n-1 0\n0 0\n1 1\n", 2, "line 2: vertex -1 out of range 0..2"),
+        ("coloring 3 2\n0 0\n0 1\n1 1\n", 3, "line 3: vertex 0 assigned twice"),
+        ("coloring 3 2\n0 0\n1 -2\n2 1\n", 3, "line 3: negative class -2"),
+        ("coloring 3 2\n0 0\n1 x\n2 1\n", 3, "line 3: non-integer token 'x'"),
+        ("coloring 3 2\n0 0\n1\n2 1\n", 3, "line 3: expected 2 fields, got 1"),
+        # a line error wins over a label error on an earlier line
+        ("coloring 3 2\n0 5\n0 1\n2 1\n", 3, "line 3: vertex 0 assigned twice"),
+        # checks on the whole assignment, in vertex order, with no line
+        ("coloring 3 2\n0 0\n1 1\n2 2\n", None, "class 2 at vertex 2 out of range for k=2"),
+        ("coloring 3 2\n2 5\n0 0\n1 7\n", None, "class 7 at vertex 1 out of range for k=2"),
+        (
+            "coloring 3 2\n0 1\n1 0\n2 1\n",
+            None,
+            "non-canonical labels: class 1 first appears before class 0",
+        ),
+        ("coloring 3 3\n0 0\n1 1\n2 0\n", None, "only 2 of 3 classes are nonempty"),
+        ("coloring 2 0\n0 0\n1 0\n", None, "class count must be positive"),
+    ],
+)
+def test_parse_coloring_error_messages_are_exact(text, lineno, message):
+    with pytest.raises(FormatError) as info:
+        parse_coloring(text)
+    assert info.value.line == lineno
+    assert str(info.value) == message
+
+
 @given(st.integers(min_value=1, max_value=8), st.data())
 def test_random_digraph_roundtrip(n, data):
     pair_states = data.draw(

@@ -37,6 +37,7 @@ from domchrom import (
     underlying,
     verify,
 )
+from domchrom.coloring import canonicalize
 from domchrom.graphs import _mirror, code_orbits, star_base
 
 SINK_EXEMPT = DominationMode.SINK_EXEMPT
@@ -165,11 +166,11 @@ def test_ladder_bound_lies_between_chromatic_number_and_value(d):
     for mode in DominationMode:
         required = solver._required_vertices(d.n, outs, mode)
         reference = _singleton_bound(d.n, adj, outs, required)
-        bound = solver._lower_bound(d.n, adj, outs, required)
+        bound, _ = solver._lower_bound(d.n, adj, outs, required)
         assert chi <= reference <= bound
         value = dominator_chromatic_number_oracle(d, mode)
         assert bound <= (d.n if value is None else value)
-        assignment, got, nodes = solver._solve_masks(d.n, adj, outs, required)
+        assignment, got, nodes = solver._solve_masks(d.n, adj, outs, required, bound)
         want = _ladder_from(reference, d.n, adj, outs, required)
         assert (assignment, got) == want[:2]
         assert nodes <= want[2]
@@ -187,15 +188,81 @@ def test_ladder_computes_one_chromatic_number(monkeypatch):
 
     monkeypatch.setattr(solver, "_chromatic_masks", spy)
     # once per ladder, infeasible ones included, and also when U takes
-    # every vertex: the directed cycle's answer is the bound n + chi(empty)
+    # every vertex: the directed cycle's answer is the bound n + chi(empty);
+    # never for a strict-mode sink, whose bound is n at once
     for d in (directed_cycle(5), directed_path(4), star_oriented(3, 1)):
         for mode in DominationMode:
             calls.clear()
             dominator_chromatic_number(d, mode)
-            assert len(calls) == 1
+            sink = mode is STRICT and not all(solver._out_masks(d))
+            assert len(calls) == (0 if sink else 1), (d, mode)
     calls.clear()
     dominator_chromatic_number(directed_cycle(5))
     assert calls == [0]
+
+
+@given(digraphs(max_n=9))
+# every out-set is a singleton: the packing takes them all
+@example(directed_cycle(5))
+# vertex 1's out-set {0, 2} holds the packing class {2} of vertex 0
+@example(Digraph(3, [(0, 2), (1, 0), (1, 2)]))
+def test_an_accepted_certificate_is_an_optimal_dominator_coloring(d):
+    adj = solver._adjacency_masks(d.n, d.arcs)
+    outs = solver._out_masks(d)
+    for mode in DominationMode:
+        required = solver._required_vertices(d.n, outs, mode)
+        bound, classes = solver._lower_bound(d.n, adj, outs, required, certify=True)
+        assert solver._lower_bound(d.n, adj, outs, required) == (bound, None)
+        if classes is None:
+            continue
+        assert len(classes) == bound
+        assignment = [None] * d.n
+        for label, members in enumerate(classes):
+            for v in range(d.n):
+                if members >> v & 1:
+                    assert assignment[v] is None, classes
+                    assignment[v] = label
+        assert None not in assignment, classes
+        assert verify(d, canonicalize(assignment), mode).ok, (mode, classes)
+        assert bound == dominator_chromatic_number_oracle(d, mode)
+
+
+def spy_kernel_calls(monkeypatch):
+    """The class budget k of every dominator-kernel call from now on."""
+    budgets = []
+    real = kernel.solve_fixed_k_dominator
+
+    def spy(n, adj, outs, required, k):
+        budgets.append(k)
+        return real(n, adj, outs, required, k)
+
+    monkeypatch.setattr(kernel, "solve_fixed_k_dominator", spy)
+    return budgets
+
+
+def test_sweeps_settled_by_the_bound_call_no_kernel(monkeypatch):
+    budgets = spy_kernel_calls(monkeypatch)
+    # the certificate attains every star orbit's bound, and every
+    # orientation of a path has a sink
+    star = sweep(star_base(16))
+    strict_path = sweep(path_base(12), STRICT)
+    assert budgets == []
+    assert star.kernel_solves == strict_path.kernel_solves == 0
+    assert (star.min_value, star.max_value) == (2, 3)
+    assert strict_path.infeasible_count == 1 << 11
+    # a 9-vertex path has orbits only the ladder settles
+    assert sweep(path_base(9)).kernel_solves == 7
+    assert budgets
+
+
+def test_a_strict_sink_costs_one_kernel_call_at_n(monkeypatch):
+    budgets = spy_kernel_calls(monkeypatch)
+    for d in (directed_path(6), star_oriented(4, 1), Digraph(1, [])):
+        budgets.clear()
+        outcome = dominator_chromatic_number(d, STRICT)
+        assert outcome.value is None
+        assert outcome.nodes_explored == 1
+        assert budgets == [d.n]
 
 
 def test_chromatic_masks_match_the_climb_from_one(monkeypatch):
@@ -345,6 +412,7 @@ def test_sweep_workers_merge_deterministically(monkeypatch):
     parallel = sweep(CHORDED_CYCLE, arg_limit=3, workers=2)
     assert pools == [min(2, os.cpu_count() or 1)]
     assert serial == parallel
+    assert serial.kernel_solves == parallel.kernel_solves == 616
     assert serial.argmin_overflow and serial.argmax_overflow
 
 
@@ -365,7 +433,10 @@ def pooled_bases(draw):
 def test_pooled_sweeps_equal_serial_ones(base):
     assert len(code_orbits(base).reps) >= 2048  # the pool threshold
     for mode in DominationMode:
-        assert sweep(base, mode, workers=2) == sweep(base, mode, workers=1), mode
+        pooled = sweep(base, mode, workers=2)
+        serial = sweep(base, mode, workers=1)
+        assert pooled == serial, mode
+        assert pooled.kernel_solves == serial.kernel_solves, mode
 
 
 def test_sweep_rejects_fewer_than_one_worker():
