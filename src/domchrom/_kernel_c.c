@@ -1,9 +1,10 @@
 /*
  * Compiled twin of _kernel_py.
  *
- * Same contracts, same vertex and class trial order, same node counts:
- * the dominator kernel evaluates the bitmask predicate and the
- * class-packing rule documented in _kernel_py.py, on uint64_t masks.
+ * Same contract, same vertex and class trial order, same node counts:
+ * the one search, solve_fixed_k_dominator, evaluates the bitmask
+ * predicate and the class-packing rule documented in _kernel_py.py, on
+ * uint64_t masks; with no vertex required it is a proper-coloring search.
  * Any change here must be mirrored in the pure-Python module and vice
  * versa; the test suite compiles this file and asserts that the two
  * backends agree exactly.  Limited to 64 vertices by the mask width.
@@ -23,18 +24,6 @@
 typedef uint64_t u64;
 
 #define MAX_N 64
-
-/* 0 when n and k fit the mask width, else -1 with ValueError set. */
-static int
-check_sizes(int n, int k)
-{
-    if (n < 0 || n > MAX_N || k < 1 || k > MAX_N) {
-        PyErr_SetString(PyExc_ValueError,
-                        "compiled kernel handles 1 <= k and n <= 64");
-        return -1;
-    }
-    return 0;
-}
 
 static int
 read_masks(PyObject *seq, int n, u64 *out)
@@ -77,52 +66,6 @@ color_list(const int *color, int n)
     return list;
 }
 
-static PyObject *
-solve_fixed_k_proper(PyObject *self, PyObject *args)
-{
-    int n, k;
-    PyObject *adj_o;
-    u64 adj[MAX_N], class_masks[MAX_N];
-    int color[MAX_N], trial[MAX_N], used_stack[MAX_N + 1];
-
-    if (!PyArg_ParseTuple(args, "iOi:solve_fixed_k_proper", &n, &adj_o, &k))
-        return NULL;
-    if (n == 0)
-        return PyList_New(0);
-    if (check_sizes(n, k) < 0 || read_masks(adj_o, n, adj) < 0)
-        return NULL;
-    memset(class_masks, 0, sizeof class_masks);
-    used_stack[0] = 0;
-    trial[0] = 0;
-
-    int i = 0;
-    for (;;) {
-        int used = used_stack[i];
-        int limit = used < k ? used : k - 1;
-        u64 am = adj[i];
-        int placed = 0;
-        for (int c = trial[i]; c <= limit; c++) {
-            if (!(class_masks[c] & am)) {
-                class_masks[c] |= (u64)1 << i;
-                color[i] = c;
-                trial[i] = c + 1;
-                used_stack[i + 1] = c == used ? used + 1 : used;
-                placed = 1;
-                break;
-            }
-        }
-        if (placed) {
-            if (++i == n)
-                return color_list(color, n);
-            trial[i] = 0;
-            continue;
-        }
-        if (--i < 0)
-            Py_RETURN_NONE;
-        class_masks[color[i]] &= ~((u64)1 << i);
-    }
-}
-
 /* Whether the vertices of left, taken in ascending order, meet no more
  * than spare pairwise disjoint sets outs[v] & above. */
 static int
@@ -159,8 +102,12 @@ solve_fixed_k_dominator(PyObject *self, PyObject *args)
         return NULL;
     if (n == 0)
         return Py_BuildValue("(Ni)", PyList_New(0), 0);
-    if (check_sizes(n, k) < 0 || read_masks(adj_o, n, adj) < 0 ||
-        read_masks(outs_o, n, outs) < 0)
+    if (n < 0 || n > MAX_N || k < 1 || k > MAX_N) {
+        PyErr_SetString(PyExc_ValueError,
+                        "compiled kernel handles 1 <= k and n <= 64");
+        return NULL;
+    }
+    if (read_masks(adj_o, n, adj) < 0 || read_masks(outs_o, n, outs) < 0)
         return NULL;
 
     memset(into, 0, sizeof into);
@@ -265,9 +212,6 @@ solve_fixed_k_dominator(PyObject *self, PyObject *args)
 }
 
 static PyMethodDef kernel_methods[] = {
-    {"solve_fixed_k_proper", solve_fixed_k_proper, METH_VARARGS,
-     "solve_fixed_k_proper(n, adj, k): proper coloring with at most k "
-     "classes, or None."},
     {"solve_fixed_k_dominator", solve_fixed_k_dominator, METH_VARARGS,
      "solve_fixed_k_dominator(n, adj, outs, required, k): (dominator "
      "coloring with at most k classes or None, nodes explored)."},

@@ -1,12 +1,14 @@
-"""Pure-Python search kernels.
+"""Pure-Python search kernel.
 
-Both kernels run a backtracking search over canonical colorings: vertex
-i is assigned a class from 0..min(opened, k-1), so each partition into
-at most k classes is visited exactly once, in first-occurrence label
-order.  Vertex order and class trial order are fixed, which makes every
-witness deterministic.
+One backtracking search over canonical colorings: vertex i is assigned
+a class from 0..min(opened, k-1), so each partition into at most k
+classes is visited exactly once, in first-occurrence label order.
+Vertex order and class trial order are fixed, which makes every witness
+deterministic.  With no vertex required every domination and packing
+check below passes, so the same search finds proper colorings: the
+kernel module gets chi that way, with no second search to keep in step.
 
-The dominator kernel additionally prunes on the domination requirement.
+The search prunes on the domination requirement.
 A vertex v can still end up dominating a class only if either some
 already-opened class lies fully inside its out-neighborhood, or a class
 index is still free to open (opened < k) and v has an uncolored
@@ -53,47 +55,6 @@ compiled twin.
 """
 
 from __future__ import annotations
-
-
-def solve_fixed_k_proper(n: int, adj: list[int], k: int) -> list[int] | None:
-    """Proper coloring with at most k classes, or None.
-
-    adj[i] is the bitmask of vertices adjacent to i (either direction).
-    """
-    if n == 0:
-        return []
-    color = [-1] * n
-    class_masks = [0] * k
-    used_stack = [0] * (n + 1)
-    trial = [0] * n
-    i = 0
-    while True:
-        used = used_stack[i]
-        limit = used if used < k else k - 1
-        c = trial[i]
-        am = adj[i]
-        bit = 1 << i
-        placed = False
-        while c <= limit:
-            if not (class_masks[c] & am):
-                class_masks[c] |= bit
-                color[i] = c
-                trial[i] = c + 1
-                used_stack[i + 1] = used + (1 if c == used else 0)
-                placed = True
-                break
-            c += 1
-        if placed:
-            i += 1
-            if i == n:
-                return color
-            trial[i] = 0
-            continue
-        i -= 1
-        if i < 0:
-            return None
-        class_masks[color[i]] &= ~(1 << i)
-        color[i] = -1
 
 
 def solve_fixed_k_dominator(

@@ -2,12 +2,13 @@
 
 Times the pure-Python and compiled kernels on identical workloads and
 prints a table with the speedup, after the host's CPU count and Python
-version.  Workloads cover single solves, orientation sweeps (two of
-them settled without a kernel call: a star, whose packing bounds are
-all attained, and a strict path, whose orientations all have a sink),
-and one in-process `domchrom solve --json` request; both backends must
-return identical values and node counts, which the harness asserts
-before reporting.
+version.  Workloads cover single solves (an odd tilde cycle among
+them, whose bound needs chi = 4 from the proper search), orientation
+sweeps (two of them settled without a kernel call: a star, whose
+packing bounds are all attained, and a strict path, whose orientations
+all have a sink), and one in-process `domchrom solve --json` request;
+both backends must return identical values and node counts, which the
+harness asserts before reporting.
 """
 
 from __future__ import annotations
@@ -43,6 +44,8 @@ def _cli_solve(path: str) -> dict:
 def _workloads(fig4_path: str):
     yield "solve tournament n=9", lambda: dominator_chromatic_number(tournament(9, 5))
     yield "solve tilde-cycle n=12", lambda: dominator_chromatic_number(tilde_cycle(12))
+    # an odd wheel underneath: chi(G - U) = 4 takes the proper search
+    yield "solve tilde-cycle n=25", lambda: dominator_chromatic_number(tilde_cycle(25))
     yield "solve fig4", lambda: dominator_chromatic_number(fig4_digraph())
     yield "sweep path n=10", lambda: sweep(path_base(10))
     yield "sweep cycle n=10", lambda: sweep(cycle_base(10))

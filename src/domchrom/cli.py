@@ -20,7 +20,7 @@ import sys
 import time
 from typing import Any
 
-from . import kernel
+from . import kernel, solver
 from .coloring import Coloring, DominationMode, verify
 from .families import (
     FAMILY_KINDS,
@@ -166,21 +166,28 @@ def _sweep_formula(kind: str, n: int) -> int:
     return 2
 
 
-def _range_from(args: argparse.Namespace) -> list[int]:
+def _range_from(args: argparse.Namespace) -> range:
+    """The sizes asked for, as a range: a size guard then sees its ends
+    without a list of every size being built first."""
     if args.n is not None:
         if args.n_min is not None or args.n_max is not None:
             raise FormatError("give either --n or --n-min/--n-max, not both")
-        return [args.n]
+        return range(args.n, args.n + 1)
     if args.n_min is None or args.n_max is None:
         raise FormatError("need --n or both --n-min and --n-max")
     if args.n_min > args.n_max:
         raise FormatError("--n-min must not exceed --n-max")
-    return list(range(args.n_min, args.n_max + 1))
+    return range(args.n_min, args.n_max + 1)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     mode = _mode(args)
     ns = _range_from(args)
+    # both limits grow with n, so the largest base checks the range: a
+    # star on n leaves has n + 1 vertices, a path on n vertices n - 1 edges
+    star = args.base == "star"
+    top = ns[-1]
+    solver.check_sweep_size(top + star, top - (args.base == "path"), not star)
     t0 = time.perf_counter()
     rows = []
     for n in ns:
@@ -204,7 +211,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 "kernel_solves": rep.kernel_solves,
             }
         )
-    inputs = {"base": args.base, "n": ns, "mode": mode.value, "workers": args.workers}
+    inputs = {"base": args.base, "n": list(ns), "mode": mode.value, "workers": args.workers}
     outputs = {"rows": rows, "mode": mode.value, "elapsed_ms": _ms(t0)}
     if args.csv:
         header = [
@@ -378,6 +385,8 @@ def _cmd_mine(args: argparse.Namespace) -> int:
     ns = _range_from(args)
     if ns[0] < 3:
         raise FormatError("tilde-cycle needs n >= 3")
+    # the tilde cycle of the largest n has the most vertices, n + 1
+    solver.check_solvable_size(ns[-1] + 1)
     t0 = time.perf_counter()
     rows = []
     for n in ns:

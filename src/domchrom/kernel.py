@@ -3,6 +3,10 @@
 Prefers the compiled extension and falls back to the pure-Python twin.
 Set DOMCHROM_KERNEL=python or DOMCHROM_KERNEL=c to force a backend
 (forcing "c" fails loudly when the extension was not built).
+
+Each backend has one search, solve_fixed_k_dominator.  A proper coloring
+is that search with no vertex required, so solve_fixed_k_proper is
+defined here once, on whichever backend is active.
 """
 
 from __future__ import annotations
@@ -33,24 +37,20 @@ def available_backends() -> tuple[str, ...]:
     return tuple(names)
 
 
-_forced = os.environ.get("DOMCHROM_KERNEL")
-if _forced is not None:
-    _impl = load_backend(_forced)
-    backend_name = _forced
-else:
-    try:
-        from . import _kernel_c as _impl  # type: ignore[attr-defined,no-redef]
-
-        backend_name = "c"
-    except ImportError:
-        from . import _kernel_py as _impl  # type: ignore[no-redef]
-
-        backend_name = "python"
-
-_default_name = backend_name
-
-solve_fixed_k_proper = _impl.solve_fixed_k_proper
+_default_name = os.environ.get("DOMCHROM_KERNEL")
+if _default_name is None:
+    _default_name = available_backends()[-1]
+_impl = load_backend(_default_name)
+backend_name = _default_name
 solve_fixed_k_dominator = _impl.solve_fixed_k_dominator
+
+
+def solve_fixed_k_proper(n: int, adj: list[int], k: int) -> list[int] | None:
+    """Proper coloring with at most k classes, or None: the dominator
+    search with adj as the out-sets and no vertex required.  It reads
+    _impl, not this module's solve_fixed_k_dominator, so a wrapper around
+    that name never counts a chromatic search."""
+    return _impl.solve_fixed_k_dominator(n, adj, adj, (), k)[0]
 
 
 def use_backend(name: str | None) -> str:
@@ -58,10 +58,9 @@ def use_backend(name: str | None) -> str:
     import-time default.  Sweep pool workers run it once at start-up with
     the parent's name; other subprocesses pick their backend at import,
     honoring DOMCHROM_KERNEL."""
-    global _impl, backend_name, solve_fixed_k_proper, solve_fixed_k_dominator
+    global _impl, backend_name, solve_fixed_k_dominator
     target = _default_name if name is None else name
     _impl = load_backend(target)
     backend_name = target
-    solve_fixed_k_proper = _impl.solve_fixed_k_proper
     solve_fixed_k_dominator = _impl.solve_fixed_k_dominator
     return backend_name

@@ -12,17 +12,24 @@ chi(G); and as P <= |U| it is at most n, so every ladder ends in a
 kernel call.  A required vertex with an empty out-set (a strict-mode
 sink) dominates no class, so no budget succeeds: its bound is n, and
 the ladder's one kernel call, at k = n, refutes it on one node.  Each
-budget runs the backtracking kernel selected in the kernel module.
+budget runs the backtracking search selected in the kernel module.
 
-A sweep needs values only, not witnesses, so it first asks the bound
-for a certificate.  The taken out-sets are independent and pairwise
-disjoint; with a 2-coloring of G - U (when chi(G - U) <= 2) they form a
-proper coloring with exactly P + chi(G - U) classes, in which each taken
-vertex dominates its own class.  When every required vertex the packing
-skipped also contains one of its classes, it is a dominator coloring,
-and the bound is the value: no kernel call.  A strict-mode sink makes
-the orientation infeasible, also with no kernel call.  Only the other
-orientations climb the ladder, from the bound already computed.
+chi(G - U) starts from one BFS 2-coloring, which settles 0, 1 and 2.
+An odd G - U goes to the same search with no vertex required, climbing
+budgets from a greedy clique on G - U relabelled highest degree first;
+that order keeps odd wheels, such as the tilde cycle's underlying
+graph, linear where index order is exponential.
+
+The same 2-coloring gives a certificate, which a sweep uses, as it
+needs values only, not witnesses.  The taken out-sets are independent
+and pairwise disjoint; with the 2-coloring's sides (when chi(G - U) <=
+2) they form a proper coloring with exactly P + chi(G - U) classes, in
+which each taken vertex dominates its own class.  When every required
+vertex the packing skipped also contains one of its classes, it is a
+dominator coloring, and the bound is the value: no kernel call.  A
+strict-mode sink makes the orientation infeasible, also with no kernel
+call.  Only the other orientations climb the ladder, from the bound
+already computed.
 
 A sweep covers every orientation code of a base graph, aggregating the
 value distribution and the extremal code sets.  Isomorphic orientations
@@ -70,7 +77,7 @@ class GuardExceeded(ValueError):
     """An exhaustive computation was refused because it is too large."""
 
 
-def _check_solvable_size(n: int) -> None:
+def check_solvable_size(n: int) -> None:
     if n < 1:
         raise ValueError("need at least one vertex")
     if n > KERNEL_MAX_VERTICES:
@@ -100,23 +107,27 @@ def _required_vertices(n: int, outs: list[int], mode: DominationMode) -> list[in
 
 def chromatic_number(base: BaseGraph) -> int:
     """Exact chromatic number of an undirected graph, n >= 1."""
-    _check_solvable_size(base.n)
-    return _chromatic_masks(_adjacency_masks(base.n, base.edges), (1 << base.n) - 1)
-
-
-def _chromatic_masks(adj: list[int], keep: int) -> int:
-    """Chromatic number of the subgraph that the vertex mask keep induces.
-
-    A BFS 2-coloring settles 0, 1 and 2: its count of nonempty sides.
-    Else the subgraph is relabelled onto 0..r-1 before the proper kernel
-    climbs from max(3, a greedy clique): with the vertices outside keep
-    left in as isolated ones, the kernel would branch over them too on
-    every budget it refutes.
-    """
+    check_solvable_size(base.n)
+    adj = _adjacency_masks(base.n, base.edges)
+    keep = (1 << base.n) - 1
     sides = _two_coloring(adj, keep)
-    if sides is not None:
-        return len(sides)
+    return len(sides) if sides is not None else _odd_chromatic(adj, keep)
+
+
+def _odd_chromatic(adj: list[int], keep: int) -> int:
+    """Chromatic number of the subgraph that the vertex mask keep
+    induces, given that _two_coloring found an odd cycle in it.
+
+    The subgraph is relabelled onto 0..r-1, highest degree in it first
+    (a stable sort, so ties go by vertex index), and the proper search
+    climbs from max(3, a greedy clique).  Left in, the vertices outside
+    keep would be branched over on every refuted budget.  The order does
+    not change chi but decides the cost: on an odd wheel in index order,
+    hub last, each refuted budget tries every coloring of the rim, while
+    the hub first leaves each rim vertex one class at a time.
+    """
     members = [u for u in range(len(adj)) if keep >> u & 1]
+    members.sort(key=lambda u: -(adj[u] & keep).bit_count())
     index = {u: j for j, u in enumerate(members)}
     sub = []
     for u in members:
@@ -203,7 +214,7 @@ def find_dominator_coloring(
     d: Digraph, k: int, mode: DominationMode = DominationMode.SINK_EXEMPT
 ) -> Coloring | None:
     """A dominator coloring of d using at most k classes, or None."""
-    _check_solvable_size(d.n)
+    check_solvable_size(d.n)
     if k < 1:
         raise ValueError("class budget must be positive")
     adj = _adjacency_masks(d.n, d.arcs)
@@ -221,7 +232,7 @@ def dominator_chromatic_number(
     d: Digraph, mode: DominationMode = DominationMode.SINK_EXEMPT
 ) -> SolveOutcome:
     """Exact dominator chromatic number with a witness coloring."""
-    _check_solvable_size(d.n)
+    check_solvable_size(d.n)
     adj = _adjacency_masks(d.n, d.arcs)
     outs = _out_masks(d)
     required = _required_vertices(d.n, outs, mode)
@@ -233,11 +244,11 @@ def dominator_chromatic_number(
 
 
 def _lower_bound(
-    n: int, adj: list[int], outs: list[int], required: list[int], certify: bool = False
+    n: int, adj: list[int], outs: list[int], required: list[int]
 ) -> tuple[int, list[int] | None]:
-    """The packing bound P + chi(G - U), and with certify the classes of
-    a dominator coloring that attains it, when the packing's own classes
-    form one (else None).
+    """The packing bound P + chi(G - U), and the classes of a dominator
+    coloring that attains it, when the packing's own classes form one
+    (else None).
 
     Walk the required vertices by (out-degree, vertex) and take v when
     outs[v] is independent and misses U, the union of the out-sets taken
@@ -245,11 +256,11 @@ def _lower_bound(
     out-set (a strict-mode sink) dominates no class, so no budget can
     succeed: the bound is then n, never attained.
 
-    The taken out-sets with an optimal coloring of G - U form a proper
-    coloring with exactly P + chi(G - U) classes; each taken vertex
-    dominates its own.  The certificate uses it when chi(G - U) <= 2,
-    the rest classes being the sides of a BFS 2-coloring, and accepts it
-    when every vertex the walk skipped contains one of its classes.
+    One BFS 2-coloring of G - U settles chi(G - U) <= 2 by its sides, and
+    hands an odd G - U to _odd_chromatic.  The taken out-sets with those
+    sides form a proper coloring with exactly P + chi(G - U) classes;
+    each taken vertex dominates its own.  It is the certificate when
+    every vertex the walk skipped contains one of its classes.
     """
     order = sorted((outs[v].bit_count(), v) for v in required)
     if order and not order[0][0]:
@@ -273,18 +284,17 @@ def _lower_bound(
                 continue
         skipped.append(om)
     keep = ((1 << n) - 1) & ~taken
-    if certify:
-        sides = _two_coloring(adj, keep)
-        if sides is not None:
-            classes += sides
-            for om in skipped:
-                for members in classes:
-                    if not members & ~om:
-                        break
-                else:
-                    return len(classes), None
-            return len(classes), classes
-    return len(classes) + _chromatic_masks(adj, keep), None
+    sides = _two_coloring(adj, keep)
+    if sides is None:
+        return len(classes) + _odd_chromatic(adj, keep), None
+    classes += sides
+    for om in skipped:
+        for members in classes:
+            if not members & ~om:
+                break
+        else:
+            return len(classes), None
+    return len(classes), classes
 
 
 def _solve_masks(
@@ -420,7 +430,7 @@ def _solve_codes(base: BaseGraph, mode: DominationMode, codes) -> tuple[array, i
             values.append(0)
             continue
         required = _required_vertices(n, outs, mode)
-        value, classes = _lower_bound(n, adj, outs, required, certify=True)
+        value, classes = _lower_bound(n, adj, outs, required)
         if classes is None:
             # the bound is only where the ladder starts
             value = _solve_masks(n, adj, outs, required, value)[1] or 0
@@ -497,16 +507,26 @@ def _codes_with_value(
             heapq.heapreplace(queue, (following, stream))
 
 
-def _resolve_edge_guard(max_edges: int | None) -> int:
-    if max_edges is not None:
-        return max_edges
-    raw = os.environ.get(SWEEP_EDGES_ENV)
-    if raw is None:
-        return DEFAULT_MAX_SWEEP_EDGES
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{SWEEP_EDGES_ENV} must be an integer, got {raw!r}")
+def check_sweep_size(
+    n: int, m: int, enumerated: bool, max_edges: int | None = None
+) -> None:
+    """Refuse a sweep over a base of n vertices and m edges, which need
+    not be built yet: ValueError past the kernel limit, GuardExceeded past
+    the edge guard when the codes are enumerated (every base but a star,
+    which costs one solve per leaf count, bounded by the kernel limit)."""
+    check_solvable_size(n)
+    guard = max_edges
+    if guard is None:
+        raw = os.environ.get(SWEEP_EDGES_ENV, str(DEFAULT_MAX_SWEEP_EDGES))
+        try:
+            guard = int(raw)
+        except ValueError:
+            raise ValueError(f"{SWEEP_EDGES_ENV} must be an integer, got {raw!r}")
+    if m > guard and enumerated:
+        raise GuardExceeded(
+            f"sweep over {m} edges exceeds the guard of {guard} "
+            f"(raise via {SWEEP_EDGES_ENV} or max_edges)"
+        )
 
 
 def sweep(
@@ -522,19 +542,11 @@ def sweep(
     For a path, cycle or star base one orientation per automorphism
     orbit is solved; the report is the same as solving every code.
     """
-    _check_solvable_size(base.n)
+    check_sweep_size(base.n, len(base.edges), codes_enumerated(base), max_edges)
     if arg_limit < 1:
         raise ValueError("arg_limit must be positive")
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    m = len(base.edges)
-    guard = _resolve_edge_guard(max_edges)
-    # a star costs one solve per leaf count, bounded by the kernel limit
-    if m > guard and codes_enumerated(base):
-        raise GuardExceeded(
-            f"sweep over {m} edges exceeds the guard of {guard} "
-            f"(raise via {SWEEP_EDGES_ENV} or max_edges)"
-        )
     orbits = code_orbits(base)
     reps = orbits.reps
 

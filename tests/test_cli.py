@@ -4,6 +4,7 @@ Exit code contract: 0 success, 1 semantic failure, 2 usage or parse
 error, 3 guard exceeded.
 """
 
+import argparse
 import json
 import subprocess
 import sys
@@ -420,6 +421,54 @@ def test_mine_discrepancy_solves_each_digraph_once(monkeypatch, capsys):
         # the tilde cycle (n + 1 vertices), then the directed cycle
         assert sizes == [n + 1, n]
     capsys.readouterr()
+
+
+def test_mine_discrepancy_reaches_odd_cycles_up_to_the_kernel_limit(capsys):
+    argv = ["mine-discrepancy", "--family", "tilde-cycle", "--n-min", "3", "--n-max", "63"]
+    assert run([*argv, "--json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["outputs"]["rows"]
+    assert [r["n"] for r in rows] == list(range(3, 64))
+    for r in rows:
+        assert r["host_value"] in (3, 4), r
+        assert r["sub_value"] == r["n"], r
+
+
+def _refuse_builds(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a graph was built")
+
+    for name in ("path_base", "cycle_base", "star_base", "tilde_cycle", "directed_cycle"):
+        monkeypatch.setattr(cli, name, refuse)
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["sweep", "path", "--n", "1000000"], 2, "at most 64 vertices"),
+        (["sweep", "star", "--n-min", "1", "--n-max", "64"], 2, "at most 64 vertices"),
+        (["sweep", "path", "--n", "30"], 3, "guard"),
+        (["sweep", "cycle", "--n-min", "3", "--n-max", "25"], 3, "guard"),
+        (["mine-discrepancy", "--family", "tilde-cycle", "--n", "1000000"], 2, "at most 64"),
+        (
+            ["mine-discrepancy", "--family", "tilde-cycle", "--n-min", "3", "--n-max", "64"],
+            2,
+            "at most 64 vertices",
+        ),
+    ],
+)
+def test_sizes_are_checked_before_any_graph_is_built(argv, code, message, monkeypatch, capsys):
+    _refuse_builds(monkeypatch)
+    assert run(argv) == code
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
+def test_a_size_range_stays_lazy():
+    # the guards read the ends of the range, so a range ending at
+    # 10**12 costs nothing before it is refused
+    args = argparse.Namespace(n=None, n_min=3, n_max=5)
+    assert cli._range_from(args) == range(3, 6)
 
 
 def test_module_entry_point_runs():

@@ -23,7 +23,7 @@ import pytest
 
 from conftest import random_connected_digraph
 from domchrom import DominationMode, dominator_chromatic_number, find_dominator_coloring
-from domchrom import _kernel_py, kernel
+from domchrom import _kernel_py, kernel, solver
 
 
 def test_python_backend_is_always_available():
@@ -186,6 +186,27 @@ def test_kernel_matches_reference_predicate():
     assert nodes_cut > 0
 
 
+def test_proper_search_finds_the_first_canonical_coloring():
+    """With no vertex required, the search returns the first proper
+    canonical coloring with at most k classes in label order, or None
+    when there is none: the answers of a dedicated proper search."""
+    rng = random.Random(5)
+    for _ in range(80):
+        n = rng.randint(1, 7)
+        p = rng.random()
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        adj = solver._adjacency_masks(n, edges)
+        for k in range(1, n + 1):
+            proper = [
+                a
+                for j in range(1, k + 1)
+                for a in solver._partitions_exact(n, j)
+                if all(a[u] != a[v] for u, v in edges)
+            ]
+            expected = list(min(proper)) if proper else None
+            assert kernel.solve_fixed_k_proper(n, adj, k) == expected, (n, edges, k)
+
+
 @pytest.fixture(scope="module")
 def compiled_twin(tmp_path_factory):
     """_kernel_c.c compiled into a temporary directory and loaded from
@@ -226,9 +247,11 @@ def _same_dominator(twin, *instance):
 
 
 def _same_proper(twin, n, adj, k):
-    got = twin.solve_fixed_k_proper(n, adj, k)
-    assert got == _kernel_py.solve_fixed_k_proper(n, adj, k), (n, adj, k)
-    return got
+    """The search with no vertex required, as kernel.solve_fixed_k_proper
+    runs it: the same coloring and node count on both backends."""
+    got = twin.solve_fixed_k_dominator(n, adj, adj, [], k)
+    assert got == _kernel_py.solve_fixed_k_dominator(n, adj, adj, [], k), (n, adj, k)
+    return got[0]
 
 
 def test_compiled_source_matches_python_kernel(compiled_twin):

@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import digraphs, random_connected_digraph
-from domchrom import _kernel_py, kernel, solver
+from domchrom import kernel, solver
 from domchrom import (
     BaseGraph,
     Coloring,
@@ -34,6 +34,8 @@ from domchrom import (
     path_base,
     star_oriented,
     sweep,
+    tilde_cycle,
+    tilde_cycle_optimal,
     underlying,
     verify,
 )
@@ -120,11 +122,20 @@ def _induced_masks(adj, keep):
 
 
 def _chi_by_climb(adj, keep):
-    """chi of the subgraph induced by keep, climbing the pure-Python
-    proper kernel from 1 on a relabelled copy."""
+    """chi of the subgraph induced by keep: the first class count with a
+    proper partition, enumerated exhaustively on a relabelled copy, so it
+    shares no code with the search."""
     r, sub = _induced_masks(adj, keep)
+    edges = [(u, w) for u in range(r) for w in range(u + 1, r) if sub[u] >> w & 1]
     return next(
-        (k for k in range(1, r + 1) if _kernel_py.solve_fixed_k_proper(r, sub, k)),
+        (
+            k
+            for k in range(1, r + 1)
+            if any(
+                all(a[u] != a[w] for u, w in edges)
+                for a in solver._partitions_exact(r, k)
+            )
+        ),
         0,
     )
 
@@ -178,27 +189,42 @@ def test_ladder_bound_lies_between_chromatic_number_and_value(d):
         assert dominator_chromatic_number(d, mode).value == value
 
 
-def test_ladder_computes_one_chromatic_number(monkeypatch):
+def _spy_on(monkeypatch, name):
+    """The keep mask of every call to the solver helper name from now on."""
     calls = []
-    real = solver._chromatic_masks
+    real = getattr(solver, name)
 
     def spy(adj, keep):
         calls.append(keep)
         return real(adj, keep)
 
-    monkeypatch.setattr(solver, "_chromatic_masks", spy)
-    # once per ladder, infeasible ones included, and also when U takes
-    # every vertex: the directed cycle's answer is the bound n + chi(empty);
-    # never for a strict-mode sink, whose bound is n at once
-    for d in (directed_cycle(5), directed_path(4), star_oriented(3, 1)):
+    monkeypatch.setattr(solver, name, spy)
+    return calls
+
+
+def test_ladder_computes_one_chromatic_number(monkeypatch):
+    sides = _spy_on(monkeypatch, "_two_coloring")
+    odd = _spy_on(monkeypatch, "_odd_chromatic")
+    # one 2-coloring per ladder, infeasible ones included, and also when
+    # U takes every vertex: the directed cycle's answer is the bound
+    # n + chi(empty); never for a strict-mode sink, whose bound is n at
+    # once; the proper search only for an odd G - U, as the tilde
+    # 5-cycle's wheel
+    wheel = tilde_cycle(5)
+    for d in (directed_cycle(5), directed_path(4), star_oriented(3, 1), wheel):
         for mode in DominationMode:
-            calls.clear()
+            sides.clear()
+            odd.clear()
             dominator_chromatic_number(d, mode)
             sink = mode is STRICT and not all(solver._out_masks(d))
-            assert len(calls) == (0 if sink else 1), (d, mode)
-    calls.clear()
+            assert len(sides) == (0 if sink else 1), (d, mode)
+            assert odd == (sides if d is wheel else []), (d, mode)
+    sides.clear()
     dominator_chromatic_number(directed_cycle(5))
-    assert calls == [0]
+    assert sides == [0]
+    sides.clear()
+    dominator_chromatic_number(wheel)
+    assert sides == [(1 << wheel.n) - 1]
 
 
 @given(digraphs(max_n=9))
@@ -211,8 +237,7 @@ def test_an_accepted_certificate_is_an_optimal_dominator_coloring(d):
     outs = solver._out_masks(d)
     for mode in DominationMode:
         required = solver._required_vertices(d.n, outs, mode)
-        bound, classes = solver._lower_bound(d.n, adj, outs, required, certify=True)
-        assert solver._lower_bound(d.n, adj, outs, required) == (bound, None)
+        bound, classes = solver._lower_bound(d.n, adj, outs, required)
         if classes is None:
             continue
         assert len(classes) == bound
@@ -265,25 +290,26 @@ def test_a_strict_sink_costs_one_kernel_call_at_n(monkeypatch):
         assert budgets == [d.n]
 
 
-def test_chromatic_masks_match_the_climb_from_one(monkeypatch):
+def test_odd_chromatic_matches_an_exhaustive_count(monkeypatch):
     real = kernel.solve_fixed_k_proper
-    sizes = []
+    searches = []
 
     def spy(n, adj, k):
-        sizes.append(n)
+        searches.append(adj)
         return real(n, adj, k)
 
     monkeypatch.setattr(kernel, "solve_fixed_k_proper", spy)
     # edgeless, bipartite and odd-cycle bases, one with a pendant vertex
-    # that keep drops, then random graphs and random vertex subsets
+    # that keep drops, an odd wheel with its hub last, then random graphs
+    # and random vertex subsets
     pendant_pentagon = BaseGraph(
         6, [(0, 1)] + [(1 + u, 1 + v) for u, v in cycle_base(5).edges]
     )
     bases = [BaseGraph(4, []), path_base(6), cycle_base(6), cycle_base(7)]
-    bases += [pendant_pentagon, complete_base(4)]
+    bases += [pendant_pentagon, complete_base(4), underlying(tilde_cycle(7))]
     rng = random.Random(11)
     for _ in range(60):
-        n = rng.randint(1, 9)
+        n = rng.randint(1, 8)
         p = rng.random()
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         bases.append(BaseGraph(n, [e for e in pairs if rng.random() < p]))
@@ -293,14 +319,31 @@ def test_chromatic_masks_match_the_climb_from_one(monkeypatch):
         full = (1 << base.n) - 1
         for keep in (full, full & ~1, 0, rng.randrange(1 << base.n)):
             expected = _chi_by_climb(adj, keep)
-            sizes.clear()
-            assert solver._chromatic_masks(adj, keep) == expected, (base, keep)
-            # the proper kernel runs only past 2, and on the subgraph
-            # relabelled onto 0..r-1
-            r = keep.bit_count()
-            assert set(sizes) == ({r} if expected > 2 else set()), (base, keep)
+            sides = solver._two_coloring(adj, keep)
+            # the 2-coloring settles 0, 1 and 2 by its nonempty sides
+            assert (sides is None) == (expected > 2), (base, keep)
+            if sides is not None:
+                assert len(sides) == expected, (base, keep)
+                continue
+            searches.clear()
+            assert solver._odd_chromatic(adj, keep) == expected, (base, keep)
+            # the search runs on the subgraph relabelled onto 0..r-1,
+            # highest degree first
+            degrees = [mask.bit_count() for mask in searches[0]]
+            assert len(degrees) == keep.bit_count(), (base, keep)
+            assert degrees == sorted(degrees, reverse=True), (base, keep)
             seen.add(expected)
-    assert {0, 1, 2, 3} <= seen
+    assert {3, 4} <= seen
+
+
+def test_odd_tilde_cycles_solve_up_to_the_kernel_limit():
+    # the tilde cycle's underlying graph is a wheel; with the rim odd,
+    # chi = 4, which the search reaches in linear time only with the hub
+    # first: in index order each refuted budget tries every rim coloring
+    for n in (25, 41, 63):
+        d = tilde_cycle(n)
+        assert chromatic_number(underlying(d)) == 4
+        assert dominator_chromatic_number(d).value == tilde_cycle_optimal(n).claimed_value
 
 
 def test_oracle_agrees_on_small_instances():
