@@ -44,19 +44,14 @@ from .formats import (
     parse_coloring,
     parse_digraph,
 )
-from .graphs import BaseGraph, cycle_base, path_base, star_base
-from .invariants import dominator_gap, orientation_gap
+from .graphs import cycle_base, path_base, star_base
+from .invariants import UndefinedInvariant, dominator_gap, orientation_gap
 from .solver import GuardExceeded, dominator_chromatic_number, sweep
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_GUARD = 3
-
-
-class SemanticFailure(Exception):
-    """Raised by handlers when the computation is well-formed but the
-    answer is a failure (undefined invariant, infeasible instance)."""
 
 
 def _mode(args: argparse.Namespace) -> DominationMode:
@@ -150,20 +145,23 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- sweep
 
 
-def _sweep_base(kind: str, n: int) -> BaseGraph:
-    if kind == "path":
-        return path_base(n)
-    if kind == "cycle":
-        return cycle_base(n)
-    return star_base(n)
+# sweep base kind -> (base builder, closed-form minimum over orientations)
+_SWEEP_KINDS = {
+    "path": (path_base, path_min_formula),
+    "cycle": (cycle_base, cycle_min_formula),
+    "star": (star_base, lambda leaves: 2),
+}
 
-
-def _sweep_formula(kind: str, n: int) -> int:
-    if kind == "path":
-        return path_min_formula(n)
-    if kind == "cycle":
-        return cycle_min_formula(n)
-    return 2
+# sweep CSV columns: (header, key of the JSON row)
+_SWEEP_CSV = (
+    ("n", "n"),
+    ("min", "min_value"),
+    ("max", "max_value"),
+    ("formula", "formula"),
+    ("matches_formula", "matches_formula"),
+    ("orientations", "orientations"),
+    ("infeasible", "infeasible_count"),
+)
 
 
 def _range_from(args: argparse.Namespace) -> range:
@@ -189,11 +187,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     top = ns[-1]
     solver.check_sweep_size(top + star, top - (args.base == "path"), not star)
     t0 = time.perf_counter()
+    build_base, min_formula = _SWEEP_KINDS[args.base]
     rows = []
     for n in ns:
-        base = _sweep_base(args.base, n)
-        rep = sweep(base, mode, workers=args.workers)
-        formula = _sweep_formula(args.base, n)
+        rep = sweep(build_base(n), mode, workers=args.workers)
+        formula = min_formula(n)
         rows.append(
             {
                 "n": n,
@@ -214,27 +212,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     inputs = {"base": args.base, "n": list(ns), "mode": mode.value, "workers": args.workers}
     outputs = {"rows": rows, "mode": mode.value, "elapsed_ms": _ms(t0)}
     if args.csv:
-        header = [
-            "n",
-            "min",
-            "max",
-            "formula",
-            "matches_formula",
-            "orientations",
-            "infeasible",
-        ]
-        csv_rows = [
-            [
-                r["n"],
-                r["min_value"],
-                r["max_value"],
-                r["formula"],
-                r["matches_formula"],
-                r["orientations"],
-                r["infeasible_count"],
-            ]
-            for r in rows
-        ]
+        header = [head for head, _ in _SWEEP_CSV]
+        csv_rows = [[r[key] for _, key in _SWEEP_CSV] for r in rows]
         sys.stdout.write(emit_csv(header, csv_rows))
         return EXIT_OK
     text = "".join(
@@ -251,10 +230,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _family_witness(args: argparse.Namespace) -> tuple[FamilySpec, ConstructiveWitness]:
-    try:
-        spec = FamilySpec(args.kind, tuple(args.params))
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+    spec = FamilySpec(args.kind, tuple(args.params))
     if args.directed:
         if args.kind not in ("path", "cycle"):
             raise FormatError("--directed applies only to path and cycle")
@@ -296,11 +272,8 @@ def _cmd_family(args: argparse.Namespace) -> int:
 
 def _cmd_formulas(args: argparse.Namespace) -> int:
     ns = _range_from(args)
-    fn = path_min_formula if args.base == "path" else cycle_min_formula
-    try:
-        rows = [{"n": n, "value": fn(n)} for n in ns]
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+    fn = _SWEEP_KINDS[args.base][1]
+    rows = [{"n": n, "value": fn(n)} for n in ns]
     if args.csv:
         sys.stdout.write(emit_csv(["n", "value"], [[r["n"], r["value"]] for r in rows]))
         return EXIT_OK
@@ -323,12 +296,7 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
             raise FormatError("give either a digraph file or --base, not both")
         base = parse_base(_read(args.base))
         t0 = time.perf_counter()
-        try:
-            rep = orientation_gap(base, mode)
-        except ValueError as exc:
-            if isinstance(exc, (GuardExceeded, FormatError)):
-                raise
-            raise SemanticFailure(str(exc)) from exc
+        rep = orientation_gap(base, mode)
         outputs = {
             "chromatic_value": rep.chromatic_value,
             "min_value": rep.min_dominator_value,
@@ -354,12 +322,7 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
         raise FormatError("need a digraph file, or --base with --star")
     d = parse_digraph(_read(args.digraph))
     t0 = time.perf_counter()
-    try:
-        rep = dominator_gap(d, mode)
-    except ValueError as exc:
-        if isinstance(exc, (GuardExceeded, FormatError)):
-            raise
-        raise SemanticFailure(str(exc)) from exc
+    rep = dominator_gap(d, mode)
     outputs = {
         "dominator_value": rep.dominator_value,
         "chromatic_value": rep.chromatic_value,
@@ -396,7 +359,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
         host_value = dominator_chromatic_number(tilde_cycle(n), mode).value
         sub_value = dominator_chromatic_number(directed_cycle(n), mode).value
         if host_value is None or sub_value is None:
-            raise SemanticFailure(
+            raise UndefinedInvariant(
                 "discrepancy undefined: infeasible instance in this mode"
             )
         rows.append(
@@ -470,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("sweep", help="solve every orientation of a base graph")
-    p.add_argument("base", choices=["path", "cycle", "star"])
+    p.add_argument("base", choices=list(_SWEEP_KINDS))
     _add_range(p)
     _add_mode(p)
     p.add_argument("--workers", type=int, default=1)
@@ -556,13 +519,10 @@ def run(argv: list[str] | None = None) -> int:
     except GuardExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except SemanticFailure as exc:
+    except UndefinedInvariant as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
-    except (FormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

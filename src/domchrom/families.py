@@ -25,39 +25,7 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 from .coloring import Coloring
-from .graphs import (
-    BaseGraph,
-    Digraph,
-    OrientationCode,
-    cycle_base,
-    orient,
-    path_base,
-    star_base,
-    underlying,
-)
-
-FAMILY_KINDS = (
-    "path",
-    "cycle",
-    "star",
-    "complete",
-    "complete-bipartite",
-    "tilde-cycle",
-    "fig3",
-    "fig4",
-)
-
-# star params are (leaf count, in-arc count); bipartite are (m, n)
-_ARITY = {
-    "path": 1,
-    "cycle": 1,
-    "star": 2,
-    "complete": 1,
-    "complete-bipartite": 2,
-    "tilde-cycle": 1,
-    "fig3": 0,
-    "fig4": 0,
-}
+from .graphs import BaseGraph, Digraph, OrientationCode, orient, underlying
 
 
 @dataclass(frozen=True)
@@ -71,19 +39,12 @@ class FamilySpec:
         if kind not in FAMILY_KINDS:
             raise ValueError(f"unknown family kind {kind!r}")
         params = tuple(int(p) for p in params)
-        if len(params) != _ARITY[kind]:
+        floors = _KINDS[kind][0]
+        if len(params) != len(floors):
             raise ValueError(
-                f"family {kind!r} takes {_ARITY[kind]} parameter(s), got {len(params)}"
+                f"family {kind!r} takes {len(floors)} parameter(s), got {len(params)}"
             )
-        mins = {
-            "path": (1,),
-            "cycle": (3,),
-            "star": (1, 0),
-            "complete": (1,),
-            "complete-bipartite": (1, 1),
-            "tilde-cycle": (3,),
-        }
-        for p, lo in zip(params, mins.get(kind, ())):
+        for p, lo in zip(params, floors):
             if p < lo:
                 raise ValueError(f"family {kind!r} needs parameters >= {lo}")
         if kind == "star" and params[1] > params[0]:
@@ -102,25 +63,11 @@ class ConstructiveWitness:
 
 
 def base_graph(spec: FamilySpec) -> BaseGraph:
-    """Undirected substrate of a family member."""
-    kind, params = spec.kind, spec.params
-    if kind == "path":
-        return path_base(params[0])
-    if kind == "cycle":
-        return cycle_base(params[0])
-    if kind == "star":
-        return star_base(params[0])
-    if kind == "complete":
-        n = params[0]
-        return BaseGraph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
-    if kind == "complete-bipartite":
-        m, n = params
-        return BaseGraph(m + n, [(x, m + y) for x in range(m) for y in range(n)])
-    if kind == "tilde-cycle":
-        return underlying(tilde_cycle(params[0]))
-    if kind == "fig3":
-        return underlying(fig3_digraph())
-    return underlying(fig4_digraph())
+    """Undirected substrate of a family member: the underlying graph of
+    family_digraph(spec).  Each builder lists its arcs in the base's edge
+    order (path_base, cycle_base, star_base, the complete graph's pairs
+    u < v), so orientation codes read the same bits off either."""
+    return underlying(family_digraph(spec))
 
 
 def directed_path(n: int) -> Digraph:
@@ -336,7 +283,7 @@ def tournament(n: int, chooser: ArcChooser = 0) -> Digraph:
     """
     if n < 1:
         raise ValueError("tournament needs at least one vertex")
-    base = base_graph(FamilySpec("complete", (n,)))
+    base = BaseGraph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
     if callable(chooser):
         bits = [0 if chooser(u, v) else 1 for u, v in base.edges]
         return orient(OrientationCode(base, bits))
@@ -392,28 +339,43 @@ def fig4_digraph() -> Digraph:
     )
 
 
+# kind -> (its parameter floors, one per parameter; its witness builder).
+# Star params are (leaf count, in-arc count); bipartite are (m, n).
+_KINDS: dict[str, tuple[tuple[int, ...], Callable[..., ConstructiveWitness]]] = {
+    "path": ((1,), path_optimal),
+    "cycle": ((3,), cycle_optimal),
+    "star": ((1, 0), star_optimal),
+    "complete": (
+        (1,),
+        lambda n: ConstructiveWitness(tournament(n, 0), Coloring(list(range(n)), n), n),
+    ),
+    "complete-bipartite": (
+        (1, 1),
+        lambda m, n: ConstructiveWitness(
+            one_way_complete_bipartite(m, n), Coloring([0] * m + [1] * n, 2), 2
+        ),
+    ),
+    "tilde-cycle": ((3,), tilde_cycle_optimal),
+    "fig3": (
+        (),
+        lambda: ConstructiveWitness(fig3_digraph(), Coloring([0, 1, 2, 3, 4, 0], 5), 5),
+    ),
+    "fig4": (
+        (),
+        lambda: ConstructiveWitness(fig4_digraph(), Coloring([0, 1, 0, 2, 3, 4], 5), 5),
+    ),
+}
+
+FAMILY_KINDS = tuple(_KINDS)
+
+
 def family_digraph(spec: FamilySpec) -> Digraph:
-    """Canonical oriented member of a family.
+    """Canonical oriented member of a family: the digraph of its witness.
 
     Paths and cycles give the minimum-value orientation; complete gives
     the transitive tournament; the remaining kinds have one member.
     """
-    kind, params = spec.kind, spec.params
-    if kind == "path":
-        return path_optimal(params[0]).digraph
-    if kind == "cycle":
-        return cycle_optimal(params[0]).digraph
-    if kind == "star":
-        return star_oriented(*params)
-    if kind == "complete":
-        return tournament(params[0], 0)
-    if kind == "complete-bipartite":
-        return one_way_complete_bipartite(*params)
-    if kind == "tilde-cycle":
-        return tilde_cycle(params[0])
-    if kind == "fig3":
-        return fig3_digraph()
-    return fig4_digraph()
+    return family_witness(spec).digraph
 
 
 def family_witness(spec: FamilySpec) -> ConstructiveWitness:
@@ -424,24 +386,4 @@ def family_witness(spec: FamilySpec) -> ConstructiveWitness:
     the known value n).  The two fixed examples carry their unique
     five-class colorings.
     """
-    kind, params = spec.kind, spec.params
-    if kind == "path":
-        return path_optimal(params[0])
-    if kind == "cycle":
-        return cycle_optimal(params[0])
-    if kind == "star":
-        return star_optimal(*params)
-    if kind == "complete":
-        n = params[0]
-        return ConstructiveWitness(
-            tournament(n, 0), Coloring(list(range(n)), n), n
-        )
-    if kind == "complete-bipartite":
-        m, n = params
-        d = one_way_complete_bipartite(m, n)
-        return ConstructiveWitness(d, Coloring([0] * m + [1] * n, 2), 2)
-    if kind == "tilde-cycle":
-        return tilde_cycle_optimal(params[0])
-    if kind == "fig3":
-        return ConstructiveWitness(fig3_digraph(), Coloring([0, 1, 2, 3, 4, 0], 5), 5)
-    return ConstructiveWitness(fig4_digraph(), Coloring([0, 1, 0, 2, 3, 4], 5), 5)
+    return _KINDS[spec.kind][1](*spec.params)

@@ -194,7 +194,12 @@ class RunResult:
 
     @classmethod
     def from_json(cls, text: str) -> "RunResult":
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"result is not JSON: {exc}") from exc
+        if not isinstance(data, dict):
+            raise FormatError("result is not a JSON object")
         for key in ("command", "inputs", "outputs"):
             if key not in data:
                 raise FormatError(f"result object lacks {key!r}")

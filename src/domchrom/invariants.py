@@ -34,6 +34,11 @@ from .solver import (
 )
 
 
+class UndefinedInvariant(ValueError):
+    """The invariant has no value on the instance: some digraph it needs
+    has no dominator coloring in the requested mode."""
+
+
 @dataclass(frozen=True)
 class GapReport:
     dominator_value: int
@@ -72,7 +77,9 @@ def dominator_gap(
 ) -> GapReport:
     outcome = dominator_chromatic_number(d, mode)
     if outcome.value is None:
-        raise ValueError("gap undefined: no dominator coloring exists in this mode")
+        raise UndefinedInvariant(
+            "gap undefined: no dominator coloring exists in this mode"
+        )
     chrom = chromatic_number(underlying(d))
     return GapReport(outcome.value, chrom, outcome.value - chrom)
 
@@ -147,7 +154,9 @@ def orientation_gap(
     """Aggregate gap report over every orientation of base."""
     report: SweepReport = sweep(base, mode, max_edges=max_edges)
     if report.min_value is None or report.max_value is None:
-        raise ValueError("no orientation is feasible under the strict requirement")
+        raise UndefinedInvariant(
+            "no orientation is feasible under the strict requirement"
+        )
     chrom = chromatic_number(base)
     return OrientationGapReport(
         base=base,
@@ -193,5 +202,7 @@ def dominator_discrepancy(
     out_h = dominator_chromatic_number(h, mode)
     out_d = dominator_chromatic_number(d, mode)
     if out_d.value is None or out_h.value is None:
-        raise ValueError("discrepancy undefined: infeasible instance in this mode")
+        raise UndefinedInvariant(
+            "discrepancy undefined: infeasible instance in this mode"
+        )
     return out_h.value - out_d.value

@@ -369,6 +369,35 @@ def test_invariants_semantic_failure(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+# an input that solve or sweep refuses with exit 2 is a usage error in
+# invariants too, not an undefined invariant (exit 1)
+
+
+def test_invariants_past_the_kernel_limit_exits_2(tmp_path, capsys):
+    p = tmp_path / "d65.txt"
+    p.write_text(emit_digraph(directed_path(65)))
+    assert run(["solve", str(p)]) == 2
+    assert run(["invariants", str(p)]) == 2
+    assert "at most 64 vertices" in capsys.readouterr().err
+
+
+def test_invariants_star_past_the_kernel_limit_exits_2(tmp_path, capsys):
+    p = tmp_path / "b65.txt"
+    p.write_text(emit_base(path_base(65)))
+    assert run(["sweep", "path", "--n", "65"]) == 2
+    assert run(["invariants", "--base", str(p), "--star"]) == 2
+    assert "at most 64 vertices" in capsys.readouterr().err
+
+
+def test_invariants_star_with_a_bad_edge_guard_exits_2(tmp_path, monkeypatch, capsys):
+    p = tmp_path / "b3.txt"
+    p.write_text(emit_base(path_base(3)))
+    monkeypatch.setenv(solver.SWEEP_EDGES_ENV, "abc")
+    assert run(["sweep", "path", "--n", "3"]) == 2
+    assert run(["invariants", "--base", str(p), "--star"]) == 2
+    assert "must be an integer" in capsys.readouterr().err
+
+
 def test_invariants_argument_combinations(tmp_path, capsys):
     p = tmp_path / "d.txt"
     p.write_text(emit_digraph(directed_path(3)))

@@ -28,6 +28,7 @@ from domchrom import (
     underlying,
     verify,
 )
+from domchrom.graphs import star_base
 
 # frozen from exhaustive sweeps of every orientation, n = 1..12
 PATH_MIN = [1, 2, 2, 3, 3, 3, 4, 4, 4, 5, 5, 5]
@@ -164,14 +165,19 @@ def test_fixed_examples_shapes():
 
 
 def test_base_graph_of_each_kind():
-    assert base_graph(FamilySpec("path", (5,))) == path_base(5)
-    assert base_graph(FamilySpec("cycle", (5,))) == cycle_base(5)
-    star = base_graph(FamilySpec("star", (3, 1)))
-    assert star.edges == ((0, 1), (0, 2), (0, 3))
+    # equality is edge-order sensitive, as orientation codes index edges
+    for n in range(1, 41):
+        assert base_graph(FamilySpec("path", (n,))) == path_base(n)
+    for n in range(3, 41):
+        assert base_graph(FamilySpec("cycle", (n,))) == cycle_base(n)
+    for leaves in range(1, 9):
+        for in_arcs in range(leaves + 1):
+            star = base_graph(FamilySpec("star", (leaves, in_arcs)))
+            assert star == star_base(leaves)
     kn = base_graph(FamilySpec("complete", (4,)))
-    assert len(kn.edges) == 6
+    assert kn.edges == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
     bip = base_graph(FamilySpec("complete-bipartite", (2, 3)))
-    assert len(bip.edges) == 6
+    assert bip.edges == ((0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4))
     assert chromatic_number(bip) == 2
 
 
@@ -187,6 +193,50 @@ SAMPLE_SPECS = [
 ]
 
 
+# family_witness(spec) for each sample: arcs, assignment, claimed value
+FROZEN_WITNESSES = {
+    "path": (
+        ((1, 0), (1, 2), (3, 2), (3, 4), (5, 4), (5, 6)),
+        (0, 1, 2, 1, 0, 1, 3),
+        4,
+    ),
+    "cycle": (
+        ((1, 0), (1, 2), (3, 2), (3, 4), (5, 4), (5, 6), (7, 6), (7, 0)),
+        (0, 1, 2, 1, 0, 1, 3, 1),
+        4,
+    ),
+    "star": (((1, 0), (2, 0), (0, 3), (0, 4)), (0, 1, 1, 2, 2), 3),
+    "complete": (
+        tuple((u, v) for u in range(5) for v in range(u + 1, 5)),
+        (0, 1, 2, 3, 4),
+        5,
+    ),
+    "complete-bipartite": (
+        ((0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)),
+        (0, 0, 1, 1, 1),
+        2,
+    ),
+    "tilde-cycle": (
+        tuple((i, (i + 1) % 6) for i in range(6)) + tuple((i, 6) for i in range(6)),
+        (0, 1, 0, 1, 0, 1, 2),
+        3,
+    ),
+    "fig3": (((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (4, 0)), (0, 1, 2, 3, 4, 0), 5),
+    "fig4": (
+        ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (5, 2), (1, 3)),
+        (0, 1, 0, 2, 3, 4),
+        5,
+    ),
+}
+
+
+@pytest.mark.parametrize("spec", SAMPLE_SPECS, ids=lambda s: s.kind)
+def test_family_witness_matches_the_frozen_witness(spec):
+    w = family_witness(spec)
+    got = (w.digraph.arcs, w.coloring.assignment, w.claimed_value)
+    assert got == FROZEN_WITNESSES[spec.kind]
+
+
 @pytest.mark.parametrize("spec", SAMPLE_SPECS, ids=lambda s: s.kind)
 def test_family_witness_is_sound_and_optimal(spec):
     w = family_witness(spec)
@@ -198,3 +248,14 @@ def test_family_witness_is_sound_and_optimal(spec):
 
 def test_family_kinds_are_covered():
     assert sorted(s.kind for s in SAMPLE_SPECS) == sorted(FAMILY_KINDS)
+    # the order is the CLI's choice order for `domchrom family`
+    assert FAMILY_KINDS == (
+        "path",
+        "cycle",
+        "star",
+        "complete",
+        "complete-bipartite",
+        "tilde-cycle",
+        "fig3",
+        "fig4",
+    )

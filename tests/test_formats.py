@@ -203,6 +203,14 @@ def test_run_result_rejects_missing_keys():
         RunResult.from_json('{"command": "solve", "inputs": {}}')
 
 
+@pytest.mark.parametrize(
+    "text", ["5", "null", '"command inputs outputs"', "[]", "", "{not json", "{} extra"]
+)
+def test_run_result_rejects_text_that_is_not_a_json_object(text):
+    with pytest.raises(FormatError):
+        RunResult.from_json(text)
+
+
 def test_emit_csv_scalar_conventions():
     text = emit_csv(["a", "b", "c"], [[1, True, None], [2, False, "x"]])
     assert text == "a,b,c\n1,true,\n2,false,x\n"
