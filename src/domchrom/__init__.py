@@ -10,142 +10,107 @@ cycles, stars, tournaments, one-way bipartite, hub-augmented cycles)
 together with certified optimal colorings where closed forms exist.
 """
 
-from .coloring import (
-    Coloring,
-    DominationMode,
-    Verdict,
-    Violation,
-    canonicalize,
-    dominated_classes,
-    is_proper,
-    verify,
-)
-from .families import (
-    FAMILY_KINDS,
-    ConstructiveWitness,
-    FamilySpec,
-    base_graph,
-    cycle_min_formula,
-    cycle_optimal,
-    directed_cycle,
-    directed_path,
-    family_digraph,
-    family_witness,
-    fig3_digraph,
-    fig4_digraph,
-    one_way_complete_bipartite,
-    path_min_formula,
-    path_optimal,
-    star_optimal,
-    star_oriented,
-    tilde_cycle,
-    tilde_cycle_optimal,
-    tournament,
-)
-from .graphs import (
-    BaseGraph,
-    Digraph,
-    OrientationCode,
-    code_of,
-    cycle_base,
-    cycle_symmetry_classes,
-    is_connected,
-    make_digraph,
-    orient,
-    out_degree_sequence,
-    out_neighbors,
-    path_base,
-    reverse,
-    underlying,
-)
-from .invariants import (
-    Embedding,
-    GapReport,
-    OrientationGapReport,
-    dominator_discrepancy,
-    dominator_gap,
-    identity_embedding,
-    is_subdigraph,
-    orientation_gap,
-    table_gap_cycle,
-    table_gap_path,
-)
-from .solver import (
-    GuardExceeded,
-    SolveOutcome,
-    SweepReport,
-    chromatic_number,
-    dominator_chromatic_number,
-    dominator_chromatic_number_oracle,
-    find_dominator_coloring,
-    max_over_orientations,
-    min_over_orientations,
-    sweep,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BaseGraph",
-    "Coloring",
-    "ConstructiveWitness",
-    "Digraph",
-    "DominationMode",
-    "Embedding",
-    "FAMILY_KINDS",
-    "FamilySpec",
-    "GapReport",
-    "GuardExceeded",
-    "OrientationCode",
-    "OrientationGapReport",
-    "SolveOutcome",
-    "SweepReport",
-    "Verdict",
-    "Violation",
-    "base_graph",
-    "canonicalize",
-    "chromatic_number",
-    "code_of",
-    "cycle_base",
-    "cycle_min_formula",
-    "cycle_optimal",
-    "cycle_symmetry_classes",
-    "directed_cycle",
-    "directed_path",
-    "dominated_classes",
-    "dominator_chromatic_number",
-    "dominator_chromatic_number_oracle",
-    "dominator_discrepancy",
-    "dominator_gap",
-    "family_digraph",
-    "family_witness",
-    "fig3_digraph",
-    "fig4_digraph",
-    "find_dominator_coloring",
-    "identity_embedding",
-    "is_connected",
-    "is_proper",
-    "is_subdigraph",
-    "make_digraph",
-    "max_over_orientations",
-    "min_over_orientations",
-    "one_way_complete_bipartite",
-    "orient",
-    "orientation_gap",
-    "out_degree_sequence",
-    "out_neighbors",
-    "path_base",
-    "path_min_formula",
-    "path_optimal",
-    "reverse",
-    "star_optimal",
-    "star_oriented",
-    "sweep",
-    "table_gap_cycle",
-    "table_gap_path",
-    "tilde_cycle",
-    "tilde_cycle_optimal",
-    "tournament",
-    "underlying",
-    "verify",
-]
+# submodule -> the public names it gives the package.  A name, or a
+# submodule, is imported on first use, so a process loads only what it
+# reaches: `domchrom solve` never loads families or invariants.
+_EXPORTS: dict[str, tuple[str, ...]] = {
+    "coloring": (
+        "Coloring",
+        "DominationMode",
+        "Verdict",
+        "Violation",
+        "canonicalize",
+        "dominated_classes",
+        "is_proper",
+        "verify",
+    ),
+    "families": (
+        "FAMILY_KINDS",
+        "ConstructiveWitness",
+        "FamilySpec",
+        "base_graph",
+        "cycle_min_formula",
+        "cycle_optimal",
+        "directed_cycle",
+        "directed_path",
+        "family_digraph",
+        "family_witness",
+        "fig3_digraph",
+        "fig4_digraph",
+        "one_way_complete_bipartite",
+        "path_min_formula",
+        "path_optimal",
+        "star_optimal",
+        "star_oriented",
+        "tilde_cycle",
+        "tilde_cycle_optimal",
+        "tournament",
+    ),
+    "graphs": (
+        "BaseGraph",
+        "Digraph",
+        "OrientationCode",
+        "code_of",
+        "cycle_base",
+        "cycle_symmetry_classes",
+        "is_connected",
+        "make_digraph",
+        "orient",
+        "out_degree_sequence",
+        "out_neighbors",
+        "path_base",
+        "reverse",
+        "underlying",
+    ),
+    "invariants": (
+        "Embedding",
+        "GapReport",
+        "OrientationGapReport",
+        "dominator_discrepancy",
+        "dominator_gap",
+        "identity_embedding",
+        "is_subdigraph",
+        "orientation_gap",
+        "table_gap_cycle",
+        "table_gap_path",
+    ),
+    "solver": (
+        "GuardExceeded",
+        "SolveOutcome",
+        "SweepReport",
+        "chromatic_number",
+        "dominator_chromatic_number",
+        "dominator_chromatic_number_oracle",
+        "find_dominator_coloring",
+        "max_over_orientations",
+        "min_over_orientations",
+        "sweep",
+    ),
+    "bench": (),
+    "cli": (),
+    "formats": (),
+    "kernel": (),
+}
+
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_OWNER)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        # importing a submodule binds it here, so this runs once per name
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_OWNER[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -8,7 +8,9 @@ sweeps (two of them settled without a kernel call: a star, whose
 packing bounds are all attained, and a strict path, whose orientations
 all have a sink), and one in-process `domchrom solve --json` request;
 both backends must return identical values and node counts, which the
-harness asserts before reporting.
+harness asserts before reporting.  A cold-start line first gives the
+median wall of --repeat fresh `import domchrom.cli` interpreters and of
+as many bare ones, the fixed cost every CLI call pays before any work.
 """
 
 from __future__ import annotations
@@ -19,6 +21,9 @@ import io
 import json
 import os
 import platform
+import statistics
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -39,6 +44,32 @@ def _cli_solve(path: str) -> dict:
     if code != 0:
         raise AssertionError(f"solve {path} exited {code}")
     return json.loads(out.getvalue())["outputs"]
+
+
+def _cold_start(repeat: int) -> str:
+    """One line: the median wall of fresh interpreters that import
+    domchrom.cli and of bare ones, spawned alternately after one untimed
+    import, and whether PYTHONDONTWRITEBYTECODE makes each compile."""
+    package_root = str(Path(__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+
+    def spawn(code: str) -> float:
+        t0 = time.perf_counter()
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
+        return time.perf_counter() - t0
+
+    spawn("import domchrom.cli")
+    bare, cli_import = [], []
+    for _ in range(repeat):
+        bare.append(spawn("pass"))
+        cli_import.append(spawn("import domchrom.cli"))
+    bytecode = "set" if os.environ.get("PYTHONDONTWRITEBYTECODE") else "unset"
+    return (
+        f"cold start: import domchrom.cli {statistics.median(cli_import) * 1000:.1f} ms, "
+        f"bare interpreter {statistics.median(bare) * 1000:.1f} ms "
+        f"(median of {repeat} spawns each; PYTHONDONTWRITEBYTECODE {bytecode})"
+    )
 
 
 def _workloads(fig4_path: str):
@@ -96,6 +127,7 @@ def main() -> None:
     print(f"backends available: {', '.join(available)}")
     if "c" not in available:
         print("compiled kernel not built; benchmarking python only")
+    print(_cold_start(args.repeat))
 
     with tempfile.TemporaryDirectory() as tmp:
         fig4_path = str(Path(tmp) / "fig4.txt")

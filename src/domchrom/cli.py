@@ -10,6 +10,10 @@ outputs}, backend naming the kernel that ran; keys inside outputs are
 documented in the README.  CSV rows keep a fixed column order.
 Orientation codes print as bitstrings, first edge of the base as the
 most significant bit.
+
+Only the modules a command runs are loaded: solve and verify never
+import families or invariants, and each command's parser is built on
+its first use in the process.
 """
 
 from __future__ import annotations
@@ -18,21 +22,10 @@ import argparse
 import functools
 import sys
 import time
-from typing import Any
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
 from . import kernel, solver
 from .coloring import Coloring, DominationMode, verify
-from .families import (
-    FAMILY_KINDS,
-    ConstructiveWitness,
-    FamilySpec,
-    cycle_min_formula,
-    directed_cycle,
-    directed_path,
-    family_witness,
-    path_min_formula,
-    tilde_cycle,
-)
 from .formats import (
     FormatError,
     RunResult,
@@ -44,9 +37,11 @@ from .formats import (
     parse_coloring,
     parse_digraph,
 )
-from .graphs import cycle_base, path_base, star_base
-from .invariants import UndefinedInvariant, dominator_gap, orientation_gap
-from .solver import GuardExceeded, dominator_chromatic_number, sweep
+from .graphs import BaseGraph, cycle_base, path_base, star_base
+from .solver import GuardExceeded, UndefinedInvariant, dominator_chromatic_number, sweep
+
+if TYPE_CHECKING:
+    from .families import ConstructiveWitness, FamilySpec
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -145,11 +140,38 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- sweep
 
 
-# sweep base kind -> (base builder, closed-form minimum over orientations)
+class _SweepKind(NamedTuple):
+    """A sweep base kind: the function that makes its base from n; the
+    vertex count, edge count and whether its codes are enumerated
+    (graphs.codes_enumerated) of that base, as functions of n, so sizes
+    are checked before any graph is built; and the closed-form minimum
+    over orientations."""
+
+    build: Callable[[int], BaseGraph]
+    vertices: Callable[[int], int]
+    edges: Callable[[int], int]
+    enumerated: Callable[[int], bool]
+    min_formula: Callable[[int], int]
+
+
+def _path_min(n: int) -> int:
+    from .families import path_min_formula
+
+    return path_min_formula(n)
+
+
+def _cycle_min(n: int) -> int:
+    from .families import cycle_min_formula
+
+    return cycle_min_formula(n)
+
+
+# sweep base kind -> _SweepKind; a star on n leaves has n + 1 vertices,
+# and on one leaf it is a path, whose codes are enumerated
 _SWEEP_KINDS = {
-    "path": (path_base, path_min_formula),
-    "cycle": (cycle_base, cycle_min_formula),
-    "star": (star_base, lambda leaves: 2),
+    "path": _SweepKind(path_base, lambda n: n, lambda n: n - 1, lambda n: True, _path_min),
+    "cycle": _SweepKind(cycle_base, lambda n: n, lambda n: n, lambda n: True, _cycle_min),
+    "star": _SweepKind(star_base, lambda n: n + 1, lambda n: n, lambda n: n < 2, lambda n: 2),
 }
 
 # sweep CSV columns: (header, key of the JSON row)
@@ -181,17 +203,15 @@ def _range_from(args: argparse.Namespace) -> range:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     mode = _mode(args)
     ns = _range_from(args)
-    # both limits grow with n, so the largest base checks the range: a
-    # star on n leaves has n + 1 vertices, a path on n vertices n - 1 edges
-    star = args.base == "star"
+    kind = _SWEEP_KINDS[args.base]
+    # both counts grow with n, so the largest base checks the range
     top = ns[-1]
-    solver.check_sweep_size(top + star, top - (args.base == "path"), not star)
+    solver.check_sweep_size(kind.vertices(top), kind.edges(top), kind.enumerated(top))
     t0 = time.perf_counter()
-    build_base, min_formula = _SWEEP_KINDS[args.base]
     rows = []
     for n in ns:
-        rep = sweep(build_base(n), mode, workers=args.workers)
-        formula = min_formula(n)
+        rep = sweep(kind.build(n), mode, workers=args.workers)
+        formula = kind.min_formula(n)
         rows.append(
             {
                 "n": n,
@@ -230,6 +250,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _family_witness(args: argparse.Namespace) -> tuple[FamilySpec, ConstructiveWitness]:
+    from .families import (
+        ConstructiveWitness,
+        FamilySpec,
+        directed_cycle,
+        directed_path,
+        family_witness,
+    )
+
     spec = FamilySpec(args.kind, tuple(args.params))
     if args.directed:
         if args.kind not in ("path", "cycle"):
@@ -272,7 +300,7 @@ def _cmd_family(args: argparse.Namespace) -> int:
 
 def _cmd_formulas(args: argparse.Namespace) -> int:
     ns = _range_from(args)
-    fn = _SWEEP_KINDS[args.base][1]
+    fn = _SWEEP_KINDS[args.base].min_formula
     rows = [{"n": n, "value": fn(n)} for n in ns]
     if args.csv:
         sys.stdout.write(emit_csv(["n", "value"], [[r["n"], r["value"]] for r in rows]))
@@ -288,6 +316,8 @@ def _cmd_formulas(args: argparse.Namespace) -> int:
 
 
 def _cmd_invariants(args: argparse.Namespace) -> int:
+    from .invariants import dominator_gap, orientation_gap
+
     mode = _mode(args)
     if args.star:
         if args.base is None:
@@ -344,6 +374,8 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
 
 
 def _cmd_mine(args: argparse.Namespace) -> int:
+    from .families import directed_cycle, tilde_cycle
+
     mode = _mode(args)
     ns = _range_from(args)
     if ns[0] < 3:
@@ -412,27 +444,22 @@ def _add_range(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n-max", type=int, default=None, help="range end, inclusive")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="domchrom",
-        description="Exact dominator colorings of directed graphs.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("solve", help="dominator chromatic number of a digraph file")
+def _solve_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("digraph", help="digraph file")
     _add_mode(p)
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_solve)
 
-    p = sub.add_parser("verify", help="check a coloring file against a digraph file")
+
+def _verify_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("digraph")
     p.add_argument("coloring")
     _add_mode(p)
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_verify)
 
-    p = sub.add_parser("sweep", help="solve every orientation of a base graph")
+
+def _sweep_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("base", choices=list(_SWEEP_KINDS))
     _add_range(p)
     _add_mode(p)
@@ -441,7 +468,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", action="store_true")
     p.set_defaults(handler=_cmd_sweep)
 
-    p = sub.add_parser("family", help="emit a family member and its witness")
+
+def _family_args(p: argparse.ArgumentParser) -> None:
+    from .families import FAMILY_KINDS
+
     p.add_argument("kind", choices=list(FAMILY_KINDS))
     p.add_argument("params", type=int, nargs="*")
     p.add_argument("--emit-digraph", action="store_true")
@@ -454,14 +484,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_family)
 
-    p = sub.add_parser("formulas", help="closed-form minimum table")
+
+def _formulas_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("base", choices=["path", "cycle"])
     _add_range(p)
     p.add_argument("--json", action="store_true")
     p.add_argument("--csv", action="store_true")
     p.set_defaults(handler=_cmd_formulas)
 
-    p = sub.add_parser("invariants", help="gap report for a digraph or a base graph")
+
+def _invariants_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("digraph", nargs="?", default=None, help="digraph file")
     p.add_argument("--base", default=None, help="base graph file")
     p.add_argument(
@@ -473,9 +505,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_invariants)
 
-    p = sub.add_parser(
-        "mine-discrepancy", help="sub-digraph vs host dominator values by family"
-    )
+
+def _mine_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", choices=["tilde-cycle"], required=True)
     _add_range(p)
     _add_mode(p)
@@ -483,35 +514,50 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", action="store_true")
     p.set_defaults(handler=_cmd_mine)
 
+
+# command -> (its help line, the function that adds its arguments)
+_COMMANDS = {
+    "solve": ("dominator chromatic number of a digraph file", _solve_args),
+    "verify": ("check a coloring file against a digraph file", _verify_args),
+    "sweep": ("solve every orientation of a base graph", _sweep_args),
+    "family": ("emit a family member and its witness", _family_args),
+    "formulas": ("closed-form minimum table", _formulas_args),
+    "invariants": ("gap report for a digraph or a base graph", _invariants_args),
+    "mine-discrepancy": ("sub-digraph vs host dominator values by family", _mine_args),
+}
+
+def build_parser() -> argparse.ArgumentParser:
+    """The parser with every subcommand."""
+    parser = argparse.ArgumentParser(
+        prog="domchrom",
+        description="Exact dominator colorings of directed graphs.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_arguments) in _COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_line))
     return parser
 
 
 @functools.cache
-def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The parser of this process and its subcommand parsers by name,
-    built on the first run call rather than at import; parse_args leaves
-    them unchanged, so calls share them."""
-    parser = build_parser()
-    (commands,) = [
-        action.choices
-        for action in parser._actions
-        if isinstance(action, argparse._SubParsersAction)
-    ]
-    return parser, commands
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of one subcommand, built on its first use in this
+    process from the same arguments as build_parser's; parse_args leaves
+    it unchanged, so calls share it."""
+    parser = argparse.ArgumentParser(prog=f"domchrom {name}")
+    _COMMANDS[name][1](parser)
+    return parser
 
 
 def run(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser, commands = _parser()
-    # a named subcommand parses its own arguments in one pass; the top
-    # level handles help, a missing command and an unknown one
-    command = commands.get(argv[0]) if argv else None
+    # a named subcommand parses its own arguments in one pass; the full
+    # parser handles help, a missing command and an unknown one
     try:
-        if command is None:
-            args = parser.parse_args(argv)
+        if argv and argv[0] in _COMMANDS:
+            args = _command_parser(argv[0]).parse_args(argv[1:])
         else:
-            args = command.parse_args(argv[1:])
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:

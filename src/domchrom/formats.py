@@ -9,7 +9,6 @@ files.  Parse errors carry the offending line number.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 from dataclasses import dataclass, field
@@ -200,9 +199,17 @@ class RunResult:
             raise FormatError(f"result is not JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise FormatError("result is not a JSON object")
-        for key in ("command", "inputs", "outputs"):
+        for key, kind, name in (
+            ("command", str, "string"),
+            ("inputs", dict, "object"),
+            ("outputs", dict, "object"),
+        ):
             if key not in data:
                 raise FormatError(f"result object lacks {key!r}")
+            if not isinstance(data[key], kind):
+                raise FormatError(f"result {key!r} is not a JSON {name}")
+        if not isinstance(data.get("backend"), (str, type(None))):
+            raise FormatError("result 'backend' is not a JSON string or null")
         return cls(data["command"], data["inputs"], data["outputs"], data.get("backend"))
 
 
@@ -220,6 +227,8 @@ def emit_json(result: RunResult) -> str:
 
 
 def emit_csv(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
+    import csv  # only the CSV outputs load it
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(list(header))

@@ -28,15 +28,11 @@ from .coloring import DominationMode
 from .graphs import BaseGraph, Digraph, is_connected, underlying
 from .solver import (
     SweepReport,
+    UndefinedInvariant,
     chromatic_number,
     dominator_chromatic_number,
     sweep,
 )
-
-
-class UndefinedInvariant(ValueError):
-    """The invariant has no value on the instance: some digraph it needs
-    has no dominator coloring in the requested mode."""
 
 
 @dataclass(frozen=True)

@@ -50,7 +50,6 @@ from __future__ import annotations
 import heapq
 import os
 from array import array
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import islice, repeat
 from typing import Iterator
@@ -75,6 +74,11 @@ KERNEL_MAX_VERTICES = 64
 
 class GuardExceeded(ValueError):
     """An exhaustive computation was refused because it is too large."""
+
+
+class UndefinedInvariant(ValueError):
+    """The invariant has no value on the instance: some digraph it needs
+    has no dominator coloring in the requested mode."""
 
 
 def check_solvable_size(n: int) -> None:
@@ -551,6 +555,9 @@ def sweep(
     reps = orbits.reps
 
     if workers > 1 and len(reps) >= 2048:
+        # the pool stack (multiprocessing, socket, logging) loads only here
+        from concurrent.futures import ProcessPoolExecutor
+
         step = max(1, len(reps) // (workers * 8))
         chunks = [reps[i : i + step] for i in range(0, len(reps), step)]
         # never more processes than requested, CPUs, or chunks to run

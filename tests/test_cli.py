@@ -18,6 +18,7 @@ from domchrom import (
     OrientationCode,
     cli,
     directed_path,
+    families,
     kernel,
     dominator_chromatic_number,
     orient,
@@ -25,7 +26,7 @@ from domchrom import (
     solver,
     star_oriented,
 )
-from domchrom.graphs import star_base
+from domchrom.graphs import codes_enumerated, star_base
 from domchrom.cli import run
 from domchrom.formats import emit_base, emit_coloring, emit_digraph, parse_coloring, parse_digraph
 
@@ -139,6 +140,57 @@ def test_subcommand_and_top_level_usage(dpath3, capsys):
     assert "usage: domchrom solve" in capsys.readouterr().out
 
 
+# per command: argument lists that parse, then ones that do not
+_PARSES = {
+    "solve": [["d.txt"], ["d.txt", "--mode", "strict", "--json"]],
+    "verify": [["d.txt", "c.txt", "--json"]],
+    "sweep": [["star", "--n", "4", "--workers", "2", "--csv"]],
+    "family": [["path", "5"], ["fig4", "--emit-digraph"]],
+    "formulas": [["cycle", "--n-min", "3", "--n-max", "6"]],
+    "invariants": [[], ["--base", "b.txt", "--star"]],
+    "mine-discrepancy": [["--family", "tilde-cycle", "--n", "5", "--csv"]],
+}
+_FAILS = [
+    [],
+    ["--bogus"],
+    ["a", "b", "c", "d"],
+    ["x", "--mode", "nope"],
+    ["x", "--n", "four"],
+    ["--family", "ring"],
+    ["--json", "--json", "--help"],
+]
+
+
+def _parse(parser, argv, capsys):
+    try:
+        parsed = vars(parser.parse_args(argv))
+        code = None
+    except SystemExit as exc:
+        parsed, code = None, exc.code
+    out, err = capsys.readouterr()
+    return code, out, err, parsed
+
+
+def test_lazy_command_parsers_match_the_full_parser(capsys):
+    (commands,) = [
+        action.choices
+        for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    assert list(commands) == list(cli._COMMANDS) == list(_PARSES)
+    for name, full in commands.items():
+        lazy = cli._command_parser(name)
+        for argv in [["-h"], ["--help"], *_PARSES[name], *_FAILS]:
+            expected = _parse(full, argv, capsys)
+            assert _parse(lazy, argv, capsys) == expected, (name, argv)
+            # run maps a help exit to 0 and any other exit to 2
+            if expected[0] is not None:
+                assert run([name, *argv]) == (0 if expected[0] == 0 else 2), (name, argv)
+                assert capsys.readouterr() == expected[1:3], (name, argv)
+        assert lazy.format_help() == full.format_help()
+        assert lazy.format_usage() == full.format_usage()
+
+
 def test_json_envelope_is_one_line_and_names_the_backend(dpath3, tmp_path, capsys):
     c = tmp_path / "good.txt"
     c.write_text(emit_coloring(Coloring([0, 1, 2], 3)))
@@ -158,8 +210,10 @@ def test_json_envelope_is_one_line_and_names_the_backend(dpath3, tmp_path, capsy
 def test_run_reuses_one_parser_without_leaking_state(dpath3, monkeypatch, capsys):
     calls = [
         ["solve", dpath3, "--json"],
+        ["formulas", "path", "--n", "4"],
         ["solve", dpath3],
         ["solve", dpath3, "--mode", "lenient"],
+        ["formulas", "path", "--n", "5", "--json"],
         ["solve", dpath3, "--mode", "strict"],
     ]
 
@@ -168,25 +222,36 @@ def test_run_reuses_one_parser_without_leaking_state(dpath3, monkeypatch, capsys
         out, err = capsys.readouterr()
         if "--json" in argv:
             out = json.loads(out)
-            del out["outputs"]["elapsed_ms"]
+            out["outputs"].pop("elapsed_ms", None)
         return code, out, err
 
     built = []
-    real_build = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real_build())
-    cli._parser.cache_clear()
+    for name, (help_line, add_arguments) in list(cli._COMMANDS.items()):
+
+        def counted(p, name=name, add_arguments=add_arguments):
+            built.append(name)
+            add_arguments(p)
+
+        monkeypatch.setitem(cli._COMMANDS, name, (help_line, counted))
+    cli._command_parser.cache_clear()
     shared = [outcome(argv) for argv in calls]
-    assert built == [1]
+    # each command's parser is built once, on its first call
+    assert built == ["solve", "formulas"]
     fresh = []
     for argv in calls:
-        cli._parser.cache_clear()
+        cli._command_parser.cache_clear()
         fresh.append(outcome(argv))
+    cli._command_parser.cache_clear()
     assert shared == fresh
-    assert [code for code, _, _ in shared] == [0, 0, 2, 0]
-    assert shared[1][1].startswith("value: 3\n")
+    assert [code for code, _, _ in shared] == [0, 0, 0, 2, 0, 0]
+    assert shared[2][1].startswith("value: 3\n")
     # importing the CLI builds no parser; the first run does
     proc = subprocess.run(
-        [sys.executable, "-c", "import domchrom.cli as c; print(c._parser.cache_info().currsize)"],
+        [
+            sys.executable,
+            "-c",
+            "import domchrom.cli as c; print(c._command_parser.cache_info().currsize)",
+        ],
         capture_output=True,
         text=True,
     )
@@ -466,8 +531,10 @@ def _refuse_builds(monkeypatch):
     def refuse(*args):
         raise AssertionError("a graph was built")
 
-    for name in ("path_base", "cycle_base", "star_base", "tilde_cycle", "directed_cycle"):
-        monkeypatch.setattr(cli, name, refuse)
+    for kind, entry in list(cli._SWEEP_KINDS.items()):
+        monkeypatch.setitem(cli._SWEEP_KINDS, kind, entry._replace(build=refuse))
+    for name in ("tilde_cycle", "directed_cycle"):
+        monkeypatch.setattr(families, name, refuse)
 
 
 @pytest.mark.parametrize(
@@ -491,6 +558,19 @@ def test_sizes_are_checked_before_any_graph_is_built(argv, code, message, monkey
     captured = capsys.readouterr()
     assert message in captured.err
     assert captured.out == ""
+
+
+def test_sweep_kinds_give_the_size_of_the_base_they_build():
+    for kind, entry in cli._SWEEP_KINDS.items():
+        for n in range(1, 31):
+            try:
+                base = entry.build(n)
+            except ValueError:
+                assert kind == "cycle" and n < 3, (kind, n)
+                continue
+            assert entry.vertices(n) == base.n, (kind, n)
+            assert entry.edges(n) == len(base.edges), (kind, n)
+            assert entry.enumerated(n) == codes_enumerated(base), (kind, n)
 
 
 def test_a_size_range_stays_lazy():

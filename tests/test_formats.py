@@ -211,6 +211,33 @@ def test_run_result_rejects_text_that_is_not_a_json_object(text):
         RunResult.from_json(text)
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"command": 5, "inputs": [1], "outputs": "x", "backend": 7},
+        {"command": 5, "inputs": {}, "outputs": {}},
+        {"command": None, "inputs": {}, "outputs": {}},
+        {"command": "solve", "inputs": [1], "outputs": {}},
+        {"command": "solve", "inputs": None, "outputs": {}},
+        {"command": "solve", "inputs": {}, "outputs": "x"},
+        {"command": "solve", "inputs": {}, "outputs": [{}]},
+        {"command": "solve", "inputs": {}, "outputs": {}, "backend": 7},
+        {"command": "solve", "inputs": {}, "outputs": {}, "backend": ["c"]},
+    ],
+)
+def test_run_result_rejects_fields_of_the_wrong_type(payload):
+    with pytest.raises(FormatError):
+        RunResult.from_json(json.dumps(payload))
+
+
+@pytest.mark.parametrize("backend", [None, "c"])
+def test_run_result_backend_may_be_absent_null_or_a_string(backend):
+    payload = {"command": "solve", "inputs": {}, "outputs": {}}
+    assert RunResult.from_json(json.dumps(payload)).backend is None
+    payload["backend"] = backend
+    assert RunResult.from_json(json.dumps(payload)) == RunResult("solve", {}, {}, backend)
+
+
 def test_emit_csv_scalar_conventions():
     text = emit_csv(["a", "b", "c"], [[1, True, None], [2, False, "x"]])
     assert text == "a,b,c\n1,true,\n2,false,x\n"

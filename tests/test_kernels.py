@@ -13,6 +13,7 @@ extension.
 import importlib.util
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -352,3 +353,9 @@ def test_bench_runs_once_per_workload():
     assert proc.returncode == 0, proc.stderr
     assert f"nproc: {os.cpu_count()}" in proc.stdout
     assert "cli solve --json fig4" in proc.stdout
+    assert re.search(
+        r"^cold start: import domchrom\.cli \d+\.\d ms, bare interpreter \d+\.\d ms "
+        r"\(median of 1 spawns each; PYTHONDONTWRITEBYTECODE (un)?set\)$",
+        proc.stdout,
+        re.MULTILINE,
+    ), proc.stdout

@@ -1,3 +1,4 @@
+import concurrent.futures
 import os
 import random
 from collections import Counter
@@ -449,7 +450,7 @@ def test_sweep_workers_merge_deterministically(monkeypatch):
             pools.append(max_workers)
             super().__init__(max_workers=max_workers, **kwargs)
 
-    monkeypatch.setattr(solver, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     serial = sweep(CHORDED_CYCLE, arg_limit=3)
     assert pools == []
     parallel = sweep(CHORDED_CYCLE, arg_limit=3, workers=2)
@@ -490,10 +491,12 @@ def test_sweep_rejects_fewer_than_one_worker():
 
 def test_sweep_pool_size_is_capped(monkeypatch):
     requested = []
-    monkeypatch.setattr(solver, "ProcessPoolExecutor", partial(InlinePool, requested))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", partial(InlinePool, requested))
     serial = sweep(CHORDED_CYCLE)
     monkeypatch.setattr(solver.os, "cpu_count", lambda: 3)
     assert sweep(CHORDED_CYCLE, workers=10_000) == serial
+    # the stand-in ran, so the requests below start no process
+    assert requested == [3]
     # 10,000 workers make chunks of one code: 2048 chunks
     monkeypatch.setattr(solver.os, "cpu_count", lambda: 1_000_000)
     assert sweep(CHORDED_CYCLE, workers=10_000) == serial
@@ -505,7 +508,7 @@ def test_sweep_pool_size_is_capped(monkeypatch):
 def test_sweep_workers_run_the_parent_backend(monkeypatch):
     serial = sweep(CHORDED_CYCLE)
     requested, chosen = [], []
-    monkeypatch.setattr(solver, "ProcessPoolExecutor", partial(InlinePool, requested))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", partial(InlinePool, requested))
     monkeypatch.setattr(kernel, "backend_name", "parent-choice")
     monkeypatch.setattr(kernel, "use_backend", chosen.append)
     assert sweep(CHORDED_CYCLE, workers=2) == serial
