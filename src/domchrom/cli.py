@@ -319,11 +319,11 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
     from .invariants import dominator_gap, orientation_gap
 
     mode = _mode(args)
+    if args.digraph is not None and args.base is not None:
+        raise FormatError("give either a digraph file or --base, not both")
     if args.star:
         if args.base is None:
             raise FormatError("--star needs --base <base-file>")
-        if args.digraph is not None:
-            raise FormatError("give either a digraph file or --base, not both")
         base = parse_base(_read(args.base))
         t0 = time.perf_counter()
         rep = orientation_gap(base, mode)

@@ -22,7 +22,7 @@ the wrap-around when n is odd.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 from .coloring import Coloring
 from .graphs import BaseGraph, Digraph, OrientationCode, orient, underlying
@@ -270,23 +270,16 @@ def one_way_complete_bipartite(m: int, n: int) -> Digraph:
     return Digraph(m + n, [(x, m + y) for x in range(m) for y in range(n)])
 
 
-ArcChooser = Union[int, Callable[[int, int], bool]]
-
-
-def tournament(n: int, chooser: ArcChooser = 0) -> Digraph:
+def tournament(n: int, chooser: int = 0) -> Digraph:
     """Orientation of the complete graph.
 
-    An integer chooser indexes the 2^C(n,2) orientations through the
+    The chooser indexes the 2^C(n,2) orientations through the
     orientation-code convention on the complete base (0 is the
-    transitive tournament); a callable receives each pair u < v and
-    returns True to orient u -> v.
+    transitive tournament).
     """
     if n < 1:
         raise ValueError("tournament needs at least one vertex")
     base = BaseGraph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
-    if callable(chooser):
-        bits = [0 if chooser(u, v) else 1 for u, v in base.edges]
-        return orient(OrientationCode(base, bits))
     return orient(OrientationCode.from_value(base, chooser))
 
 

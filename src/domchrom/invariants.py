@@ -80,35 +80,6 @@ def dominator_gap(
     return GapReport(outcome.value, chrom, outcome.value - chrom)
 
 
-def _degrees(base: BaseGraph) -> list[int]:
-    degs = [0] * base.n
-    for u, v in base.edges:
-        degs[u] += 1
-        degs[v] += 1
-    return degs
-
-
-def _is_path_base(base: BaseGraph) -> bool:
-    if base.n == 1:
-        return len(base.edges) == 0
-    return (
-        len(base.edges) == base.n - 1
-        and max(_degrees(base)) <= 2
-        and is_connected(base)
-    )
-
-
-def _is_cycle_base(base: BaseGraph) -> bool:
-    if base.n < 3:
-        return False
-    degs = _degrees(base)
-    return (
-        len(base.edges) == base.n
-        and all(deg == 2 for deg in degs)
-        and is_connected(base)
-    )
-
-
 def table_gap_path(n: int) -> int:
     """Closed-form spread table for path bases, defined for n >= 4.
 
@@ -134,21 +105,27 @@ def table_gap_cycle(n: int) -> int:
 
 
 def _table_value(base: BaseGraph) -> int | None:
-    if base.n >= 4 and _is_path_base(base):
-        return table_gap_path(base.n)
-    if base.n >= 4 and _is_cycle_base(base):
-        return table_gap_cycle(base.n)
-    return None
+    """The table spread of a path or cycle base on n >= 4 vertices, in
+    any labelling, else None.  A connected base whose degrees are at
+    most 2 is a path when it has n - 1 edges and a cycle when it has n."""
+    n, m = base.n, len(base.edges)
+    if n < 4 or m not in (n - 1, n):
+        return None
+    degs = [0] * n
+    for u, v in base.edges:
+        degs[u] += 1
+        degs[v] += 1
+    if max(degs) > 2 or not is_connected(base):
+        return None
+    return table_gap_path(n) if m == n - 1 else table_gap_cycle(n)
 
 
 def orientation_gap(
     base: BaseGraph,
     mode: DominationMode = DominationMode.SINK_EXEMPT,
-    *,
-    max_edges: int | None = None,
 ) -> OrientationGapReport:
     """Aggregate gap report over every orientation of base."""
-    report: SweepReport = sweep(base, mode, max_edges=max_edges)
+    report: SweepReport = sweep(base, mode)
     if report.min_value is None or report.max_value is None:
         raise UndefinedInvariant(
             "no orientation is feasible under the strict requirement"

@@ -70,6 +70,8 @@ DEFAULT_MAX_SWEEP_EDGES = 24
 SWEEP_EDGES_ENV = "DOMCHROM_MAX_SWEEP_EDGES"
 ORACLE_MAX_VERTICES = 10
 KERNEL_MAX_VERTICES = 64
+# the most codes an extremal list of a sweep report holds
+ARG_LIMIT = 64
 
 
 class GuardExceeded(ValueError):
@@ -388,10 +390,11 @@ class SweepReport:
 
     distribution maps value to orientation count; together with
     infeasible_count it accounts for all 2^|edges| codes.  The extremal
-    code lists are ascending by numeric value and capped, with overflow
-    flags telling whether codes were dropped.  kernel_solves counts the
-    orbit representatives whose value took the kernel ladder; it is not
-    part of the answer, so report equality ignores it.
+    code lists are ascending by numeric value and capped at ARG_LIMIT
+    codes each, with overflow flags telling whether codes were dropped.
+    kernel_solves counts the orbit representatives whose value took the
+    kernel ladder; it is not part of the answer, so report equality
+    ignores it.
     """
 
     base: BaseGraph
@@ -449,7 +452,6 @@ def _report(
     orbits: CodeOrbits,
     values: array,
     kernel_solves: int,
-    arg_limit: int,
 ) -> SweepReport:
     """Weight each representative's value by its orbit size, then merge
     the members of the extremal orbits for the capped code lists."""
@@ -465,7 +467,7 @@ def _report(
     max_v = max(dist) if dist else None
 
     def first_codes(target):
-        codes = islice(_codes_with_value(orbits, values, target), arg_limit)
+        codes = islice(_codes_with_value(orbits, values, target), ARG_LIMIT)
         return tuple(OrientationCode.from_value(base, c) for c in codes)
 
     return SweepReport(
@@ -478,8 +480,8 @@ def _report(
         max_value=max_v,
         argmin_codes=first_codes(min_v),
         argmax_codes=first_codes(max_v),
-        argmin_overflow=min_v is not None and dist[min_v] > arg_limit,
-        argmax_overflow=max_v is not None and dist[max_v] > arg_limit,
+        argmin_overflow=min_v is not None and dist[min_v] > ARG_LIMIT,
+        argmax_overflow=max_v is not None and dist[max_v] > ARG_LIMIT,
         kernel_solves=kernel_solves,
     )
 
@@ -511,25 +513,21 @@ def _codes_with_value(
             heapq.heapreplace(queue, (following, stream))
 
 
-def check_sweep_size(
-    n: int, m: int, enumerated: bool, max_edges: int | None = None
-) -> None:
+def check_sweep_size(n: int, m: int, enumerated: bool) -> None:
     """Refuse a sweep over a base of n vertices and m edges, which need
     not be built yet: ValueError past the kernel limit, GuardExceeded past
     the edge guard when the codes are enumerated (every base but a star,
     which costs one solve per leaf count, bounded by the kernel limit)."""
     check_solvable_size(n)
-    guard = max_edges
-    if guard is None:
-        raw = os.environ.get(SWEEP_EDGES_ENV, str(DEFAULT_MAX_SWEEP_EDGES))
-        try:
-            guard = int(raw)
-        except ValueError:
-            raise ValueError(f"{SWEEP_EDGES_ENV} must be an integer, got {raw!r}")
+    raw = os.environ.get(SWEEP_EDGES_ENV, str(DEFAULT_MAX_SWEEP_EDGES))
+    try:
+        guard = int(raw)
+    except ValueError:
+        raise ValueError(f"{SWEEP_EDGES_ENV} must be an integer, got {raw!r}")
     if m > guard and enumerated:
         raise GuardExceeded(
             f"sweep over {m} edges exceeds the guard of {guard} "
-            f"(raise via {SWEEP_EDGES_ENV} or max_edges)"
+            f"(raise via {SWEEP_EDGES_ENV})"
         )
 
 
@@ -537,8 +535,6 @@ def sweep(
     base: BaseGraph,
     mode: DominationMode = DominationMode.SINK_EXEMPT,
     *,
-    max_edges: int | None = None,
-    arg_limit: int = 64,
     workers: int = 1,
 ) -> SweepReport:
     """Aggregate the values of every orientation of base.
@@ -546,9 +542,7 @@ def sweep(
     For a path, cycle or star base one orientation per automorphism
     orbit is solved; the report is the same as solving every code.
     """
-    check_sweep_size(base.n, len(base.edges), codes_enumerated(base), max_edges)
-    if arg_limit < 1:
-        raise ValueError("arg_limit must be positive")
+    check_sweep_size(base.n, len(base.edges), codes_enumerated(base))
     if workers < 1:
         raise ValueError("workers must be at least 1")
     orbits = code_orbits(base)
@@ -580,13 +574,13 @@ def sweep(
                 kernel_solves += chunk_solves
     else:
         values, kernel_solves = _solve_codes(base, mode, reps)
-    return _report(base, mode, orbits, values, kernel_solves, arg_limit)
+    return _report(base, mode, orbits, values, kernel_solves)
 
 
 def _extreme_over_orientations(
-    base: BaseGraph, mode: DominationMode, max_edges: int | None, take_max: bool
+    base: BaseGraph, mode: DominationMode, take_max: bool
 ) -> tuple[int, OrientationCode, Coloring]:
-    report = sweep(base, mode, max_edges=max_edges)
+    report = sweep(base, mode)
     value = report.max_value if take_max else report.min_value
     if value is None:
         raise ValueError("no orientation is feasible under the strict requirement")
@@ -597,21 +591,15 @@ def _extreme_over_orientations(
 
 
 def min_over_orientations(
-    base: BaseGraph,
-    mode: DominationMode = DominationMode.SINK_EXEMPT,
-    *,
-    max_edges: int | None = None,
+    base: BaseGraph, mode: DominationMode = DominationMode.SINK_EXEMPT
 ) -> tuple[int, OrientationCode, Coloring]:
     """Smallest dominator chromatic value over all orientations, with
     the first achieving code (ascending) and its witness."""
-    return _extreme_over_orientations(base, mode, max_edges, take_max=False)
+    return _extreme_over_orientations(base, mode, take_max=False)
 
 
 def max_over_orientations(
-    base: BaseGraph,
-    mode: DominationMode = DominationMode.SINK_EXEMPT,
-    *,
-    max_edges: int | None = None,
+    base: BaseGraph, mode: DominationMode = DominationMode.SINK_EXEMPT
 ) -> tuple[int, OrientationCode, Coloring]:
     """Largest dominator chromatic value over all orientations."""
-    return _extreme_over_orientations(base, mode, max_edges, take_max=True)
+    return _extreme_over_orientations(base, mode, take_max=True)

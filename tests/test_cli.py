@@ -124,6 +124,8 @@ def test_usage_errors(capsys):
     assert run(["sweep", "path", "--n-min", "5", "--n-max", "3"]) == 2
     assert run(["sweep", "star", "--n", "4", "--workers", "0"]) == 2
     assert run(["sweep", "star", "--n", "0"]) == 2
+    argv = ["mine-discrepancy", "--family", "tilde-cycle", "--n-min", "2", "--n-max", "4"]
+    assert run(argv) == 2
     assert run(["--help"]) == 0
     capsys.readouterr()
 
@@ -432,6 +434,10 @@ def test_invariants_semantic_failure(tmp_path, capsys):
     p.write_text(emit_digraph(star_oriented(2, 0)))
     assert run(["invariants", str(p), "--mode", "strict"]) == 1
     assert "error:" in capsys.readouterr().err
+    # the hub of a tilde cycle is a sink, so strict mode leaves it uncolorable
+    argv = ["mine-discrepancy", "--family", "tilde-cycle", "--n", "4", "--mode", "strict"]
+    assert run(argv) == 1
+    assert "discrepancy undefined" in capsys.readouterr().err
 
 
 # an input that solve or sweep refuses with exit 2 is a usage error in
@@ -472,6 +478,11 @@ def test_invariants_argument_combinations(tmp_path, capsys):
     assert run(["invariants", "--star"]) == 2
     assert run(["invariants", str(p), "--base", str(b), "--star"]) == 2
     capsys.readouterr()
+    # without --star the base is refused, not ignored
+    assert run(["invariants", str(p), "--base", str(b)]) == 2
+    captured = capsys.readouterr()
+    assert "not both" in captured.err
+    assert captured.out == ""
 
 
 def test_mine_discrepancy_rows(capsys):

@@ -93,6 +93,7 @@ def test_parse_digraph_errors_carry_line_numbers(text, lineno, fragment):
         ("graph 3\n1 0\n", 2, "smaller endpoint first"),
         ("graph 3\n1 1\n", 2, "smaller endpoint first"),
         ("graph 3\n0 1\n0 1\n", 3, "duplicate edge"),
+        ("graph 0\n", 1, "vertex count must be positive"),
         ("digraph 3\n", 1, "header"),
     ],
 )
@@ -112,6 +113,7 @@ def test_parse_base_errors(text, lineno, fragment):
         ("coloring 2 2\n0 0\n1 -1\n", "negative class"),
         ("coloring 2 2\n0 0\n1 0\n", "classes are nonempty"),
         ("coloring 2 1\n0 0\n1 1\n", "out of range"),
+        ("coloring 0 0\n", "vertex count must be positive"),
     ],
 )
 def test_parse_coloring_errors(text, fragment):

@@ -68,6 +68,8 @@ def test_orientation_code_value_roundtrip():
         assert code.value == value
         assert len(code.bits) == 3
         assert int(code.bitstring, 2) == value
+        # built from bits, the bitstring is computed rather than seeded
+        assert OrientationCode(base, code.bits).bitstring == code.bitstring
         assert code == OrientationCode(base, code.bits)
         assert hash(code) == hash(OrientationCode(base, code.bits))
     edgeless = BaseGraph(3, [])

@@ -1,3 +1,6 @@
+import random
+from itertools import combinations
+
 import pytest
 
 from domchrom import (
@@ -21,6 +24,8 @@ from domchrom import (
     tilde_cycle,
     tournament,
 )
+from domchrom.graphs import is_connected
+from domchrom.invariants import _table_value
 
 # frozen spread tables, n = 4..12
 TABLE_PATH = [1, 2, 2, 3, 4, 5, 5, 6, 7]
@@ -70,6 +75,71 @@ def test_orientation_gap_table_lookup_is_structural():
     assert star.table_value is None
     small = orientation_gap(path_base(3))
     assert small.table_value is None
+
+
+def _reference_degrees(base):
+    degs = [0] * base.n
+    for u, v in base.edges:
+        degs[u] += 1
+        degs[v] += 1
+    return degs
+
+
+def _reference_is_path_base(base):
+    if base.n == 1:
+        return len(base.edges) == 0
+    return (
+        len(base.edges) == base.n - 1
+        and max(_reference_degrees(base)) <= 2
+        and is_connected(base)
+    )
+
+
+def _reference_is_cycle_base(base):
+    if base.n < 3:
+        return False
+    degs = _reference_degrees(base)
+    return (
+        len(base.edges) == base.n
+        and all(deg == 2 for deg in degs)
+        and is_connected(base)
+    )
+
+
+def _reference_table_value(base):
+    """The table lookup as three recognisers, a path and a cycle test
+    over a shared degree count."""
+    if base.n >= 4 and _reference_is_path_base(base):
+        return table_gap_path(base.n)
+    if base.n >= 4 and _reference_is_cycle_base(base):
+        return table_gap_cycle(base.n)
+    return None
+
+
+def test_table_value_recognises_paths_and_cycles_in_any_labelling():
+    bases = []
+    # every labelled graph on up to 6 vertices
+    for n in range(1, 7):
+        pairs = list(combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            bases.append(BaseGraph(n, [p for i, p in enumerate(pairs) if mask >> i & 1]))
+    # paths and cycles on 4 to 12 vertices, relabelled and reordered
+    rng = random.Random(15)
+    for n in range(4, 13):
+        for base in (path_base(n), cycle_base(n)):
+            for _ in range(200):
+                label = list(range(n))
+                rng.shuffle(label)
+                edges = [(label[u], label[v]) for u, v in base.edges]
+                rng.shuffle(edges)
+                bases.append(BaseGraph(n, edges))
+    assert len(bases) == 37467
+    hits = 0
+    for base in bases:
+        want = _reference_table_value(base)
+        assert _table_value(base) == want, base
+        hits += want is not None
+    assert hits > 3600
 
 
 def test_orientation_gap_strict_infeasible_raises():

@@ -6,6 +6,7 @@ from concurrent.futures import Future, ProcessPoolExecutor
 from functools import partial
 from itertools import combinations
 from math import comb, gcd
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -400,17 +401,16 @@ def test_sweep_strict_cycles_leave_only_the_directed_ones():
     assert sorted(c.value for c in rep.argmin_codes) == [1, 30]
 
 
-def test_sweep_argmin_cap_and_overflow():
-    rep = sweep(cycle_base(6), arg_limit=1)
+def test_sweep_argmin_cap_and_overflow(monkeypatch):
+    full = sweep(cycle_base(6))
+    assert not full.argmin_overflow
+    monkeypatch.setattr(solver, "ARG_LIMIT", 1)
+    rep = sweep(cycle_base(6))
     assert len(rep.argmin_codes) == 1
     assert rep.argmin_overflow
     assert len(rep.argmax_codes) == 1
     assert rep.argmax_overflow
-    full = sweep(cycle_base(6))
     assert rep.argmin_codes[0].value == full.argmin_codes[0].value
-    assert not full.argmin_overflow
-    with pytest.raises(ValueError):
-        sweep(cycle_base(6), arg_limit=0)
 
 
 # a 7-cycle with four chords: no recognised symmetry, so its 2^11 codes
@@ -451,9 +451,10 @@ def test_sweep_workers_merge_deterministically(monkeypatch):
             super().__init__(max_workers=max_workers, **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    serial = sweep(CHORDED_CYCLE, arg_limit=3)
+    monkeypatch.setattr(solver, "ARG_LIMIT", 3)
+    serial = sweep(CHORDED_CYCLE)
     assert pools == []
-    parallel = sweep(CHORDED_CYCLE, arg_limit=3, workers=2)
+    parallel = sweep(CHORDED_CYCLE, workers=2)
     assert pools == [min(2, os.cpu_count() or 1)]
     assert serial == parallel
     assert serial.kernel_solves == parallel.kernel_solves == 616
@@ -524,8 +525,8 @@ def test_sweep_edge_guard(monkeypatch):
     monkeypatch.setenv("DOMCHROM_MAX_SWEEP_EDGES", "5")
     with pytest.raises(GuardExceeded):
         sweep(path_base(8))
-    # explicit cap wins over the environment
-    rep = sweep(path_base(8), max_edges=7)
+    monkeypatch.setenv("DOMCHROM_MAX_SWEEP_EDGES", "7")
+    rep = sweep(path_base(8))
     assert rep.orientations == 128
     monkeypatch.setenv("DOMCHROM_MAX_SWEEP_EDGES", "not-a-number")
     with pytest.raises(ValueError):
@@ -544,6 +545,9 @@ def test_extremes_match_sweep():
     assert value == rep.max_value
     assert code.value == rep.argmax_codes[0].value
     assert verify(orient(code), witness).ok
+    # every orientation of a path has a sink, so none is strictly feasible
+    with pytest.raises(ValueError, match="no orientation is feasible"):
+        min_over_orientations(path_base(4), DominationMode.STRICT)
 
 
 def test_sweep_distribution_counts_every_orientation(cycle_sweeps):
@@ -600,7 +604,8 @@ def assert_sweep_matches_reference(base):
         values = per_code_values(base, mode)
         for arg_limit in (1, 3, 64):
             want = reference_report(base, mode, values, arg_limit)
-            got = sweep(base, mode, arg_limit=arg_limit)
+            with patch.object(solver, "ARG_LIMIT", arg_limit):
+                got = sweep(base, mode)
             assert got == want, (base, mode, arg_limit)
             assert list(got.distribution) == list(want.distribution)
 
@@ -798,10 +803,10 @@ def test_mirror_reverses_and_flips_the_bits():
 def test_star_sweep_at_the_edge_guard(mode):
     # 2^24 codes in 25 popcount orbits, against one solve per orbit and
     # the popcount classes enumerated directly
-    m, limit = 24, 64
+    m, limit = 24, solver.ARG_LIMIT
     base = star_base(m)
     assert len(base.edges) == solver.DEFAULT_MAX_SWEEP_EDGES
-    report = sweep(base, mode, max_edges=m, arg_limit=limit)
+    report = sweep(base, mode)
     values = [
         dominator_chromatic_number(
             orient(OrientationCode.from_value(base, (1 << j) - 1)), mode
