@@ -90,6 +90,7 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "min_over_orientations",
         "sweep",
     ),
+    "automaton": (),
     "bench": (),
     "cli": (),
     "formats": (),

@@ -4,13 +4,17 @@ Times the pure-Python and compiled kernels on identical workloads and
 prints a table with the speedup, after the host's CPU count and Python
 version.  Workloads cover single solves (an odd tilde cycle among
 them, whose bound needs chi = 4 from the proper search), orientation
-sweeps (two of them settled without a kernel call: a star, whose
-packing bounds are all attained, and a strict path, whose orientations
-all have a sink), and one in-process `domchrom solve --json` request;
-both backends must return identical values and node counts, which the
-harness asserts before reporting.  A cold-start line first gives the
-median wall of --repeat fresh `import domchrom.cli` interpreters and of
-as many bare ones, the fixed cost every CLI call pays before any work.
+sweeps, and one in-process `domchrom solve --json` request; both
+backends must return identical values and node counts, which the
+harness asserts before reporting.  The sweeps that compare the
+backends take bases with their edges listed last first, which no
+automaton recognises, so each code is solved: two of them without a
+kernel call (a star, whose packing bounds are all attained, and a
+strict path, whose orientations all have a sink).  The automaton rows,
+a star, a path and a cycle, call no kernel at all.  A cold-start line
+first gives the median wall of --repeat fresh `import domchrom.cli`
+interpreters and of as many bare ones, the fixed cost every CLI call
+pays before any work.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from . import cli, kernel
 from .coloring import DominationMode
 from .families import fig4_digraph, tilde_cycle, tournament
 from .formats import emit_digraph
-from .graphs import cycle_base, path_base, star_base
+from .graphs import BaseGraph, cycle_base, path_base, star_base
 from .solver import dominator_chromatic_number, sweep
 
 
@@ -72,24 +76,33 @@ def _cold_start(repeat: int) -> str:
     )
 
 
+def _reversed(base: BaseGraph) -> BaseGraph:
+    """base with its edges listed last first: swept code by code."""
+    return BaseGraph(base.n, reversed(base.edges))
+
+
 def _workloads(fig4_path: str):
     yield "solve tournament n=9", lambda: dominator_chromatic_number(tournament(9, 5))
     yield "solve tilde-cycle n=12", lambda: dominator_chromatic_number(tilde_cycle(12))
     # an odd wheel underneath: chi(G - U) = 4 takes the proper search
     yield "solve tilde-cycle n=25", lambda: dominator_chromatic_number(tilde_cycle(25))
     yield "solve fig4", lambda: dominator_chromatic_number(fig4_digraph())
-    yield "sweep path n=10", lambda: sweep(path_base(10))
-    yield "sweep cycle n=10", lambda: sweep(cycle_base(10))
+    yield "sweep path n=10 reversed", lambda: sweep(_reversed(path_base(10)))
+    yield "sweep cycle n=10 reversed", lambda: sweep(_reversed(cycle_base(10)))
     yield (
-        "sweep cycle n=10 strict",
-        lambda: sweep(cycle_base(10), DominationMode.STRICT),
+        "sweep cycle n=10 strict reversed",
+        lambda: sweep(_reversed(cycle_base(10)), DominationMode.STRICT),
     )
     # settled without the kernel: by the packing certificate, and by sinks
-    yield "sweep star n=16", lambda: sweep(star_base(16))
+    yield "sweep star n=10 reversed", lambda: sweep(_reversed(star_base(10)))
     yield (
-        "sweep path n=14 strict",
-        lambda: sweep(path_base(14), DominationMode.STRICT),
+        "sweep path n=14 strict reversed",
+        lambda: sweep(_reversed(path_base(14)), DominationMode.STRICT),
     )
+    # automaton sweeps
+    yield "sweep star n=16", lambda: sweep(star_base(16))
+    yield "sweep path n=1000", lambda: sweep(path_base(1000))
+    yield "sweep cycle n=200", lambda: sweep(cycle_base(200))
     yield "cli solve --json fig4", lambda: _cli_solve(fig4_path)
 
 

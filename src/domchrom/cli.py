@@ -142,15 +142,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 class _SweepKind(NamedTuple):
     """A sweep base kind: the function that makes its base from n; the
-    vertex count, edge count and whether its codes are enumerated
-    (graphs.codes_enumerated) of that base, as functions of n, so sizes
-    are checked before any graph is built; and the closed-form minimum
-    over orientations."""
+    vertex count of that base as a function of n, so sizes are checked
+    before any graph is built; and the closed-form minimum over
+    orientations."""
 
     build: Callable[[int], BaseGraph]
     vertices: Callable[[int], int]
-    edges: Callable[[int], int]
-    enumerated: Callable[[int], bool]
     min_formula: Callable[[int], int]
 
 
@@ -166,12 +163,11 @@ def _cycle_min(n: int) -> int:
     return cycle_min_formula(n)
 
 
-# sweep base kind -> _SweepKind; a star on n leaves has n + 1 vertices,
-# and on one leaf it is a path, whose codes are enumerated
+# sweep base kind -> _SweepKind; a star on n leaves has n + 1 vertices
 _SWEEP_KINDS = {
-    "path": _SweepKind(path_base, lambda n: n, lambda n: n - 1, lambda n: True, _path_min),
-    "cycle": _SweepKind(cycle_base, lambda n: n, lambda n: n, lambda n: True, _cycle_min),
-    "star": _SweepKind(star_base, lambda n: n + 1, lambda n: n, lambda n: n < 2, lambda n: 2),
+    "path": _SweepKind(path_base, lambda n: n, _path_min),
+    "cycle": _SweepKind(cycle_base, lambda n: n, _cycle_min),
+    "star": _SweepKind(star_base, lambda n: n + 1, lambda n: 2),
 }
 
 # sweep CSV columns: (header, key of the JSON row)
@@ -204,9 +200,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     mode = _mode(args)
     ns = _range_from(args)
     kind = _SWEEP_KINDS[args.base]
-    # both counts grow with n, so the largest base checks the range
-    top = ns[-1]
-    solver.check_sweep_size(kind.vertices(top), kind.edges(top), kind.enumerated(top))
+    # every kind sweeps through its automaton, bar the 1-vertex path and
+    # the 3- and 4-cycle, which solve each code well inside every guard;
+    # the vertex count grows with n, so the largest base checks the range
+    solver.check_automaton_size(kind.vertices(ns[-1]))
     t0 = time.perf_counter()
     rows = []
     for n in ns:

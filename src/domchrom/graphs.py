@@ -9,11 +9,9 @@ which is how the solver enumerates all orientations of a base.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
-from functools import cached_property, partial
-from math import comb
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from functools import cached_property
+from typing import Iterable, Sequence
 
 
 @dataclass(frozen=True)
@@ -249,118 +247,7 @@ def _family(base: BaseGraph) -> str | None:
     return None
 
 
-# _REVERSED_BITS[x]: the byte x with its 8 bits in reverse order
-_REVERSED_BITS = bytes(int(f"{x:08b}"[::-1], 2) for x in range(256))
-
-
-def _mirror(code: int, m: int) -> int:
-    """The m-bit code with its bits in reverse order, each one flipped."""
-    # the bytes, little-endian and each reversed, read big-endian hold
-    # the reversal of all their bits; the -m & 7 lowest are padding
-    reversed_bytes = code.to_bytes((m + 7) >> 3, "little").translate(_REVERSED_BITS)
-    return (int.from_bytes(reversed_bytes, "big") >> (-m & 7)) ^ ((1 << m) - 1)
-
-
-def _orbit(family: str, m: int, code: int) -> list[int]:
-    """The codes of a path or cycle with m edges that are isomorphic to
-    code, ascending.
-
-    Path: the reversal x -> n-1-x sends edge i to edge m-1-i against its
-    direction, so the image of code is its mirror.  Cycle: the closing
-    edge (0, n-1) is read against the way round, so in g = code ^ 1 bit
-    i (from the most significant) is 0 when its arc runs i -> i+1 mod n.
-    The rotation x -> x+1 then rotates g right by one bit, and the
-    reflection x -> -x mirrors it; each image is conjugated back by ^ 1.
-    """
-    if family == "path":
-        image = _mirror(code, m)
-        if image == code:
-            return [code]
-        return [code, image] if code < image else [image, code]
-    mask = (1 << m) - 1
-    g = code ^ 1
-    images = set()
-    for h in (g, _mirror(g, m)):
-        doubled = h | (h << m)
-        images.update(((doubled >> k) & mask) ^ 1 for k in range(m))
-    return sorted(images)
-
-
-class CodeOrbits(NamedTuple):
-    """Orbits of the 2^|edges| orientation codes of a base under its
-    automorphism group: path reversal, cycle rotation and reflection,
-    star leaf permutations, or the trivial group for any other base.
-
-    reps: the smallest code of each orbit, ascending.  sizes: orbit
-    sizes aligned with reps, or None when every orbit is a single code.
-    members: maps a representative to the codes of its orbit, ascending,
-    so the representative comes first.
-    """
-
-    reps: Sequence[int]
-    sizes: Sequence[int] | None
-    members: Callable[[int], Iterable[int]]
-
-
-def code_orbits(base: BaseGraph) -> CodeOrbits:
-    """The orbits of base's orientation codes.
-
-    A star's leaf permutations move code bits without flipping any and
-    reach every arrangement of them, so its orbits are the popcount
-    classes, given in closed form with no per-code work.  For a path or
-    cycle the first code not yet seen, in ascending order, is the
-    smallest of a new orbit, whose closed-form members are then marked,
-    one byte per code.  The trivial group allocates nothing.
-    """
-    m = len(base.edges)
-    total = 1 << m
-    family = _family(base)
-    if family == "star":
-        reps = [(1 << j) - 1 for j in range(m + 1)]
-        return CodeOrbits(
-            reps, [comb(m, j) for j in range(m + 1)], partial(_same_popcount, m)
-        )
-    if family is None:
-        return CodeOrbits(range(total), None, _singleton)
-    members = partial(_orbit, family, m)
-    typecode = "I" if total < 1 << 32 else "Q"
-    seen = bytearray(total)
-    reps = array(typecode)
-    sizes = array(typecode)
-    start = 0
-    while start >= 0:
-        orbit = members(start)
-        for code in orbit:
-            seen[code] = 1
-        reps.append(start)
-        sizes.append(len(orbit))
-        start = seen.find(0, start + 1)  # -1 once every code is seen
-    return CodeOrbits(reps, sizes, members)
-
-
-def codes_enumerated(base: BaseGraph) -> bool:
-    """Whether code_orbits(base), or a sweep over its orbits, takes time
-    in proportion to the codes: true for every base but a star."""
-    return _family(base) != "star"
-
-
-def _singleton(code: int) -> tuple[int]:
-    return (code,)
-
-
-def _same_popcount(m: int, rep: int) -> Iterator[int]:
-    """The m-bit codes with as many set bits as rep = 2^j - 1, ascending,
-    by Gosper's next-same-popcount step."""
-    if not rep:
-        yield 0
-        return
-    code = rep
-    limit = 1 << m
-    while code < limit:
-        yield code
-        low = code & -code
-        ripple = code + low
-        code = ripple | ((code ^ ripple) >> 2) // low
+_FLIP = str.maketrans("01", "10")
 
 
 def cycle_symmetry_classes(n: int) -> list[list[OrientationCode]]:
@@ -374,8 +261,28 @@ def cycle_symmetry_classes(n: int) -> list[list[OrientationCode]]:
     Classes are sorted by smallest member value; members sort ascending.
     """
     base = cycle_base(n)
-    orbits = code_orbits(base)
+    classes: dict[int, list[int]] = {}
+    for code in range(1 << n):
+        classes.setdefault(_least_image(code, n), []).append(code)
     return [
-        [OrientationCode.from_value(base, code) for code in orbits.members(rep)]
-        for rep in orbits.reps
+        [OrientationCode.from_value(base, code) for code in members]
+        for members in classes.values()
     ]
+
+
+def _least_image(code: int, n: int) -> int:
+    """The least code of the n-cycle that a rotation or a reflection
+    maps code to.
+
+    The closing edge (0, n-1) is read against the way round, so in the
+    bitstring of g = code ^ 1 position i is 0 when its arc runs
+    i -> i+1 mod n.  The rotation x -> x+1 rotates g by one position,
+    and the reflection x -> -x reverses it and flips each bit; each
+    image is conjugated back by ^ 1.
+    """
+    g = format(code ^ 1, f"0{n}b")
+    return min(
+        int(h[k:] + h[:k], 2) ^ 1
+        for h in (g, g[::-1].translate(_FLIP))
+        for k in range(n)
+    )

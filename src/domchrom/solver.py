@@ -32,14 +32,13 @@ call.  Only the other orientations climb the ladder, from the bound
 already computed.
 
 A sweep covers every orientation code of a base graph, aggregating the
-value distribution and the extremal code sets.  Isomorphic orientations
-share their value, so for a path, cycle or star base only the smallest
-code of each orbit under the base's automorphisms is solved, weighted by
-the orbit size; any other base uses the trivial group.  The extremal code
-lists merge the members of the orbits that reach the extreme, so a star,
-whose orbits come in closed form, costs no work per code at all.  With
-workers > 1 the representatives are split into contiguous chunks whose
-values come back in order, so the report never depends on scheduling.
+value distribution and the extremal code sets.  A path, a cycle with at
+least 5 vertices and a star, each as its builder in graphs lists its
+edges, sweep through a minimised automaton (the automaton module): no
+orientation is solved, and the kernel is not called.  Any other base
+solves every code.  With workers > 1 and at least POOL_MIN_CODES codes
+they are split into contiguous chunks whose values come back in order,
+so the report never depends on scheduling.
 
 Results are deterministic: fixed vertex order, ascending class trials,
 ties between codes broken by ascending numeric value.
@@ -47,27 +46,23 @@ ties between codes broken by ascending numeric value.
 
 from __future__ import annotations
 
-import heapq
 import os
 from array import array
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import islice, repeat
-from typing import Iterator
+from functools import partial
+from typing import Callable
 
 from . import kernel
 from .coloring import Coloring, DominationMode
-from .graphs import (
-    BaseGraph,
-    CodeOrbits,
-    Digraph,
-    OrientationCode,
-    code_orbits,
-    codes_enumerated,
-    orient,
-)
+from .graphs import BaseGraph, Digraph, OrientationCode, _family, orient
 
 DEFAULT_MAX_SWEEP_EDGES = 24
 SWEEP_EDGES_ENV = "DOMCHROM_MAX_SWEEP_EDGES"
+# the most vertices of a base that an automaton sweeps
+AUTOMATON_MAX_VERTICES = 1000
+# the fewest codes a sweep with workers > 1 hands to a process pool
+POOL_MIN_CODES = 2048
 ORACLE_MAX_VERTICES = 10
 KERNEL_MAX_VERTICES = 64
 # the most codes an extremal list of a sweep report holds
@@ -392,9 +387,9 @@ class SweepReport:
     infeasible_count it accounts for all 2^|edges| codes.  The extremal
     code lists are ascending by numeric value and capped at ARG_LIMIT
     codes each, with overflow flags telling whether codes were dropped.
-    kernel_solves counts the orbit representatives whose value took the
-    kernel ladder; it is not part of the answer, so report equality
-    ignores it.
+    kernel_solves counts the codes whose value took the kernel ladder, 0
+    on an automaton sweep; it is not part of the answer, so report
+    equality ignores it.
     """
 
     base: BaseGraph
@@ -449,26 +444,23 @@ def _solve_codes(base: BaseGraph, mode: DominationMode, codes) -> tuple[array, i
 def _report(
     base: BaseGraph,
     mode: DominationMode,
-    orbits: CodeOrbits,
-    values: array,
+    dist: dict[int, int],
+    infeasible: int,
+    first_codes: Callable[[int, int], list[int]],
     kernel_solves: int,
 ) -> SweepReport:
-    """Weight each representative's value by its orbit size, then merge
-    the members of the extremal orbits for the capped code lists."""
-    dist: dict[int, int] = {}
-    infeasible = 0
-    sizes = repeat(1) if orbits.sizes is None else orbits.sizes
-    for value, size in zip(values, sizes):
-        if value:
-            dist[value] = dist.get(value, 0) + size
-        else:
-            infeasible += size
+    """The report of a sweep from its count per feasible value, its
+    infeasible count, and first_codes(value, limit), which gives the
+    first limit codes with a value, ascending."""
     min_v = min(dist) if dist else None
     max_v = max(dist) if dist else None
 
-    def first_codes(target):
-        codes = islice(_codes_with_value(orbits, values, target), ARG_LIMIT)
-        return tuple(OrientationCode.from_value(base, c) for c in codes)
+    def codes_with(target):
+        if target is None:
+            return ()
+        return tuple(
+            OrientationCode.from_value(base, c) for c in first_codes(target, ARG_LIMIT)
+        )
 
     return SweepReport(
         base=base,
@@ -478,53 +470,56 @@ def _report(
         infeasible_count=infeasible,
         min_value=min_v,
         max_value=max_v,
-        argmin_codes=first_codes(min_v),
-        argmax_codes=first_codes(max_v),
+        argmin_codes=codes_with(min_v),
+        argmax_codes=codes_with(max_v),
         argmin_overflow=min_v is not None and dist[min_v] > ARG_LIMIT,
         argmax_overflow=max_v is not None and dist[max_v] > ARG_LIMIT,
         kernel_solves=kernel_solves,
     )
 
 
-def _codes_with_value(
-    orbits: CodeOrbits, values: array, target: int | None
-) -> Iterator[int]:
-    """The codes whose orbit has the value target, ascending.
-
-    A lazy merge of the member lists of those orbits.  An orbit joins
-    once its representative, its smallest member, is below every queued
-    code, so the top of the queue is always the smallest code not yet
-    given.
-    """
-    matching = (rep for rep, value in zip(orbits.reps, values) if value == target)
-    upcoming = next(matching, None)
-    queue: list[tuple[int, Iterator[int]]] = []
-    while queue or upcoming is not None:
-        if upcoming is not None and (not queue or upcoming < queue[0][0]):
-            stream = iter(orbits.members(upcoming))
-            heapq.heappush(queue, (next(stream), stream))
-            upcoming = next(matching, None)
-        code, stream = queue[0]
-        yield code
-        following = next(stream, None)
-        if following is None:
-            heapq.heappop(queue)
-        else:
-            heapq.heapreplace(queue, (following, stream))
+def _scan(values: array, target: int, limit: int) -> list[int]:
+    """The first limit codes whose value in values, indexed by code, is
+    target."""
+    codes: list[int] = []
+    at = -1
+    while len(codes) < limit:
+        try:
+            at = values.index(target, at + 1)
+        except ValueError:
+            break
+        codes.append(at)
+    return codes
 
 
-def check_sweep_size(n: int, m: int, enumerated: bool) -> None:
-    """Refuse a sweep over a base of n vertices and m edges, which need
-    not be built yet: ValueError past the kernel limit, GuardExceeded past
-    the edge guard when the codes are enumerated (every base but a star,
-    which costs one solve per leaf count, bounded by the kernel limit)."""
+def _automaton_family(base: BaseGraph) -> str | None:
+    """The family whose automaton sweeps base, or None: a path, a star,
+    or a cycle with at least 5 vertices (on fewer, a pair of classes the
+    automaton counts is an edge or has two centres)."""
+    family = _family(base)
+    return None if family == "cycle" and base.n < 5 else family
+
+
+def check_automaton_size(n: int) -> None:
+    """Refuse an automaton sweep over a base of n vertices, which need
+    not be built yet: GuardExceeded past AUTOMATON_MAX_VERTICES."""
+    if n > AUTOMATON_MAX_VERTICES:
+        raise GuardExceeded(
+            f"sweep over {n} vertices exceeds the guard of {AUTOMATON_MAX_VERTICES}"
+        )
+
+
+def check_sweep_size(n: int, m: int) -> None:
+    """Refuse a sweep that solves every code of a base of n vertices and
+    m edges, which need not be built yet: ValueError past the kernel
+    limit, GuardExceeded past the edge guard."""
     check_solvable_size(n)
     raw = os.environ.get(SWEEP_EDGES_ENV, str(DEFAULT_MAX_SWEEP_EDGES))
     try:
         guard = int(raw)
     except ValueError:
         raise ValueError(f"{SWEEP_EDGES_ENV} must be an integer, got {raw!r}")
-    if m > guard and enumerated:
+    if m > guard:
         raise GuardExceeded(
             f"sweep over {m} edges exceeds the guard of {guard} "
             f"(raise via {SWEEP_EDGES_ENV})"
@@ -539,21 +534,33 @@ def sweep(
 ) -> SweepReport:
     """Aggregate the values of every orientation of base.
 
-    For a path, cycle or star base one orientation per automorphism
-    orbit is solved; the report is the same as solving every code.
+    A path, a cycle with at least 5 vertices or a star, with its edges
+    in the order of its builder, sweeps through its automaton and solves
+    no orientation; workers is then unused.  Any other base solves every
+    code.
     """
-    check_sweep_size(base.n, len(base.edges), codes_enumerated(base))
+    family = _automaton_family(base)
+    m = len(base.edges)
+    if family is not None:
+        check_automaton_size(base.n)
+    else:
+        check_sweep_size(base.n, m)
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    orbits = code_orbits(base)
-    reps = orbits.reps
+    if family is not None:
+        # the engine and its tables load only here
+        from .automaton import sweep_values
 
-    if workers > 1 and len(reps) >= 2048:
+        dist, infeasible, first_codes = sweep_values(family, mode, m)
+        return _report(base, mode, dist, infeasible, first_codes, 0)
+
+    codes = range(1 << m)
+    if workers > 1 and len(codes) >= POOL_MIN_CODES:
         # the pool stack (multiprocessing, socket, logging) loads only here
         from concurrent.futures import ProcessPoolExecutor
 
-        step = max(1, len(reps) // (workers * 8))
-        chunks = [reps[i : i + step] for i in range(0, len(reps), step)]
+        step = max(1, len(codes) // (workers * 8))
+        chunks = [codes[i : i + step] for i in range(0, len(codes), step)]
         # never more processes than requested, CPUs, or chunks to run
         size = min(workers, os.cpu_count() or 1, len(chunks))
         values = array("B")
@@ -573,8 +580,10 @@ def sweep(
                 values.extend(chunk_values)
                 kernel_solves += chunk_solves
     else:
-        values, kernel_solves = _solve_codes(base, mode, reps)
-    return _report(base, mode, orbits, values, kernel_solves)
+        values, kernel_solves = _solve_codes(base, mode, codes)
+    dist = Counter(values)
+    infeasible = dist.pop(0, 0)
+    return _report(base, mode, dist, infeasible, partial(_scan, values), kernel_solves)
 
 
 def _extreme_over_orientations(

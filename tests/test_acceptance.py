@@ -48,6 +48,7 @@ from domchrom import (
     path_base,
     path_min_formula,
     path_optimal,
+    sweep,
     table_gap_cycle,
     table_gap_path,
     tilde_cycle,
@@ -133,6 +134,37 @@ def test_directed_cycle_argmax_structure(cycle_sweeps):
         )
         assert argmax == expected, f"cycle n={n}"
         assert len(argmax) == 2 + 2 * n
+
+
+@pytest.mark.parametrize("n", [20, 30, 50, 100, 200])
+def test_paper_tables_hold_far_past_exhaustive_solving(n):
+    """The automaton sweeps every orientation of paths and cycles with no
+    solve, so the closed forms are checked at sizes no per-orientation
+    sweep reaches: the minimum, the spread table and the maximum n."""
+    path = sweep(path_base(n))
+    assert path.orientations == 1 << (n - 1)
+    assert path.min_value == path_min_formula(n)
+    assert path.max_value - path.min_value == table_gap_path(n)
+    assert path.max_value == n
+    cycle = sweep(cycle_base(n))
+    assert cycle.orientations == 1 << n
+    assert cycle.min_value == cycle_min_formula(n)
+    assert cycle.max_value - cycle.min_value == table_gap_cycle(n)
+    assert cycle.max_value == n
+    assert path.infeasible_count == cycle.infeasible_count == 0
+
+
+def test_strict_mode_leaves_only_the_consistent_cycles():
+    """Every strict orientation of a path has a sink, and of a cycle
+    only the two consistent ones are feasible, each needing n classes."""
+    for n in range(16, 101):
+        path = sweep(path_base(n), DominationMode.STRICT)
+        assert path.distribution == {}, n
+        assert path.infeasible_count == 1 << (n - 1), n
+        cycle = sweep(cycle_base(n), DominationMode.STRICT)
+        assert cycle.distribution == {n: 2}, n
+        # the consistent cycle and its reversal
+        assert [c.value for c in cycle.argmax_codes] == [1, (1 << n) - 2], n
 
 
 def _all_star_orientations(leaves):

@@ -26,7 +26,7 @@ from domchrom import (
     solver,
     star_oriented,
 )
-from domchrom.graphs import codes_enumerated, star_base
+from domchrom.graphs import BaseGraph, star_base
 from domchrom.cli import run
 from domchrom.formats import emit_base, emit_coloring, emit_digraph, parse_coloring, parse_digraph
 
@@ -299,9 +299,10 @@ def test_sweep_json_rows(capsys):
     assert all(isinstance(k, str) for k in row["distribution"])
     assert sum(row["distribution"].values()) == 8
     assert row["kernel_solves"] == 0
+    # a path sweeps through its automaton and solves no orientation
     assert run(["sweep", "path", "--n", "9", "--json"]) == 0
     (row,) = json.loads(capsys.readouterr().out)["outputs"]["rows"]
-    assert row["kernel_solves"] == 7
+    assert row["kernel_solves"] == 0
 
 
 def test_sweep_strict_mode(capsys):
@@ -312,16 +313,22 @@ def test_sweep_strict_mode(capsys):
     )
 
 
-def test_sweep_guard_exit_code(capsys):
-    assert run(["sweep", "path", "--n", "30"]) == 3
+def test_sweep_guard_exit_code(tmp_path, capsys):
+    limit = solver.AUTOMATON_MAX_VERTICES
+    assert run(["sweep", "path", "--n", str(limit + 1)]) == 3
+    assert f"guard of {limit}" in capsys.readouterr().err
+    # a base that solves every code keeps the edge guard
+    p = tmp_path / "b.txt"
+    p.write_text(emit_base(BaseGraph(26, reversed(path_base(26).edges))))
+    assert run(["invariants", "--base", str(p), "--star"]) == 3
     err = capsys.readouterr().err
     assert "guard" in err
     assert "DOMCHROM_MAX_SWEEP_EDGES" in err
 
 
-def test_sweep_star_past_the_edge_guard_solves_each_orbit_once(monkeypatch, capsys):
-    # 2^25 codes, but only the 26 popcount orbits are solved: the edge
-    # guard is for bases whose codes are enumerated
+def test_sweep_star_past_the_edge_guard_solves_no_orientation(monkeypatch, capsys):
+    # 2^25 codes, counted by the star's automaton: the edge guard is
+    # for bases whose codes are solved one by one
     leaves = 25
     solves = []
     real = solver._lower_bound
@@ -330,7 +337,7 @@ def test_sweep_star_past_the_edge_guard_solves_each_orbit_once(monkeypatch, caps
     )
     assert run(["sweep", "star", "--n", str(leaves), "--json"]) == 0
     (row,) = json.loads(capsys.readouterr().out)["outputs"]["rows"]
-    assert solves == [leaves + 1] * (leaves + 1)
+    assert solves == []
     base = star_base(leaves)
     dist = Counter()
     for j in range(leaves + 1):
@@ -338,7 +345,7 @@ def test_sweep_star_past_the_edge_guard_solves_each_orbit_once(monkeypatch, caps
         dist[str(dominator_chromatic_number(orient(code)).value)] += comb(leaves, j)
     assert row["orientations"] == 1 << leaves
     assert row["distribution"] == dict(sorted(dist.items()))
-    assert run(["sweep", "path", "--n", "30"]) == 3
+    assert row["kernel_solves"] == 0
 
 
 def test_family_text(capsys):
@@ -455,16 +462,22 @@ def test_invariants_past_the_kernel_limit_exits_2(tmp_path, capsys):
 def test_invariants_star_past_the_kernel_limit_exits_2(tmp_path, capsys):
     p = tmp_path / "b65.txt"
     p.write_text(emit_base(path_base(65)))
-    assert run(["sweep", "path", "--n", "65"]) == 2
+    # the automaton sweeps the path, but its chromatic number needs the
+    # kernel; a base that solves every code meets the limit in the sweep
+    assert run(["invariants", "--base", str(p), "--star"]) == 2
+    assert "at most 64 vertices" in capsys.readouterr().err
+    p.write_text(emit_base(BaseGraph(65, reversed(path_base(65).edges))))
     assert run(["invariants", "--base", str(p), "--star"]) == 2
     assert "at most 64 vertices" in capsys.readouterr().err
 
 
 def test_invariants_star_with_a_bad_edge_guard_exits_2(tmp_path, monkeypatch, capsys):
     p = tmp_path / "b3.txt"
-    p.write_text(emit_base(path_base(3)))
+    # listed last first, the path is not recognised, so its sweep solves
+    # every code and reads the edge guard; so does the 4-cycle's
+    p.write_text(emit_base(BaseGraph(3, reversed(path_base(3).edges))))
     monkeypatch.setenv(solver.SWEEP_EDGES_ENV, "abc")
-    assert run(["sweep", "path", "--n", "3"]) == 2
+    assert run(["sweep", "cycle", "--n", "4"]) == 2
     assert run(["invariants", "--base", str(p), "--star"]) == 2
     assert "must be an integer" in capsys.readouterr().err
 
@@ -551,16 +564,23 @@ def _refuse_builds(monkeypatch):
 @pytest.mark.parametrize(
     "argv, code, message",
     [
-        (["sweep", "path", "--n", "1000000"], 2, "at most 64 vertices"),
-        (["sweep", "star", "--n-min", "1", "--n-max", "64"], 2, "at most 64 vertices"),
-        (["sweep", "path", "--n", "30"], 3, "guard"),
-        (["sweep", "cycle", "--n-min", "3", "--n-max", "25"], 3, "guard"),
+        # the tilde cycle on n has n + 1 vertices: n = 64 is one too many
+        (["mine-discrepancy", "--family", "tilde-cycle", "--n", "64"], 2, "at most 64 vertices"),
+        (
+            ["mine-discrepancy", "--family", "tilde-cycle", "--n-min", "63", "--n-max", "64"],
+            2,
+            "at most 64 vertices",
+        ),
+        (["sweep", "path", "--n", "1000000"], 3, "guard"),
+        (["sweep", "cycle", "--n-min", "3", "--n-max", "1001"], 3, "guard"),
         (["mine-discrepancy", "--family", "tilde-cycle", "--n", "1000000"], 2, "at most 64"),
         (
             ["mine-discrepancy", "--family", "tilde-cycle", "--n-min", "3", "--n-max", "64"],
             2,
             "at most 64 vertices",
         ),
+        # a star on n leaves has n + 1 vertices
+        (["sweep", "star", "--n-min", "1", "--n-max", "1000"], 3, "guard"),
     ],
 )
 def test_sizes_are_checked_before_any_graph_is_built(argv, code, message, monkeypatch, capsys):
@@ -580,8 +600,8 @@ def test_sweep_kinds_give_the_size_of_the_base_they_build():
                 assert kind == "cycle" and n < 3, (kind, n)
                 continue
             assert entry.vertices(n) == base.n, (kind, n)
-            assert entry.edges(n) == len(base.edges), (kind, n)
-            assert entry.enumerated(n) == codes_enumerated(base), (kind, n)
+            # the automaton sweeps every base but a few tiny ones
+            assert solver._automaton_family(base) or base.n <= 4, (kind, n)
 
 
 def test_a_size_range_stays_lazy():

@@ -353,6 +353,9 @@ def test_bench_runs_once_per_workload():
     assert proc.returncode == 0, proc.stderr
     assert f"nproc: {os.cpu_count()}" in proc.stdout
     assert "cli solve --json fig4" in proc.stdout
+    # per-code sweeps compare the backends; automaton sweeps call no kernel
+    for label in ("sweep cycle n=10 reversed", "sweep path n=1000", "sweep cycle n=200"):
+        assert label in proc.stdout
     assert re.search(
         r"^cold start: import domchrom\.cli \d+\.\d ms, bare interpreter \d+\.\d ms "
         r"\(median of 1 spawns each; PYTHONDONTWRITEBYTECODE (un)?set\)$",

@@ -172,3 +172,29 @@ def test_cli_import_and_common_commands_skip_the_pool_families_and_invariants(tm
         "print(json.dumps(report))\n"
     )
     assert report == [[None, []], [0, []], [0, []], [0, []]]
+
+
+def test_only_a_sweep_loads_the_automaton_and_nothing_loads_its_builder(tmp_path):
+    d = Digraph(3, [(0, 1), (1, 2)])
+    dpath = tmp_path / "d.txt"
+    dpath.write_text(emit_digraph(d))
+    cpath = tmp_path / "c.txt"
+    cpath.write_text(emit_coloring(domchrom.dominator_chromatic_number(d).witness))
+    calls = [
+        ["solve", str(dpath), "--json"],
+        ["verify", str(dpath), str(cpath), "--json"],
+        ["sweep", "cycle", "--n", "8", "--json"],
+    ]
+    engine = ["domchrom._automaton_tables", "domchrom.automaton"]
+    report = _in_fresh_process(
+        "import contextlib, io, json, sys\n"
+        "import domchrom.cli\n"
+        "def loaded(): return sorted(m for m in sys.modules if 'automaton' in m)\n"
+        "report = [[None, loaded()]]\n"
+        f"for argv in {calls!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = domchrom.cli.run(argv)\n"
+        "    report.append([code, loaded()])\n"
+        "print(json.dumps(report))\n"
+    )
+    assert report == [[None, []], [0, []], [0, []], [0, engine]]

@@ -5,7 +5,7 @@ from collections import Counter
 from concurrent.futures import Future, ProcessPoolExecutor
 from functools import partial
 from itertools import combinations
-from math import comb, gcd
+from math import comb
 from unittest.mock import patch
 
 import pytest
@@ -42,7 +42,7 @@ from domchrom import (
     verify,
 )
 from domchrom.coloring import canonicalize
-from domchrom.graphs import _mirror, code_orbits, star_base
+from domchrom.graphs import _family, star_base
 
 SINK_EXEMPT = DominationMode.SINK_EXEMPT
 STRICT = DominationMode.STRICT
@@ -267,18 +267,36 @@ def spy_kernel_calls(monkeypatch):
     return budgets
 
 
+# a 9-vertex path with its edges listed last first: not recognised, so
+# its sweep solves every code
+REVERSED_PATH_9 = BaseGraph(9, reversed(path_base(9).edges))
+
+
 def test_sweeps_settled_by_the_bound_call_no_kernel(monkeypatch):
     budgets = spy_kernel_calls(monkeypatch)
-    # the certificate attains every star orbit's bound, and every
-    # orientation of a path has a sink
+    lower_bounds = []
+    real = solver._lower_bound
+    monkeypatch.setattr(
+        solver, "_lower_bound", lambda *a: lower_bounds.append(a[0]) or real(*a)
+    )
+    # the automaton sweeps of a star, a path and a cycle solve nothing
     star = sweep(star_base(16))
-    strict_path = sweep(path_base(12), STRICT)
+    path = sweep(path_base(12))
+    cycle = sweep(cycle_base(12), STRICT)
+    assert budgets == lower_bounds == []
+    assert star.kernel_solves == path.kernel_solves == cycle.kernel_solves == 0
+    assert (star.min_value, star.max_value) == (2, 3)
+    # per code: the certificate attains the bound of every star code,
+    # and every strict orientation of a path has a sink
+    star = sweep(BaseGraph(9, reversed(star_base(8).edges)))
+    strict_path = sweep(REVERSED_PATH_9, STRICT)
     assert budgets == []
     assert star.kernel_solves == strict_path.kernel_solves == 0
     assert (star.min_value, star.max_value) == (2, 3)
-    assert strict_path.infeasible_count == 1 << 11
-    # a 9-vertex path has orbits only the ladder settles
-    assert sweep(path_base(9)).kernel_solves == 7
+    assert strict_path.infeasible_count == 1 << 8
+    assert len(lower_bounds) == 1 << 8
+    # some codes of the path only the ladder settles
+    assert sweep(REVERSED_PATH_9).kernel_solves == 12
     assert budgets
 
 
@@ -413,8 +431,8 @@ def test_sweep_argmin_cap_and_overflow(monkeypatch):
     assert rep.argmin_codes[0].value == full.argmin_codes[0].value
 
 
-# a 7-cycle with four chords: no recognised symmetry, so its 2^11 codes
-# are 2048 representatives, exactly the pool threshold
+# a 7-cycle with four chords: not recognised, so a sweep solves each of
+# its 2^11 codes, exactly the pool threshold
 CHORDED_CYCLE = BaseGraph(
     7, [(i, (i + 1) % 7) for i in range(7)] + [(0, 2), (0, 3), (1, 4), (2, 5)]
 )
@@ -463,20 +481,20 @@ def test_sweep_workers_merge_deterministically(monkeypatch):
 
 @st.composite
 def pooled_bases(draw):
-    """A base on 6-8 vertices with 11 or 12 edges and no recognised
-    symmetry: at least 2048 representatives, so workers=2 starts a pool."""
+    """A base on 6-8 vertices with 11 or 12 edges that is not recognised:
+    at least 2048 codes, so workers=2 starts a pool."""
     n = draw(st.integers(6, 8))
     pairs = list(combinations(range(n), 2))
     edges = draw(st.lists(st.sampled_from(pairs), min_size=11, max_size=12, unique=True))
     base = BaseGraph(n, edges)
-    assume(code_orbits(base).sizes is None)
+    assume(_family(base) is None)
     return base
 
 
 @settings(max_examples=4, deadline=None)
 @given(pooled_bases())
 def test_pooled_sweeps_equal_serial_ones(base):
-    assert len(code_orbits(base).reps) >= 2048  # the pool threshold
+    assert 1 << len(base.edges) >= solver.POOL_MIN_CODES
     for mode in DominationMode:
         pooled = sweep(base, mode, workers=2)
         serial = sweep(base, mode, workers=1)
@@ -506,6 +524,24 @@ def test_sweep_pool_size_is_capped(monkeypatch):
     assert requested == [3, 2048, 1]
 
 
+def test_only_a_per_code_sweep_of_2048_codes_starts_a_pool(monkeypatch):
+    requested = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", partial(InlinePool, requested))
+    monkeypatch.setattr(solver.os, "cpu_count", lambda: 2)
+    assert solver.POOL_MIN_CODES == 2048
+    # CHORDED_CYCLE without its last chord: 10 edges, 1024 codes
+    ten_edges = BaseGraph(7, CHORDED_CYCLE.edges[:10])
+    assert _family(ten_edges) is None
+    assert sweep(ten_edges, workers=2) == sweep(ten_edges)
+    assert requested == []
+    assert sweep(CHORDED_CYCLE, workers=2) == sweep(CHORDED_CYCLE)
+    assert requested == [2]
+    # an automaton sweep solves no code, so it never pools
+    for base in (path_base(12), cycle_base(11), star_base(11)):
+        sweep(base, workers=2)
+    assert requested == [2]
+
+
 def test_sweep_workers_run_the_parent_backend(monkeypatch):
     serial = sweep(CHORDED_CYCLE)
     requested, chosen = [], []
@@ -519,18 +555,36 @@ def test_sweep_workers_run_the_parent_backend(monkeypatch):
     assert chosen == ["parent-choice"]
 
 
+def reversed_path(n):
+    """The n-vertex path with its edges listed last first: not recognised."""
+    return BaseGraph(n, reversed(path_base(n).edges))
+
+
 def test_sweep_edge_guard(monkeypatch):
     with pytest.raises(GuardExceeded):
-        sweep(path_base(30))
+        sweep(reversed_path(30))
     monkeypatch.setenv("DOMCHROM_MAX_SWEEP_EDGES", "5")
     with pytest.raises(GuardExceeded):
-        sweep(path_base(8))
+        sweep(reversed_path(8))
     monkeypatch.setenv("DOMCHROM_MAX_SWEEP_EDGES", "7")
-    rep = sweep(path_base(8))
+    rep = sweep(reversed_path(8))
     assert rep.orientations == 128
     monkeypatch.setenv("DOMCHROM_MAX_SWEEP_EDGES", "not-a-number")
     with pytest.raises(ValueError):
-        sweep(path_base(4))
+        sweep(reversed_path(4))
+    # an automaton sweep solves no code, so the edge guard and the kernel
+    # limit do not apply to it
+    assert sweep(path_base(100)).orientations == 1 << 99
+    with pytest.raises(ValueError, match="at most 64 vertices"):
+        sweep(reversed_path(65))
+
+
+def test_automaton_sweep_vertex_guard():
+    limit = solver.AUTOMATON_MAX_VERTICES
+    for base in (path_base(limit + 1), cycle_base(limit + 1), star_base(limit)):
+        with pytest.raises(GuardExceeded, match=f"guard of {limit}"):
+            sweep(base)
+    assert sweep(star_base(limit - 1)).orientations == 1 << (limit - 1)
 
 
 def test_extremes_match_sweep():
@@ -548,6 +602,9 @@ def test_extremes_match_sweep():
     # every orientation of a path has a sink, so none is strictly feasible
     with pytest.raises(ValueError, match="no orientation is feasible"):
         min_over_orientations(path_base(4), DominationMode.STRICT)
+    # the sweep of a 65-vertex path needs no kernel, but its witness does
+    with pytest.raises(ValueError, match="at most 64 vertices"):
+        max_over_orientations(path_base(65))
 
 
 def test_sweep_distribution_counts_every_orientation(cycle_sweeps):
@@ -628,10 +685,7 @@ def test_unrecognised_bases_sweep_every_code():
     )
     reordered_cycle = BaseGraph(7, reversed(cycle_base(7).edges))
     for base in (triangle_with_tail, reordered_cycle):
-        orbits = code_orbits(base)
-        assert orbits.sizes is None
-        assert orbits.reps == range(1 << len(base.edges))
-        assert all(list(orbits.members(c)) == [c] for c in orbits.reps)
+        assert _family(base) is None
         assert_sweep_matches_reference(base)
 
 
@@ -648,15 +702,15 @@ def relabelled_bases(draw):
     )
     perm = draw(st.permutations(range(base.n)))
     relabelled = BaseGraph(base.n, [(perm[u], perm[v]) for u, v in base.edges])
-    assume(code_orbits(relabelled).sizes is None)
+    assume(_family(relabelled) is None)
     return base, relabelled
 
 
 @settings(max_examples=50)
 @given(relabelled_bases())
 def test_relabelled_bases_sweep_like_the_recognised_ones(case):
-    # the relabelled base is solved code by code through the trivial
-    # group, the recognised one through its orbits
+    # the relabelled base is solved code by code, the recognised one
+    # through its automaton
     base, relabelled = case
     for mode in DominationMode:
         want = sweep(base, mode)
@@ -706,20 +760,14 @@ def relabelled_code(base, code, perm):
     return code_of(base, relabel(d, perm)).value
 
 
-def rep_of(orbits):
-    """Each code of a base mapped to the representative of its orbit."""
-    return {code: rep for rep in orbits.reps for code in orbits.members(rep)}
-
-
 @given(symmetric_codes())
 def test_vertex_automorphisms_keep_codes_in_their_orbit(case):
+    # isomorphic orientations share a value: each code's image under an
+    # automorphism, a relabelled orientation, solves to the same value
     kind, base, code = case
-    orbits = code_orbits(base)
-    orbit = list(orbits.members(rep_of(orbits)[code]))
     d = orient(OrientationCode.from_value(base, code))
     for perm in automorphism_generators(kind, base):
         image = relabelled_code(base, code, perm)
-        assert image in orbit
         e = orient(OrientationCode.from_value(base, image))
         for mode in DominationMode:
             assert (
@@ -728,81 +776,11 @@ def test_vertex_automorphisms_keep_codes_in_their_orbit(case):
             )
 
 
-def relabelled_orbits(kind, base):
-    """Every orbit of base's codes as the closure under relabelling by
-    the automorphism generators, found by walking all codes: the
-    reference for code_orbits, sharing no code with it."""
-    perms = automorphism_generators(kind, base)
-    seen = set()
-    orbits = []
-    for start in range(1 << len(base.edges)):
-        if start in seen:
-            continue
-        orbit = {start}
-        stack = [start]
-        while stack:
-            code = stack.pop()
-            for perm in perms:
-                image = relabelled_code(base, code, perm)
-                if image not in orbit:
-                    orbit.add(image)
-                    stack.append(image)
-        seen |= orbit
-        orbits.append(sorted(orbit))
-    return orbits
-
-
-@pytest.mark.parametrize("kind", ["path", "cycle", "star"])
-def test_orbits_partition_the_code_space(kind):
-    make = {"path": path_base, "cycle": cycle_base, "star": star_base}[kind]
-    for n in range(3, 13):
-        base = make(n)
-        orbits = code_orbits(base)
-        total = 1 << len(base.edges)
-        members = [list(orbits.members(rep)) for rep in orbits.reps]
-        assert sorted(c for orbit in members for c in orbit) == list(range(total))
-        assert list(orbits.reps) == sorted(orbits.reps)
-        for rep, size, orbit in zip(orbits.reps, orbits.sizes, members, strict=True):
-            assert orbit[0] == rep
-            assert orbit == sorted(orbit)
-            assert len(orbit) == size
-        assert members == relabelled_orbits(kind, base)
-        if kind == "star":
-            assert list(orbits.sizes) == [comb(n, j) for j in range(n + 1)]
-            popcount_classes = [
-                [c for c in range(total) if c.bit_count() == j] for j in range(n + 1)
-            ]
-            assert members == popcount_classes
-
-
-def test_orbit_counts_follow_burnside():
-    # path: the reversal fixes 2^(m/2) codes when m is even, none when
-    # the middle edge would have to flip; cycle: rotation by k fixes
-    # 2^gcd(k, n), and only the n/2 reflections through two vertices
-    # (n even) fix any code, 2^(n/2) each
-    for n in range(2, 19):
-        m = n - 1
-        fixed = 2 ** (m // 2) if m % 2 == 0 else 0
-        assert len(code_orbits(path_base(n)).reps) == (2**m + fixed) // 2, n
-    for n in range(3, 19):
-        fixed = sum(2 ** gcd(k, n) for k in range(n))
-        if n % 2 == 0:
-            fixed += n // 2 * 2 ** (n // 2)
-        assert len(code_orbits(cycle_base(n)).reps) == fixed // (2 * n), n
-
-
-def test_mirror_reverses_and_flips_the_bits():
-    rng = random.Random(7)
-    for m in range(1, 41):
-        for code in {0, (1 << m) - 1, 1, 1 << (m - 1), rng.getrandbits(m)}:
-            digits = format(code, f"0{m}b")[::-1]
-            assert _mirror(code, m) == int(digits, 2) ^ ((1 << m) - 1), (m, code)
-
-
 @pytest.mark.parametrize("mode", list(DominationMode))
 def test_star_sweep_at_the_edge_guard(mode):
-    # 2^24 codes in 25 popcount orbits, against one solve per orbit and
-    # the popcount classes enumerated directly
+    # 2^24 codes through the automaton, against one solve per popcount
+    # class (leaf permutations keep the value) and the classes enumerated
+    # directly
     m, limit = 24, solver.ARG_LIMIT
     base = star_base(m)
     assert len(base.edges) == solver.DEFAULT_MAX_SWEEP_EDGES
