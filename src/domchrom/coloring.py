@@ -17,10 +17,9 @@ comparison; under it, any digraph with a sink is infeasible.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Sequence
 
-from .graphs import Digraph
+from .graphs import Digraph, _Record
 
 
 class DominationMode(enum.Enum):
@@ -28,8 +27,7 @@ class DominationMode(enum.Enum):
     STRICT = "strict"
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(_Record):
     """Surjective assignment of n vertices to k classes, in canonical
     form: the first occurrence of class j precedes the first occurrence
     of class j+1."""
@@ -42,16 +40,14 @@ class Coloring:
         error = _label_error(assignment, k)
         if error is not None:
             raise ValueError(error)
-        object.__setattr__(self, "assignment", assignment)
-        object.__setattr__(self, "k", k)
+        self.__dict__.update(assignment=assignment, k=k)
 
     @classmethod
     def _from_checked(cls, assignment: tuple[int, ...], k: int) -> "Coloring":
         """A coloring from labels the caller has already checked with
         _label_error: skips __init__ and its second pass."""
         c = object.__new__(cls)
-        object.__setattr__(c, "assignment", assignment)
-        object.__setattr__(c, "k", k)
+        c.__dict__.update(assignment=assignment, k=k)
         return c
 
     @property
@@ -84,19 +80,25 @@ def _label_error(assignment: Sequence[int], k: int) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(_Record):
     """One verification failure: an improper arc or an undominating vertex."""
 
     kind: str  # "properness" | "domination"
-    arc: tuple[int, int] | None = None
-    vertex: int | None = None
+    arc: tuple[int, int] | None
+    vertex: int | None
+
+    def __init__(
+        self, kind: str, arc: tuple[int, int] | None = None, vertex: int | None = None
+    ):
+        self.__dict__.update(kind=kind, arc=arc, vertex=vertex)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(_Record):
     ok: bool
     violations: tuple[Violation, ...]
+
+    def __init__(self, ok: bool, violations: tuple[Violation, ...]):
+        self.__dict__.update(ok=ok, violations=violations)
 
 
 def canonicalize(raw: Sequence[int]) -> Coloring:

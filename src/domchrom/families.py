@@ -21,15 +21,13 @@ the wrap-around when n is odd.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from .coloring import Coloring
-from .graphs import BaseGraph, Digraph, OrientationCode, orient, underlying
+from .graphs import BaseGraph, Digraph, OrientationCode, _Record, orient, underlying
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(_Record):
     """A family name plus its integer parameters."""
 
     kind: str
@@ -49,17 +47,18 @@ class FamilySpec:
                 raise ValueError(f"family {kind!r} needs parameters >= {lo}")
         if kind == "star" and params[1] > params[0]:
             raise ValueError("star in-arc count cannot exceed the leaf count")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "params", params)
+        self.__dict__.update(kind=kind, params=params)
 
 
-@dataclass(frozen=True)
-class ConstructiveWitness:
+class ConstructiveWitness(_Record):
     """An orientation, a coloring of it, and the value both achieve."""
 
     digraph: Digraph
     coloring: Coloring
     claimed_value: int
+
+    def __init__(self, digraph: Digraph, coloring: Coloring, claimed_value: int):
+        self.__dict__.update(digraph=digraph, coloring=coloring, claimed_value=claimed_value)
 
 
 def base_graph(spec: FamilySpec) -> BaseGraph:

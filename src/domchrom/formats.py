@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 from .coloring import Coloring, _label_error
-from .graphs import BaseGraph, Digraph
+from .graphs import BaseGraph, Digraph, _Record
 
 
 class FormatError(ValueError):
@@ -180,16 +179,29 @@ def emit_coloring(c: Coloring) -> str:
     return f"coloring {c.n} {c.k}\n{body}"
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(_Record):
     """Envelope for one command invocation: the command name, an echo
     of its parameters, the structured payload it produced, and the
     kernel backend that produced it (None when not recorded)."""
 
     command: str
-    inputs: dict[str, Any] = field(default_factory=dict)
-    outputs: dict[str, Any] = field(default_factory=dict)
-    backend: str | None = None
+    inputs: dict[str, Any]
+    outputs: dict[str, Any]
+    backend: str | None
+
+    def __init__(
+        self,
+        command: str,
+        inputs: dict[str, Any] | None = None,
+        outputs: dict[str, Any] | None = None,
+        backend: str | None = None,
+    ):
+        self.__dict__.update(
+            command=command,
+            inputs={} if inputs is None else inputs,
+            outputs={} if outputs is None else outputs,
+            backend=backend,
+        )
 
     @classmethod
     def from_json(cls, text: str) -> "RunResult":

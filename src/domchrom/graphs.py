@@ -9,13 +9,76 @@ which is how the solver enumerates all orientations of a base.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 
-@dataclass(frozen=True)
-class BaseGraph:
+class _DataclassFields:
+    """The __dataclass_fields__ of a record class, which
+    dataclasses.replace, fields and asdict look for.  It is built on
+    first use, so only such a caller imports dataclasses."""
+
+    def __get__(self, record, cls):
+        return _dataclass_fields(cls)
+
+
+@cache
+def _dataclass_fields(cls):
+    import dataclasses
+
+    return dataclasses.make_dataclass(
+        cls.__name__,
+        [
+            (name, "Any", dataclasses.field(compare=name not in cls._uncompared))
+            for name in cls._fields
+        ],
+    ).__dataclass_fields__
+
+
+class _Record:
+    """Base of the package's immutable value types.
+
+    A subclass declares its fields as annotations, in order, after those
+    of the record it extends, and its own __init__ stores them with
+    self.__dict__.update.  Two records are equal when they are of the
+    same class and agree on every field not named in _uncompared; the
+    hash covers the same fields.  Assignment and deletion raise
+    AttributeError.  Instances keep a __dict__, so they pickle and copy
+    as plain objects do, and a cached_property stores its value there.
+    """
+
+    _fields = ()
+    # names of the fields that equality and the hash ignore
+    _uncompared = ()
+    __dataclass_fields__ = _DataclassFields()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls._fields += tuple(cls.__annotations__)
+        compared = [name for name in cls._fields if name not in cls._uncompared]
+        cls._key = staticmethod(attrgetter(*compared))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class BaseGraph(_Record):
     """Undirected simple graph.  Edges are stored as (u, v) with u < v.
 
     Edge order is significant: orientation codes index bits by position
@@ -40,12 +103,10 @@ class BaseGraph:
                 raise ValueError(f"duplicate edge {e}")
             seen.add(e)
             normalized.append(e)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", tuple(normalized))
+        self.__dict__.update(n=n, edges=tuple(normalized))
 
 
-@dataclass(frozen=True)
-class Digraph:
+class Digraph(_Record):
     """Directed simple graph without digons (no u->v together with v->u)."""
 
     n: int
@@ -66,16 +127,14 @@ class Digraph:
             if (v, u) in seen:
                 raise ValueError(f"digon between {u} and {v}")
             seen.add((u, v))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "arcs", arcs)
+        self.__dict__.update(n=n, arcs=arcs)
 
     @classmethod
     def _from_checked(cls, n: int, arcs: tuple[tuple[int, int], ...]) -> "Digraph":
         """A digraph from arcs the caller has already checked as
         __init__ would: skips __init__ and its second pass."""
         d = object.__new__(cls)
-        object.__setattr__(d, "n", n)
-        object.__setattr__(d, "arcs", arcs)
+        d.__dict__.update(n=n, arcs=arcs)
         return d
 
 
@@ -83,8 +142,7 @@ _DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 _DIGIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
 
 
-@dataclass(frozen=True)
-class OrientationCode:
+class OrientationCode(_Record):
     """One orientation of a base graph, as a bit per edge.
 
     Bit i refers to edge i = (u, v) with u < v of the base: 0 orients it
@@ -105,8 +163,7 @@ class OrientationCode:
             )
         if any(b not in (0, 1) for b in bits):
             raise ValueError("code bits must be 0 or 1")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "bits", bits)
+        self.__dict__.update(base=base, bits=bits)
 
     @classmethod
     def from_value(cls, base: BaseGraph, value: int) -> "OrientationCode":

@@ -21,11 +21,10 @@ disagreement stays visible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .coloring import DominationMode
-from .graphs import BaseGraph, Digraph, is_connected, underlying
+from .graphs import BaseGraph, Digraph, _Record, is_connected, underlying
 from .solver import (
     SweepReport,
     UndefinedInvariant,
@@ -35,15 +34,18 @@ from .solver import (
 )
 
 
-@dataclass(frozen=True)
-class GapReport:
+class GapReport(_Record):
     dominator_value: int
     chromatic_value: int
     gap: int
 
+    def __init__(self, dominator_value: int, chromatic_value: int, gap: int):
+        self.__dict__.update(
+            dominator_value=dominator_value, chromatic_value=chromatic_value, gap=gap
+        )
 
-@dataclass(frozen=True)
-class OrientationGapReport:
+
+class OrientationGapReport(_Record):
     base: BaseGraph
     mode: DominationMode
     chromatic_value: int
@@ -53,15 +55,36 @@ class OrientationGapReport:
     spread: int
     table_value: int | None
 
+    def __init__(
+        self,
+        base: BaseGraph,
+        mode: DominationMode,
+        chromatic_value: int,
+        min_dominator_value: int,
+        max_dominator_value: int,
+        max_gap: int,
+        spread: int,
+        table_value: int | None,
+    ):
+        self.__dict__.update(
+            base=base,
+            mode=mode,
+            chromatic_value=chromatic_value,
+            min_dominator_value=min_dominator_value,
+            max_dominator_value=max_dominator_value,
+            max_gap=max_gap,
+            spread=spread,
+            table_value=table_value,
+        )
 
-@dataclass(frozen=True)
-class Embedding:
+
+class Embedding(_Record):
     """Maps vertex i of a sub-digraph to vertex_map[i] of a host."""
 
     vertex_map: tuple[int, ...]
 
     def __init__(self, vertex_map: Sequence[int]):
-        object.__setattr__(self, "vertex_map", tuple(int(v) for v in vertex_map))
+        self.__dict__.update(vertex_map=tuple(int(v) for v in vertex_map))
 
 
 def identity_embedding(n: int) -> Embedding:

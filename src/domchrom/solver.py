@@ -49,13 +49,12 @@ from __future__ import annotations
 import os
 from array import array
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
 from . import kernel
 from .coloring import Coloring, DominationMode
-from .graphs import BaseGraph, Digraph, OrientationCode, _family, orient
+from .graphs import BaseGraph, Digraph, OrientationCode, _family, _Record, orient
 
 DEFAULT_MAX_SWEEP_EDGES = 24
 SWEEP_EDGES_ENV = "DOMCHROM_MAX_SWEEP_EDGES"
@@ -107,12 +106,18 @@ def _required_vertices(n: int, outs: list[int], mode: DominationMode) -> list[in
 
 
 def chromatic_number(base: BaseGraph) -> int:
-    """Exact chromatic number of an undirected graph, n >= 1."""
-    check_solvable_size(base.n)
+    """Exact chromatic number of an undirected graph, n >= 1.  A
+    bipartite graph of any size is settled by its BFS 2-coloring; only
+    one with an odd cycle needs the kernel, and its size limit."""
+    if base.n < 1:
+        raise ValueError("need at least one vertex")
     adj = _adjacency_masks(base.n, base.edges)
     keep = (1 << base.n) - 1
     sides = _two_coloring(adj, keep)
-    return len(sides) if sides is not None else _odd_chromatic(adj, keep)
+    if sides is not None:
+        return len(sides)
+    check_solvable_size(base.n)
+    return _odd_chromatic(adj, keep)
 
 
 def _odd_chromatic(adj: list[int], keep: int) -> int:
@@ -193,8 +198,7 @@ def _greedy_clique_size(adj: list[int]) -> int:
     return size
 
 
-@dataclass(frozen=True)
-class SolveOutcome:
+class SolveOutcome(_Record):
     """Result of one dominator-chromatic computation.
 
     value is None exactly when no class budget up to n admits a
@@ -205,6 +209,17 @@ class SolveOutcome:
     witness: Coloring | None
     nodes_explored: int
     mode: DominationMode
+
+    def __init__(
+        self,
+        value: int | None,
+        witness: Coloring | None,
+        nodes_explored: int,
+        mode: DominationMode,
+    ):
+        self.__dict__.update(
+            value=value, witness=witness, nodes_explored=nodes_explored, mode=mode
+        )
 
     @property
     def feasible(self) -> bool:
@@ -379,8 +394,7 @@ def _oracle_accepts(arcs, not_outs: list[int], assignment, k: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(_Record):
     """Aggregate of dominator chromatic values over every orientation.
 
     distribution maps value to orientation count; together with
@@ -403,7 +417,39 @@ class SweepReport:
     argmax_codes: tuple[OrientationCode, ...]
     argmin_overflow: bool
     argmax_overflow: bool
-    kernel_solves: int = field(default=0, compare=False)
+    kernel_solves: int
+
+    _uncompared = ("kernel_solves",)
+
+    def __init__(
+        self,
+        base: BaseGraph,
+        mode: DominationMode,
+        orientations: int,
+        distribution: dict[int, int],
+        infeasible_count: int,
+        min_value: int | None,
+        max_value: int | None,
+        argmin_codes: tuple[OrientationCode, ...],
+        argmax_codes: tuple[OrientationCode, ...],
+        argmin_overflow: bool,
+        argmax_overflow: bool,
+        kernel_solves: int = 0,
+    ):
+        self.__dict__.update(
+            base=base,
+            mode=mode,
+            orientations=orientations,
+            distribution=distribution,
+            infeasible_count=infeasible_count,
+            min_value=min_value,
+            max_value=max_value,
+            argmin_codes=argmin_codes,
+            argmax_codes=argmax_codes,
+            argmin_overflow=argmin_overflow,
+            argmax_overflow=argmax_overflow,
+            kernel_solves=kernel_solves,
+        )
 
 
 def _solve_codes(base: BaseGraph, mode: DominationMode, codes) -> tuple[array, int]:
@@ -589,6 +635,8 @@ def sweep(
 def _extreme_over_orientations(
     base: BaseGraph, mode: DominationMode, take_max: bool
 ) -> tuple[int, OrientationCode, Coloring]:
+    # the witness solve needs the kernel: refuse its size before sweeping
+    check_solvable_size(base.n)
     report = sweep(base, mode)
     value = report.max_value if take_max else report.min_value
     if value is None:

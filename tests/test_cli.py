@@ -26,7 +26,7 @@ from domchrom import (
     solver,
     star_oriented,
 )
-from domchrom.graphs import BaseGraph, star_base
+from domchrom.graphs import BaseGraph, cycle_base, star_base
 from domchrom.cli import run
 from domchrom.formats import emit_base, emit_coloring, emit_digraph, parse_coloring, parse_digraph
 
@@ -462,13 +462,16 @@ def test_invariants_past_the_kernel_limit_exits_2(tmp_path, capsys):
 def test_invariants_star_past_the_kernel_limit_exits_2(tmp_path, capsys):
     p = tmp_path / "b65.txt"
     p.write_text(emit_base(path_base(65)))
-    # the automaton sweeps the path, but its chromatic number needs the
-    # kernel; a base that solves every code meets the limit in the sweep
-    assert run(["invariants", "--base", str(p), "--star"]) == 2
-    assert "at most 64 vertices" in capsys.readouterr().err
-    p.write_text(emit_base(BaseGraph(65, reversed(path_base(65).edges))))
-    assert run(["invariants", "--base", str(p), "--star"]) == 2
-    assert "at most 64 vertices" in capsys.readouterr().err
+    # the automaton sweeps the path and its 2-coloring gives chi, so no
+    # step needs the kernel
+    assert run(["invariants", "--base", str(p), "--star", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["outputs"]["chromatic_value"] == 2
+    # the odd cycle's chi needs the kernel; a base that solves every
+    # code meets the limit in the sweep
+    for base in (cycle_base(65), BaseGraph(65, reversed(path_base(65).edges))):
+        p.write_text(emit_base(base))
+        assert run(["invariants", "--base", str(p), "--star"]) == 2
+        assert "at most 64 vertices" in capsys.readouterr().err
 
 
 def test_invariants_star_with_a_bad_edge_guard_exits_2(tmp_path, monkeypatch, capsys):

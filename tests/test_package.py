@@ -5,15 +5,41 @@ runs, so these tests pin the 62 public names and their owners, and the
 modules that `import domchrom.cli` and the common commands leave out.
 """
 
+import dataclasses
 import importlib
 import json
+import pickle
 import subprocess
 import sys
 
 import pytest
 
 import domchrom
-from domchrom.formats import emit_coloring, emit_digraph
+from domchrom import (
+    BaseGraph,
+    Coloring,
+    ConstructiveWitness,
+    DominationMode,
+    Embedding,
+    FamilySpec,
+    GapReport,
+    OrientationCode,
+    OrientationGapReport,
+    SolveOutcome,
+    SweepReport,
+    Verdict,
+    Violation,
+    cycle_base,
+    directed_path,
+    dominator_chromatic_number,
+    dominator_gap,
+    family_witness,
+    identity_embedding,
+    orientation_gap,
+    path_base,
+    sweep,
+)
+from domchrom.formats import RunResult, emit_coloring, emit_digraph
 from domchrom.graphs import Digraph
 
 # submodule -> the public names the package takes from it
@@ -93,7 +119,14 @@ PUBLIC = {
 }
 
 # what the common commands never need
-DEFERRED = ("concurrent.futures", "multiprocessing", "domchrom.families", "domchrom.invariants")
+DEFERRED = (
+    "concurrent.futures",
+    "multiprocessing",
+    "domchrom.families",
+    "domchrom.invariants",
+    "dataclasses",
+    "inspect",
+)
 
 
 def _in_fresh_process(code: str):
@@ -198,3 +231,81 @@ def test_only_a_sweep_loads_the_automaton_and_nothing_loads_its_builder(tmp_path
         "print(json.dumps(report))\n"
     )
     assert report == [[None, []], [0, []], [0, []], [0, engine]]
+
+
+# per value type: a builder of one value, called twice for two equal
+# values, and a value that differs in a field
+RECORDS = {
+    BaseGraph: (lambda: path_base(3), cycle_base(3)),
+    Digraph: (lambda: Digraph(3, [(0, 1), (1, 2)]), Digraph(3, [(1, 0), (1, 2)])),
+    OrientationCode: (
+        lambda: OrientationCode(path_base(3), [0, 1]),
+        OrientationCode.from_value(path_base(3), 2),
+    ),
+    Coloring: (lambda: Coloring([0, 1, 0], 2), Coloring([0, 1, 1], 2)),
+    Violation: (lambda: Violation("properness", arc=(0, 1)), Violation("domination", vertex=0)),
+    Verdict: (lambda: Verdict(False, (Violation("domination", vertex=2),)), Verdict(True, ())),
+    RunResult: (lambda: RunResult("solve", {"n": 3}, {"value": 2}, "python"), RunResult("solve")),
+    SolveOutcome: (
+        lambda: dominator_chromatic_number(directed_path(3)),
+        dominator_chromatic_number(directed_path(3), DominationMode.STRICT),
+    ),
+    SweepReport: (lambda: sweep(path_base(3)), sweep(cycle_base(3))),
+    FamilySpec: (lambda: FamilySpec("path", (4,)), FamilySpec("path", (5,))),
+    ConstructiveWitness: (
+        lambda: family_witness(FamilySpec("cycle", (7,))),
+        family_witness(FamilySpec("cycle", (8,))),
+    ),
+    GapReport: (lambda: dominator_gap(directed_path(3)), GapReport(3, 2, 0)),
+    OrientationGapReport: (lambda: orientation_gap(path_base(4)), orientation_gap(cycle_base(4))),
+    Embedding: (lambda: identity_embedding(3), Embedding([2, 1, 0])),
+}
+
+
+@pytest.mark.parametrize("kind", RECORDS, ids=lambda kind: kind.__name__)
+def test_value_types_are_frozen_records(kind):
+    build, other = RECORDS[kind]
+    a, b = build(), build()
+    assert type(a) is kind and a is not b
+    assert a == b and not a != b
+    assert a != other
+    names = [f.name for f in dataclasses.fields(kind)]
+    assert a != tuple(getattr(a, name) for name in names)
+    assert all(a != value for value in (RECORDS[k][1] for k in RECORDS if k is not kind))
+    # equality holds only within one class, a subclass included
+    twin = object.__new__(type("Twin", (kind,), {}))
+    twin.__dict__.update(a.__dict__)
+    assert twin != a and a != twin
+    if any(isinstance(getattr(a, name), dict) for name in names):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(a)
+    else:
+        assert hash(a) == hash(b)
+    with pytest.raises(AttributeError):
+        setattr(a, names[0], getattr(other, names[0]))
+    with pytest.raises(AttributeError):
+        delattr(a, names[-1])
+    with pytest.raises(AttributeError):
+        a.not_a_field = 1
+    assert a == b
+    assert pickle.loads(pickle.dumps(a)) == a
+    assert repr(a) == f"{kind.__name__}(" + ", ".join(
+        f"{name}={getattr(a, name)!r}" for name in names
+    ) + ")"
+    assert dataclasses.replace(a) == a
+    assert dataclasses.asdict(a).keys() == set(names)
+
+
+def test_sweep_reports_ignore_kernel_solves_and_run_results_own_their_dicts():
+    rep = sweep(path_base(4))
+    assert dataclasses.replace(rep, kernel_solves=7) == rep
+    # with its one unhashable field blanked, a report hashes
+    blank = dataclasses.replace(rep, distribution=None)
+    assert hash(dataclasses.replace(blank, kernel_solves=7)) == hash(blank)
+    assert dataclasses.replace(rep, min_value=1) != rep
+    first, second = RunResult("solve"), RunResult("solve")
+    assert first.inputs == first.outputs == {}
+    first.inputs["n"] = 3
+    first.outputs["value"] = 2
+    assert second.inputs == second.outputs == {}
+    assert first.inputs is not second.inputs and first.outputs is not second.outputs

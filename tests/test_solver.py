@@ -60,6 +60,13 @@ def test_chromatic_number_basics():
     assert chromatic_number(cycle_base(6)) == 2
     assert chromatic_number(cycle_base(7)) == 3
     assert chromatic_number(complete_base(5)) == 5
+    # a bipartite graph needs no kernel, so no kernel limit
+    assert chromatic_number(path_base(65)) == 2
+    assert chromatic_number(cycle_base(1000)) == 2
+    with pytest.raises(ValueError, match="at most 64 vertices"):
+        chromatic_number(cycle_base(65))
+    with pytest.raises(ValueError, match="at least one vertex"):
+        chromatic_number(BaseGraph(0, []))
 
 
 @given(st.data())
@@ -602,9 +609,18 @@ def test_extremes_match_sweep():
     # every orientation of a path has a sink, so none is strictly feasible
     with pytest.raises(ValueError, match="no orientation is feasible"):
         min_over_orientations(path_base(4), DominationMode.STRICT)
-    # the sweep of a 65-vertex path needs no kernel, but its witness does
-    with pytest.raises(ValueError, match="at most 64 vertices"):
-        max_over_orientations(path_base(65))
+
+
+def test_extremes_refuse_the_kernel_limit_before_sweeping(monkeypatch):
+    # the sweep of a 65-vertex path or cycle needs no kernel, but the
+    # witness solve does, so no sweep starts
+    calls = []
+    monkeypatch.setattr(solver, "sweep", lambda *a, **kw: calls.append(a))
+    for extreme in (min_over_orientations, max_over_orientations):
+        for base in (path_base(65), cycle_base(1000)):
+            with pytest.raises(ValueError, match="at most 64 vertices"):
+                extreme(base)
+    assert calls == []
 
 
 def test_sweep_distribution_counts_every_orientation(cycle_sweeps):
