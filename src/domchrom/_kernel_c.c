@@ -3,8 +3,9 @@
  *
  * Same contract, same vertex and class trial order, same node counts:
  * the one search, solve_fixed_k_dominator, evaluates the bitmask
- * predicate and the class-packing rule documented in _kernel_py.py, on
- * uint64_t masks; with no vertex required it is a proper-coloring search.
+ * predicate, the forced open and the class-packing rule (walked by
+ * out-degree, then vertex) documented in _kernel_py.py, on uint64_t
+ * masks; with no vertex required it is a proper-coloring search.
  * Any change here must be mirrored in the pure-Python module and vice
  * versa; the test suite compiles this file and asserts that the two
  * backends agree exactly.  Limited to 64 vertices by the mask width.
@@ -66,21 +67,25 @@ color_list(const int *color, int n)
     return list;
 }
 
-/* Whether the vertices of left, taken in ascending order, meet no more
- * than spare pairwise disjoint sets outs[v] & above. */
+/* Whether the vertices of left, taken in the given order (which lists
+ * every vertex of left), meet no more than spare pairwise disjoint sets
+ * outs[v] & above. */
 static int
-packs(u64 left, const u64 *outs, u64 above, int spare)
+packs(u64 left, const int *order, const u64 *outs, u64 above, int spare)
 {
     u64 taken = 0;
-    while (left) {
-        u64 reach = outs[__builtin_ctzll(left)] & above;
+    for (const int *v = order; left; v++) {
+        u64 bit = (u64)1 << *v;
+        if (!(left & bit))
+            continue;
+        left &= ~bit;
+        u64 reach = outs[*v] & above;
         if (!(reach & taken)) {
             if (!spare)
                 return 0;
             spare--;
             taken |= reach;
         }
-        left &= left - 1;
     }
     return 1;
 }
@@ -94,6 +99,7 @@ solve_fixed_k_dominator(PyObject *self, PyObject *args)
     u64 class_masks[MAX_N], inside[MAX_N], saved[MAX_N];
     u64 cover_stack[MAX_N + 1];
     int color[MAX_N], trial[MAX_N], used_stack[MAX_N + 1];
+    int order[MAX_N], ranked = 0;
     u64 req = 0;
     unsigned long long nodes = 0;
 
@@ -128,7 +134,18 @@ solve_fixed_k_dominator(PyObject *self, PyObject *args)
         }
         u64 bit = (u64)1 << v;
         u64 om = outs[v];
+        if (req & bit)
+            continue;
         req |= bit;
+        /* insert v into order by (out-degree, vertex) */
+        int degree = __builtin_popcountll(om), slot = ranked++;
+        for (; slot > 0; slot--) {
+            int w = order[slot - 1], dw = __builtin_popcountll(outs[w]);
+            if (dw < degree || (dw == degree && w < v))
+                break;
+            order[slot] = w;
+        }
+        order[slot] = (int)v;
         due_at[om ? 63 - __builtin_clzll(om) : 0] |= bit;
         for (; om; om &= om - 1)
             into[__builtin_ctzll(om)] |= bit;
@@ -154,7 +171,11 @@ solve_fixed_k_dominator(PyObject *self, PyObject *args)
         u64 cover = cover_stack[i];
         u64 above = -((u64)2 << i);
         int placed = 0;
-        for (int c = trial[i]; c <= limit; c++) {
+        int c = trial[i];
+        /* forced open: no join can bring a due vertex into the cover */
+        if (c < used && (due_join & ~cover))
+            c = used;
+        for (; c <= limit; c++) {
             u64 cm = class_masks[c];
             if (cm & am)
                 continue;
@@ -182,7 +203,7 @@ solve_fixed_k_dominator(PyObject *self, PyObject *args)
             }
             u64 left = req & ~new_cover;
             if (!(due & left) && (__builtin_popcountll(left) <= spare ||
-                                  packs(left, outs, above, spare))) {
+                                  packs(left, order, outs, above, spare))) {
                 class_masks[c] = cm | ((u64)1 << i);
                 inside[c] = grown;
                 saved[i] = old;
@@ -205,7 +226,7 @@ solve_fixed_k_dominator(PyObject *self, PyObject *args)
         }
         if (--i < 0)
             return Py_BuildValue("(OK)", Py_None, nodes);
-        int c = color[i];
+        c = color[i];
         class_masks[c] &= ~((u64)1 << i);
         inside[c] = saved[i];
     }

@@ -33,6 +33,12 @@ class, and adding a vertex that leaves inside[c] unchanged, cost O(1);
 only a shrinking inside[c] recomputes the O(k) union, and only when the
 old cover did not already refute the placement.
 
+A join never grows the cover: adding i to an opened class can only
+narrow inside[c].  So when a vertex due for a join at depth i lies
+outside the cover, every join fails the check, and vertex i is forced
+to open a new class (or, with all k classes open, the search backs up).
+The kernel then skips the join trials altogether.
+
 A placement that passes must then pass the class-packing rule.  The
 required vertices outside the new cover, left = req & ~cover, dominate
 no opened class, and never will: classes only grow.  Each of them needs
@@ -40,12 +46,18 @@ a class opened later and made only of its uncolored out-neighbors,
 R(v) = outs[v] & -(2 << i).  Vertices whose R(v) are pairwise disjoint
 need distinct new classes, and at most spare = k - used' remain (used'
 counting the classes after the placement).  So when left has more than
-spare members, the kernel walks left in ascending vertex order, takes
-each v whose R(v) misses the union of those taken so far, and refutes
-the placement once more than spare are taken.  The rule cuts only
-subtrees that hold no coloring, and the search order is unchanged, so
-the first coloring found, and with it every value and witness, is the
-one the search finds without the rule; only the node count falls.
+spare members, the kernel walks left by (out-degree, vertex), the order
+of the packing bound in the solver, takes each v whose R(v) misses the
+union of those taken so far, and refutes the placement once more than
+spare are taken.  Any walk gives a valid count; small out-sets first
+tends to take more of them.
+
+Both rules cut only subtrees that hold no coloring, and the search
+order is unchanged, so the first coloring found, and with it every
+value and witness, is the one the search finds without them; only the
+node count falls.  A node is one tentative placement that passes the
+properness check and is tested against the rules; the joins skipped by
+a forced open are never tested, so they count no node.
 
 This module is the reference twin of the compiled kernel in
 _kernel_c.c, which evaluates the same predicate on 64-bit masks; the
@@ -76,10 +88,12 @@ def solve_fixed_k_dominator(
     req = 0
     into = [0] * n
     due_at = [0] * n
+    ranked = []
     for v in required:
         bit = 1 << v
         req |= bit
         om = outs[v]
+        ranked.append(om.bit_count() * n + v)
         due_at[max(om.bit_length() - 1, 0)] |= bit
         while om:
             low = om & -om
@@ -87,6 +101,9 @@ def solve_fixed_k_dominator(
             om ^= low
     for i in range(1, n):
         due_at[i] |= due_at[i - 1]
+    # the packing walk: (out-degree, vertex) order, as (bit, out-set)
+    ranked.sort()
+    order = [(1 << v, outs[v]) for v in [r % n for r in ranked]]
     color = [-1] * n
     class_masks = [0] * k
     inside = [0] * k
@@ -106,6 +123,9 @@ def solve_fixed_k_dominator(
         due_join = req if used == k else due_at[i]
         due_open = req if used + 1 == k else due_at[i]
         cover = cover_stack[i]
+        if c < used and due_join & ~cover:
+            # forced open: no join can bring a due vertex into the cover
+            c = used
         placed = False
         while c <= limit:
             cm = class_masks[c]
@@ -131,7 +151,7 @@ def solve_fixed_k_dominator(
                             new_cover |= inside[j]
                 left = req & ~new_cover
                 if not (due & left) and (
-                    left.bit_count() <= spare or _packs(left, outs, -(2 << i), spare)
+                    left.bit_count() <= spare or _packs(left, order, -(2 << i), spare)
                 ):
                     class_masks[c] = cm | bit
                     inside[c] = grown
@@ -159,17 +179,17 @@ def solve_fixed_k_dominator(
         color[i] = -1
 
 
-def _packs(left: int, outs: list[int], above: int, spare: int) -> bool:
-    """Whether the vertices of left, taken in ascending order, meet no
-    more than spare pairwise disjoint sets outs[v] & above."""
+def _packs(left: int, order: list[tuple[int, int]], above: int, spare: int) -> bool:
+    """Whether the vertices of left, walked in order, a list of (bit,
+    out-set) pairs, meet no more than spare pairwise disjoint sets
+    out-set & above."""
     taken = 0
-    while left:
-        low = left & -left
-        reach = outs[low.bit_length() - 1] & above
-        if not reach & taken:
-            if not spare:
-                return False
-            spare -= 1
-            taken |= reach
-        left ^= low
+    for bit, om in order:
+        if left & bit:
+            reach = om & above
+            if not reach & taken:
+                if not spare:
+                    return False
+                spare -= 1
+                taken |= reach
     return True

@@ -241,7 +241,8 @@ def find_dominator_coloring(
     )
     if assignment is None:
         return None
-    return Coloring(assignment, max(assignment) + 1)
+    # the kernel's labels are canonical, so they need no second check
+    return Coloring._from_checked(tuple(assignment), max(assignment) + 1)
 
 
 def dominator_chromatic_number(
@@ -256,7 +257,10 @@ def dominator_chromatic_number(
     assignment, value, nodes = _solve_masks(d.n, adj, outs, required, start)
     if assignment is None:
         return SolveOutcome(None, None, nodes, mode)
-    return SolveOutcome(value, Coloring(assignment, value), nodes, mode)
+    # canonical labels, and every budget below value is refuted or below
+    # the bound, so the kernel's coloring uses exactly value classes
+    witness = Coloring._from_checked(tuple(assignment), value)
+    return SolveOutcome(value, witness, nodes, mode)
 
 
 def _lower_bound(

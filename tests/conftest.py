@@ -14,13 +14,37 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from domchrom import Digraph, cycle_base, is_connected, path_base, sweep, underlying
+from domchrom import (
+    Coloring,
+    Digraph,
+    cycle_base,
+    is_connected,
+    path_base,
+    sweep,
+    underlying,
+)
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
 
 PATH_NS = range(1, 13)
 CYCLE_NS = range(3, 13)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def checked_colorings():
+    """Colorings built without validation (kernel witnesses, parsed
+    colorings) must equal the validated construction, in every test."""
+    unchecked = Coloring._from_checked.__func__
+
+    def from_checked(cls, assignment, k):
+        coloring = unchecked(cls, assignment, k)
+        assert type(assignment) is tuple and coloring == Coloring(assignment, k)
+        return coloring
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Coloring, "_from_checked", classmethod(from_checked))
+        yield
 
 
 class TimedSweeps(NamedTuple):
