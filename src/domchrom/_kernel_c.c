@@ -3,9 +3,10 @@
  *
  * Same contract, same vertex and class trial order, same node counts:
  * the one search, solve_fixed_k_dominator, evaluates the bitmask
- * predicate, the forced open and the class-packing rule (walked by
- * out-degree, then vertex) documented in _kernel_py.py, on uint64_t
- * masks; with no vertex required it is a proper-coloring search.
+ * predicate, the forced open and the class-packing rule documented in
+ * _kernel_py.py, on uint64_t masks; with no vertex required it is a
+ * proper-coloring search.  required lists each vertex once, in the
+ * order the packing rule walks, which the solver sets.
  * Any change here must be mirrored in the pure-Python module and vice
  * versa; the test suite compiles this file and asserts that the two
  * backends agree exactly.  Limited to 64 vertices by the mask width.
@@ -99,7 +100,7 @@ solve_fixed_k_dominator(PyObject *self, PyObject *args)
     u64 class_masks[MAX_N], inside[MAX_N], saved[MAX_N];
     u64 cover_stack[MAX_N + 1];
     int color[MAX_N], trial[MAX_N], used_stack[MAX_N + 1];
-    int order[MAX_N], ranked = 0;
+    int order[MAX_N], count = 0;
     u64 req = 0;
     unsigned long long nodes = 0;
 
@@ -137,15 +138,7 @@ solve_fixed_k_dominator(PyObject *self, PyObject *args)
         if (req & bit)
             continue;
         req |= bit;
-        /* insert v into order by (out-degree, vertex) */
-        int degree = __builtin_popcountll(om), slot = ranked++;
-        for (; slot > 0; slot--) {
-            int w = order[slot - 1], dw = __builtin_popcountll(outs[w]);
-            if (dw < degree || (dw == degree && w < v))
-                break;
-            order[slot] = w;
-        }
-        order[slot] = (int)v;
+        order[count++] = (int)v;
         due_at[om ? 63 - __builtin_clzll(om) : 0] |= bit;
         for (; om; om &= om - 1)
             into[__builtin_ctzll(om)] |= bit;

@@ -46,11 +46,11 @@ a class opened later and made only of its uncolored out-neighbors,
 R(v) = outs[v] & -(2 << i).  Vertices whose R(v) are pairwise disjoint
 need distinct new classes, and at most spare = k - used' remain (used'
 counting the classes after the placement).  So when left has more than
-spare members, the kernel walks left by (out-degree, vertex), the order
-of the packing bound in the solver, takes each v whose R(v) misses the
-union of those taken so far, and refutes the placement once more than
-spare are taken.  Any walk gives a valid count; small out-sets first
-tends to take more of them.
+spare members, the kernel walks left in the order of required, takes
+each v whose R(v) misses the union of those taken so far, and refutes
+the placement once more than spare are taken.  Any walk gives a valid
+count; the solver passes required by (out-degree, vertex), as small
+out-sets first tend to take more of them.
 
 Both rules cut only subtrees that hold no coloring, and the search
 order is unchanged, so the first coloring found, and with it every
@@ -79,21 +79,19 @@ def solve_fixed_k_dominator(
     """Dominator coloring with at most k classes, plus nodes explored.
 
     adj[i]: undirected adjacency mask of i.  outs[v]: out-neighborhood
-    mask of v.  required: ascending vertex indices that must dominate a
-    class.  A node is counted for each tentative placement that passes
-    the properness check.
+    mask of v.  required: the vertices that must dominate a class, each
+    once, in the order the packing rule walks.  A node is counted for
+    each tentative placement that passes the properness check.
     """
     if n == 0:
         return [], 0
     req = 0
     into = [0] * n
     due_at = [0] * n
-    ranked = []
     for v in required:
         bit = 1 << v
         req |= bit
         om = outs[v]
-        ranked.append(om.bit_count() * n + v)
         due_at[max(om.bit_length() - 1, 0)] |= bit
         while om:
             low = om & -om
@@ -101,9 +99,8 @@ def solve_fixed_k_dominator(
             om ^= low
     for i in range(1, n):
         due_at[i] |= due_at[i - 1]
-    # the packing walk: (out-degree, vertex) order, as (bit, out-set)
-    ranked.sort()
-    order = [(1 << v, outs[v]) for v in [r % n for r in ranked]]
+    # the packing walk, in the order given, as (bit, out-set)
+    order = [(1 << v, outs[v]) for v in required]
     color = [-1] * n
     class_masks = [0] * k
     inside = [0] * k
@@ -176,7 +173,6 @@ def solve_fixed_k_dominator(
         c = color[i]
         class_masks[c] &= ~(1 << i)
         inside[c] = saved[i]
-        color[i] = -1
 
 
 def _packs(left: int, order: list[tuple[int, int]], above: int, spare: int) -> bool:

@@ -48,6 +48,12 @@ EXIT_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_GUARD = 3
 
+# the most vertices of a family member that family builds, as many as an
+# automaton sweep takes
+FAMILY_MAX_VERTICES = 1000
+# the most sizes that one formulas call tabulates
+FORMULAS_MAX_SIZES = 100_000
+
 
 def _mode(args: argparse.Namespace) -> DominationMode:
     return DominationMode(args.mode)
@@ -253,13 +259,18 @@ def _family_witness(args: argparse.Namespace) -> tuple[FamilySpec, ConstructiveW
         directed_cycle,
         directed_path,
         family_witness,
+        member_vertices,
     )
 
     spec = FamilySpec(args.kind, tuple(args.params))
+    n = member_vertices(spec)
+    if n > FAMILY_MAX_VERTICES:
+        raise GuardExceeded(
+            f"family member with {n} vertices exceeds the guard of {FAMILY_MAX_VERTICES}"
+        )
     if args.directed:
         if args.kind not in ("path", "cycle"):
             raise FormatError("--directed applies only to path and cycle")
-        n = spec.params[0]
         d = directed_path(n) if args.kind == "path" else directed_cycle(n)
         return spec, ConstructiveWitness(d, Coloring(list(range(n)), n), n)
     return spec, family_witness(spec)
@@ -297,6 +308,10 @@ def _cmd_family(args: argparse.Namespace) -> int:
 
 def _cmd_formulas(args: argparse.Namespace) -> int:
     ns = _range_from(args)
+    if len(ns) > FORMULAS_MAX_SIZES:
+        raise GuardExceeded(
+            f"formulas over {len(ns)} sizes exceeds the guard of {FORMULAS_MAX_SIZES}"
+        )
     fn = _SWEEP_KINDS[args.base].min_formula
     rows = [{"n": n, "value": fn(n)} for n in ns]
     if args.csv:

@@ -331,29 +331,37 @@ def fig4_digraph() -> Digraph:
     )
 
 
-# kind -> (its parameter floors, one per parameter; its witness builder).
+# kind -> (its parameter floors, one per parameter; the vertex count of
+# its member as a function of the parameters; its witness builder).
 # Star params are (leaf count, in-arc count); bipartite are (m, n).
-_KINDS: dict[str, tuple[tuple[int, ...], Callable[..., ConstructiveWitness]]] = {
-    "path": ((1,), path_optimal),
-    "cycle": ((3,), cycle_optimal),
-    "star": ((1, 0), star_optimal),
+_KINDS: dict[
+    str,
+    tuple[tuple[int, ...], Callable[..., int], Callable[..., ConstructiveWitness]],
+] = {
+    "path": ((1,), lambda n: n, path_optimal),
+    "cycle": ((3,), lambda n: n, cycle_optimal),
+    "star": ((1, 0), lambda leaves, in_arcs: leaves + 1, star_optimal),
     "complete": (
         (1,),
+        lambda n: n,
         lambda n: ConstructiveWitness(tournament(n, 0), Coloring(list(range(n)), n), n),
     ),
     "complete-bipartite": (
         (1, 1),
+        lambda m, n: m + n,
         lambda m, n: ConstructiveWitness(
             one_way_complete_bipartite(m, n), Coloring([0] * m + [1] * n, 2), 2
         ),
     ),
-    "tilde-cycle": ((3,), tilde_cycle_optimal),
+    "tilde-cycle": ((3,), lambda n: n + 1, tilde_cycle_optimal),
     "fig3": (
         (),
+        lambda: 6,
         lambda: ConstructiveWitness(fig3_digraph(), Coloring([0, 1, 2, 3, 4, 0], 5), 5),
     ),
     "fig4": (
         (),
+        lambda: 6,
         lambda: ConstructiveWitness(fig4_digraph(), Coloring([0, 1, 0, 2, 3, 4], 5), 5),
     ),
 }
@@ -378,4 +386,9 @@ def family_witness(spec: FamilySpec) -> ConstructiveWitness:
     the known value n).  The two fixed examples carry their unique
     five-class colorings.
     """
+    return _KINDS[spec.kind][2](*spec.params)
+
+
+def member_vertices(spec: FamilySpec) -> int:
+    """The vertex count of family_digraph(spec), known before it is built."""
     return _KINDS[spec.kind][1](*spec.params)

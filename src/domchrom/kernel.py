@@ -6,7 +6,8 @@ Set DOMCHROM_KERNEL=python or DOMCHROM_KERNEL=c to force a backend
 
 Each backend has one search, solve_fixed_k_dominator.  A proper coloring
 is that search with no vertex required, so solve_fixed_k_proper is
-defined here once, on whichever backend is active.
+defined here once, on whichever backend is active.  Neither backend
+sorts required: the solver orders it for the class-packing walk.
 """
 
 from __future__ import annotations

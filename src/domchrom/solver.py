@@ -12,7 +12,9 @@ chi(G); and as P <= |U| it is at most n, so every ladder ends in a
 kernel call.  A required vertex with an empty out-set (a strict-mode
 sink) dominates no class, so no budget succeeds: its bound is n, and
 the ladder's one kernel call, at k = n, refutes it on one node.  Each
-budget runs the backtracking search selected in the kernel module.
+budget runs the backtracking search selected in the kernel module; its
+class-packing rule walks the required vertices in the bound's order,
+which _required_vertices alone defines.
 
 chi(G - U) starts from one BFS 2-coloring, which settles 0, 1 and 2.
 An odd G - U goes to the same search with no vertex required, climbing
@@ -100,9 +102,20 @@ def _out_masks(d: Digraph) -> list[int]:
 
 
 def _required_vertices(n: int, outs: list[int], mode: DominationMode) -> list[int]:
-    if mode is DominationMode.STRICT:
-        return list(range(n))
-    return [v for v in range(n) if outs[v]]
+    """The vertices that must dominate a class, in the order that the
+    packing bound and the kernels' packing rule walk: by out-degree, then
+    vertex (a stable sort of ascending vertices)."""
+    strict = mode is DominationMode.STRICT
+    required = (v for v in range(n) if strict or outs[v])
+    return sorted(required, key=lambda v: outs[v].bit_count())
+
+
+def _kernel_inputs(d: Digraph, mode: DominationMode) -> tuple[list[int], ...]:
+    """adj, outs and required of d, once its size is checked."""
+    check_solvable_size(d.n)
+    adj = _adjacency_masks(d.n, d.arcs)
+    outs = _out_masks(d)
+    return adj, outs, _required_vertices(d.n, outs, mode)
 
 
 def chromatic_number(base: BaseGraph) -> int:
@@ -230,12 +243,9 @@ def find_dominator_coloring(
     d: Digraph, k: int, mode: DominationMode = DominationMode.SINK_EXEMPT
 ) -> Coloring | None:
     """A dominator coloring of d using at most k classes, or None."""
-    check_solvable_size(d.n)
     if k < 1:
         raise ValueError("class budget must be positive")
-    adj = _adjacency_masks(d.n, d.arcs)
-    outs = _out_masks(d)
-    required = _required_vertices(d.n, outs, mode)
+    adj, outs, required = _kernel_inputs(d, mode)
     assignment, _ = kernel.solve_fixed_k_dominator(
         d.n, adj, outs, required, min(k, d.n)
     )
@@ -249,10 +259,7 @@ def dominator_chromatic_number(
     d: Digraph, mode: DominationMode = DominationMode.SINK_EXEMPT
 ) -> SolveOutcome:
     """Exact dominator chromatic number with a witness coloring."""
-    check_solvable_size(d.n)
-    adj = _adjacency_masks(d.n, d.arcs)
-    outs = _out_masks(d)
-    required = _required_vertices(d.n, outs, mode)
+    adj, outs, required = _kernel_inputs(d, mode)
     start, _ = _lower_bound(d.n, adj, outs, required)
     assignment, value, nodes = _solve_masks(d.n, adj, outs, required, start)
     if assignment is None:
@@ -270,11 +277,11 @@ def _lower_bound(
     coloring that attains it, when the packing's own classes form one
     (else None).
 
-    Walk the required vertices by (out-degree, vertex) and take v when
-    outs[v] is independent and misses U, the union of the out-sets taken
-    so far; P counts the vertices taken.  A required vertex with an empty
-    out-set (a strict-mode sink) dominates no class, so no budget can
-    succeed: the bound is then n, never attained.
+    Walk required, by (out-degree, vertex), and take v when outs[v] is
+    independent and misses U, the union of the out-sets taken so far; P
+    counts the vertices taken.  A required vertex with an empty out-set
+    (a strict-mode sink), which comes first, dominates no class, so no
+    budget can succeed: the bound is then n, never attained.
 
     One BFS 2-coloring of G - U settles chi(G - U) <= 2 by its sides, and
     hands an odd G - U to _odd_chromatic.  The taken out-sets with those
@@ -282,13 +289,12 @@ def _lower_bound(
     each taken vertex dominates its own.  It is the certificate when
     every vertex the walk skipped contains one of its classes.
     """
-    order = sorted((outs[v].bit_count(), v) for v in required)
-    if order and not order[0][0]:
+    if required and not outs[required[0]]:
         return n, None
     taken = 0
     classes = []
     skipped = []
-    for _, v in order:
+    for v in required:
         om = outs[v]
         if not om & taken:
             # an edge inside om has an end above its lowest vertex

@@ -559,8 +559,9 @@ def _refuse_builds(monkeypatch):
         raise AssertionError("a graph was built")
 
     for kind, entry in list(cli._SWEEP_KINDS.items()):
-        monkeypatch.setitem(cli._SWEEP_KINDS, kind, entry._replace(build=refuse))
-    for name in ("tilde_cycle", "directed_cycle"):
+        refused = entry._replace(build=refuse, min_formula=refuse)
+        monkeypatch.setitem(cli._SWEEP_KINDS, kind, refused)
+    for name in ("tilde_cycle", "directed_cycle", "directed_path", "family_witness"):
         monkeypatch.setattr(families, name, refuse)
 
 
@@ -584,6 +585,12 @@ def _refuse_builds(monkeypatch):
         ),
         # a star on n leaves has n + 1 vertices
         (["sweep", "star", "--n-min", "1", "--n-max", "1000"], 3, "guard"),
+        (["family", "complete", "3000", "--json"], 3, "guard"),
+        (["family", "star", "1000", "0"], 3, "1001 vertices"),
+        (["family", "complete-bipartite", "600", "401"], 3, "guard"),
+        (["family", "cycle", "1001", "--directed"], 3, "guard"),
+        (["formulas", "path", "--n-min", "1", "--n-max", "1000000"], 3, "guard"),
+        (["formulas", "cycle", "--n-min", "3", "--n-max", "100003"], 3, "100001 sizes"),
     ],
 )
 def test_sizes_are_checked_before_any_graph_is_built(argv, code, message, monkeypatch, capsys):
@@ -592,6 +599,20 @@ def test_sizes_are_checked_before_any_graph_is_built(argv, code, message, monkey
     captured = capsys.readouterr()
     assert message in captured.err
     assert captured.out == ""
+
+
+def test_family_and_formulas_guards_admit_their_limits(monkeypatch, capsys):
+    # a member of exactly FAMILY_MAX_VERTICES vertices, and a table of
+    # exactly FORMULAS_MAX_SIZES sizes, pass; one more is refused
+    monkeypatch.setattr(cli, "FAMILY_MAX_VERTICES", 10)
+    monkeypatch.setattr(cli, "FORMULAS_MAX_SIZES", 5)
+    assert run(["family", "star", "9", "0"]) == 0
+    assert "vertices: 10," in capsys.readouterr().out
+    assert run(["family", "star", "10", "0"]) == 3
+    assert run(["formulas", "path", "--n-min", "1", "--n-max", "5", "--csv"]) == 0
+    assert capsys.readouterr().out.count("\n") == 6
+    assert run(["formulas", "path", "--n-min", "1", "--n-max", "6"]) == 3
+    assert "6 sizes exceeds the guard of 5" in capsys.readouterr().err
 
 
 def test_sweep_kinds_give_the_size_of_the_base_they_build():

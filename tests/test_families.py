@@ -28,6 +28,7 @@ from domchrom import (
     underlying,
     verify,
 )
+from domchrom.families import member_vertices
 from domchrom.graphs import star_base
 
 # frozen from exhaustive sweeps of every orientation, n = 1..12
@@ -240,6 +241,8 @@ def test_family_witness_matches_the_frozen_witness(spec):
 def test_family_witness_is_sound_and_optimal(spec):
     w = family_witness(spec)
     assert w.digraph == family_digraph(spec)
+    # the CLI's size guard reads the count before anything is built
+    assert member_vertices(spec) == w.digraph.n
     assert verify(w.digraph, w.coloring).ok
     assert w.coloring.k == w.claimed_value
     assert dominator_chromatic_number(w.digraph).value == w.claimed_value

@@ -80,24 +80,20 @@ def test_backend_switch_affects_fixed_budget_search():
         assert a.assignment == b.assignment
 
 
-def _reference_dominator(n, adj, outs, required, k, packing="degree", forced_open=True):
+def _reference_dominator(n, adj, outs, required, k, packing=True, forced_open=True):
     """The loop-based search: every placement scans each due requirement
     against the opened classes.
 
     With forced_open, a vertex due for a join that dominates no opened
     class rules out every join at that depth, so only a new class is
     tried.  With packing, a placement that passes then lists the
-    requirements that dominate no opened class, takes them in the walk
-    order ("degree": by out-degree, then vertex; "vertex": ascending)
-    whenever their uncolored out-neighbors miss those of the ones taken
-    before, and refutes the placement when it takes more than the
-    classes still left to open.  packing=None, forced_open=False is the
-    search with no rule beyond the domination check."""
+    requirements that dominate no opened class, takes them in the order
+    of required whenever their uncolored out-neighbors miss those of the
+    ones taken before, and refutes the placement when it takes more than
+    the classes still left to open.  packing=False, forced_open=False is
+    the search with no rule beyond the domination check."""
     req = [((outs[v]).bit_length() - 1, ~outs[v]) for v in required]
-    walk = required
-    if packing == "degree":
-        walk = sorted(required, key=lambda v: (outs[v].bit_count(), v))
-    out_lists = [[w for w in range(n) if outs[v] >> w & 1] for v in walk]
+    out_lists = [[w for w in range(n) if outs[v] >> w & 1] for v in required]
     color = [-1] * n
     class_masks = [0] * k
     used_stack = [0] * (n + 1)
@@ -161,7 +157,8 @@ def _reference_dominator(n, adj, outs, required, k, packing="degree", forced_ope
 
 def _random_instances():
     """Every budget of 300 random digraphs on at most 12 vertices, under
-    both requirements: (n, adj, outs, required, k)."""
+    both requirements: (n, adj, outs, required, k), required as the
+    solver orders it."""
     rng = random.Random(20261018)
     for _ in range(300):
         n = rng.randint(1, 12)
@@ -176,37 +173,46 @@ def _random_instances():
                     adj[a] |= 1 << b
                     adj[b] |= 1 << a
         for mode in DominationMode:
-            if mode is DominationMode.STRICT:
-                required = list(range(n))
-            else:
-                required = [v for v in range(n) if outs[v]]
+            required = solver._required_vertices(n, outs, mode)
             for k in range(1, n + 1):
                 yield n, adj, outs, required, k
 
 
 def test_kernel_matches_reference_predicate():
     backends = [kernel.load_backend(name) for name in kernel.available_backends()]
-    required_sinks = 0
+    rng = random.Random(19)
+    required_sinks = reordered = 0
     nodes = ascending_nodes = unpruned_nodes = 0
     for n, adj, outs, required, k in _random_instances():
         required_sinks += sum(1 for v in required if not outs[v])
         expected = _reference_dominator(n, adj, outs, required, k)
         # the rules cut only subtrees without a coloring
         unpruned = _reference_dominator(
-            n, adj, outs, required, k, packing=None, forced_open=False
+            n, adj, outs, required, k, packing=False, forced_open=False
         )
         assert expected[0] == unpruned[0] and expected[1] <= unpruned[1]
         ascending = _reference_dominator(
-            n, adj, outs, required, k, packing="vertex", forced_open=False
+            n, adj, outs, sorted(required), k, forced_open=False
         )
         assert ascending[0] == expected[0]
+        # the kernels walk required as given: any order finds the same
+        # coloring, on the nodes of the reference walking that order
+        shuffled = rng.sample(required, len(required))
+        walked = _reference_dominator(n, adj, outs, shuffled, k)
+        assert walked[0] == expected[0]
+        reordered += walked[1] != expected[1]
         nodes += expected[1]
         ascending_nodes += ascending[1]
         unpruned_nodes += unpruned[1]
         for impl in backends:
             got = impl.solve_fixed_k_dominator(n, adj, outs, required, k)
             assert got == expected, (impl.__name__, n, outs, required, k)
+            got = impl.solve_fixed_k_dominator(n, adj, outs, shuffled, k)
+            assert got == walked, (impl.__name__, n, outs, shuffled, k)
     assert required_sinks > 0
+    # a kernel that sorted required itself would make every order cost
+    # the same
+    assert reordered > 0
     # the degree walk and the forced open cut more than an ascending walk
     assert nodes < ascending_nodes < unpruned_nodes
 
@@ -280,8 +286,12 @@ def _same_proper(twin, n, adj, k):
 
 
 def test_compiled_source_matches_python_kernel(compiled_twin):
+    rng = random.Random(19)
     for n, adj, outs, required, k in _random_instances():
-        _same_dominator(compiled_twin, n, adj, outs, required, k)
+        found = _same_dominator(compiled_twin, n, adj, outs, required, k)
+        # a shuffled walk: the same coloring, node for node on both
+        shuffled = rng.sample(required, len(required))
+        assert _same_dominator(compiled_twin, n, adj, outs, shuffled, k) == found
         _same_proper(compiled_twin, n, adj, k)
 
 
@@ -317,7 +327,8 @@ def test_compiled_source_matches_python_kernel_on_64_vertices(compiled_twin):
                     arc(*((u, v) if rng.random() < 0.5 else (v, u)))
         arc(n - 2, n - 1)
         arc(n - 1, 0)
-        for required in (list(range(n)), [v for v in range(n) if outs[v]]):
+        for mode in DominationMode:
+            required = solver._required_vertices(n, outs, mode)
             for k in (1, 2, 3):
                 _same_dominator(compiled_twin, n, adj, outs, required, k)
             found = _same_dominator(compiled_twin, n, adj, outs, required, n)
@@ -326,7 +337,7 @@ def test_compiled_source_matches_python_kernel_on_64_vertices(compiled_twin):
         found = _same_proper(compiled_twin, n, adj, n)
         _same_proper(compiled_twin, n, adj, max(found) + 1)
         if index != 11:
-            sink_exempt = [v for v in range(n) if outs[v]]
+            sink_exempt = solver._required_vertices(n, outs, DominationMode.SINK_EXEMPT)
             bound, _ = solver._lower_bound(n, adj, outs, sink_exempt)
             instance = (n, adj, outs, sink_exempt, bound)
             assert _same_dominator(compiled_twin, *instance) is not None
