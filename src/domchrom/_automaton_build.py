@@ -137,19 +137,23 @@ def _close_cycle(key: tuple, bit: int, strict: bool) -> int | None:
 def _prune(keys: dict[tuple, int]) -> dict[tuple, int]:
     """keys without those another key beats: one with the same labels,
     flags and start that costs at least 2 less, or costs no more and
-    has no rest flag this key lacks."""
-    rivals: dict[tuple, list[tuple[int, bool, bool]]] = {}
-    for (prev, cur, dom, arc, rest, edge, start), cost in keys.items():
-        rivals.setdefault((prev, cur, dom, arc, start), []).append((cost, rest, edge))
-    kept = {}
+    has no rest flag this key lacks.  Such a group holds one key per
+    pair of rest flags, so at most four, and a key meets only its own
+    group."""
+    groups: dict[tuple, list[tuple[tuple, int]]] = {}
     for key, cost in keys.items():
-        prev, cur, dom, arc, rest, edge, start = key
-        if not any(
-            (r, e) != (rest, edge)
-            and (c <= cost - 2 or (c <= cost and r <= rest and e <= edge))
-            for c, r, e in rivals[prev, cur, dom, arc, start]
-        ):
-            kept[key] = cost
+        groups.setdefault(key[:4] + key[6:], []).append((key, cost))
+    kept = {}
+    for group in groups.values():
+        for key, cost in group:
+            for rival, c in group:
+                if rival != key and (
+                    c <= cost - 2
+                    or (c <= cost and rival[4] <= key[4] and rival[5] <= key[5])
+                ):
+                    break
+            else:
+                kept[key] = cost
     return kept
 
 
@@ -166,18 +170,25 @@ def _explore(cycle: bool, strict: bool) -> list[list[int]]:
     }
     states = [_normalise(_prune(first))[0]]
     index = {states[0]: 0}
+    # (key, bit) -> the keys that placing the next vertex gives, each
+    # with what its label adds to the cost; a key recurs in many states
+    moves: dict[tuple, list[tuple[tuple, int]]] = {}
     rows = []
     for state in states:  # grows as new states are found
         row = []
         for bit in (0, 1):
             keys: dict[tuple, int] = {}
             for key, cost in state:
-                for label in "RSAB":
-                    placed = _place(key, bit, label, strict, cycle)
-                    if placed is not None:
-                        total = cost + (label in "SA")
-                        if total < keys.get(placed, total + 1):
-                            keys[placed] = total
+                if (key, bit) not in moves:
+                    moves[key, bit] = [
+                        (placed, label in "SA")
+                        for label in "RSAB"
+                        if (placed := _place(key, bit, label, strict, cycle)) is not None
+                    ]
+                for placed, added in moves[key, bit]:
+                    total = cost + added
+                    if total < keys.get(placed, total + 1):
+                        keys[placed] = total
             target, shift = _normalise(_prune(keys))
             if target not in index:
                 index[target] = len(states)

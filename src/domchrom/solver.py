@@ -37,7 +37,9 @@ A sweep covers every orientation code of a base graph, aggregating the
 value distribution and the extremal code sets.  A path, a cycle with at
 least 5 vertices and a star, each as its builder in graphs lists its
 edges, sweep through a minimised automaton (the automaton module): no
-orientation is solved, and the kernel is not called.  Any other base
+orientation is solved, and the kernel is not called.  The bases of one
+family that sweeps() is given share one counting pass, and a report
+walks for its extremal codes only when they are read.  Any other base
 solves every code.  With workers > 1 and at least POOL_MIN_CODES codes
 they are split into contiguous chunks whose values come back in order,
 so the report never depends on scheduling.
@@ -51,8 +53,8 @@ from __future__ import annotations
 import os
 from array import array
 from collections import Counter
-from functools import partial
-from typing import Callable
+from functools import cached_property, partial
+from typing import Callable, Sequence
 
 from . import kernel
 from .coloring import Coloring, DominationMode
@@ -62,8 +64,9 @@ DEFAULT_MAX_SWEEP_EDGES = 24
 SWEEP_EDGES_ENV = "DOMCHROM_MAX_SWEEP_EDGES"
 # the most vertices of a base that an automaton sweeps
 AUTOMATON_MAX_VERTICES = 1000
-# the fewest codes a sweep with workers > 1 hands to a process pool
-POOL_MIN_CODES = 2048
+# the fewest codes a sweep with workers > 1 hands to a process pool: on
+# 2 cores, below 14 edges the pool's start cost outweighed its gain
+POOL_MIN_CODES = 16_384
 ORACLE_MAX_VERTICES = 10
 KERNEL_MAX_VERTICES = 64
 # the most codes an extremal list of a sweep report holds
@@ -409,11 +412,14 @@ class SweepReport(_Record):
 
     distribution maps value to orientation count; together with
     infeasible_count it accounts for all 2^|edges| codes.  The extremal
-    code lists are ascending by numeric value and capped at ARG_LIMIT
-    codes each, with overflow flags telling whether codes were dropped.
-    kernel_solves counts the codes whose value took the kernel ladder, 0
-    on an automaton sweep; it is not part of the answer, so report
-    equality ignores it.
+    code lists hold integer codes, the numeric values of OrientationCode
+    (OrientationCode.from_value(report.base, c) is the orientation of
+    c), ascending and capped at ARG_LIMIT codes each, with overflow
+    flags telling whether codes were dropped.  A report from a sweep
+    walks each list on its first read, so a caller that reads only the
+    distribution never pays for them.  kernel_solves counts the codes
+    whose value took the kernel ladder, 0 on an automaton sweep; it is
+    not part of the answer, so report equality ignores it.
     """
 
     base: BaseGraph
@@ -423,8 +429,8 @@ class SweepReport(_Record):
     infeasible_count: int
     min_value: int | None
     max_value: int | None
-    argmin_codes: tuple[OrientationCode, ...]
-    argmax_codes: tuple[OrientationCode, ...]
+    argmin_codes: tuple[int, ...]
+    argmax_codes: tuple[int, ...]
     argmin_overflow: bool
     argmax_overflow: bool
     kernel_solves: int
@@ -440,8 +446,8 @@ class SweepReport(_Record):
         infeasible_count: int,
         min_value: int | None,
         max_value: int | None,
-        argmin_codes: tuple[OrientationCode, ...],
-        argmax_codes: tuple[OrientationCode, ...],
+        argmin_codes: tuple[int, ...],
+        argmax_codes: tuple[int, ...],
         argmin_overflow: bool,
         argmax_overflow: bool,
         kernel_solves: int = 0,
@@ -460,6 +466,21 @@ class SweepReport(_Record):
             argmax_overflow=argmax_overflow,
             kernel_solves=kernel_solves,
         )
+
+    # A report that _report builds has no code lists until one is read:
+    # these walk for it then.  A list given to __init__ sits in the
+    # instance dict, which a cached_property never overrides.
+    @cached_property
+    def argmin_codes(self) -> tuple[int, ...]:
+        return self._codes_with(self.min_value)
+
+    @cached_property
+    def argmax_codes(self) -> tuple[int, ...]:
+        return self._codes_with(self.max_value)
+
+    def __getstate__(self):
+        # the walk is a closure: a pickle carries the codes it gives
+        return {name: getattr(self, name) for name in self._fields}
 
 
 def _solve_codes(base: BaseGraph, mode: DominationMode, codes) -> tuple[array, int]:
@@ -507,18 +528,18 @@ def _report(
 ) -> SweepReport:
     """The report of a sweep from its count per feasible value, its
     infeasible count, and first_codes(value, limit), which gives the
-    first limit codes with a value, ascending."""
+    first limit codes with a value, ascending; the report calls it only
+    when its code lists are read."""
     min_v = min(dist) if dist else None
     max_v = max(dist) if dist else None
+    # read now: the codes may be walked long after this call
+    limit = ARG_LIMIT
 
-    def codes_with(target):
-        if target is None:
-            return ()
-        return tuple(
-            OrientationCode.from_value(base, c) for c in first_codes(target, ARG_LIMIT)
-        )
+    def codes_with(target: int | None) -> tuple[int, ...]:
+        return () if target is None else tuple(first_codes(target, limit))
 
-    return SweepReport(
+    report = object.__new__(SweepReport)
+    report.__dict__.update(
         base=base,
         mode=mode,
         orientations=1 << len(base.edges),
@@ -526,12 +547,12 @@ def _report(
         infeasible_count=infeasible,
         min_value=min_v,
         max_value=max_v,
-        argmin_codes=codes_with(min_v),
-        argmax_codes=codes_with(max_v),
-        argmin_overflow=min_v is not None and dist[min_v] > ARG_LIMIT,
-        argmax_overflow=max_v is not None and dist[max_v] > ARG_LIMIT,
+        argmin_overflow=min_v is not None and dist[min_v] > limit,
+        argmax_overflow=max_v is not None and dist[max_v] > limit,
         kernel_solves=kernel_solves,
+        _codes_with=codes_with,
     )
+    return report
 
 
 def _scan(values: array, target: int, limit: int) -> list[int]:
@@ -595,21 +616,54 @@ def sweep(
     no orientation; workers is then unused.  Any other base solves every
     code.
     """
-    family = _automaton_family(base)
-    m = len(base.edges)
-    if family is not None:
-        check_automaton_size(base.n)
-    else:
-        check_sweep_size(base.n, m)
+    return sweeps([base], mode, workers=workers)[0]
+
+
+def sweeps(
+    bases: Sequence[BaseGraph],
+    mode: DominationMode = DominationMode.SINK_EXEMPT,
+    *,
+    workers: int = 1,
+) -> list[SweepReport]:
+    """The report of sweep(base, mode, workers=workers) for each base, in
+    order.  The bases that one automaton sweeps share one counting pass
+    over all their edge counts; every base is checked before any is
+    swept."""
+    families = [_automaton_family(base) for base in bases]
+    for base, family in zip(bases, families):
+        if family is not None:
+            check_automaton_size(base.n)
+        else:
+            check_sweep_size(base.n, len(base.edges))
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    if family is not None:
+    reports: list[SweepReport | None] = [None] * len(bases)
+    by_family: dict[str, list[int]] = {}
+    for i, family in enumerate(families):
+        if family is None:
+            reports[i] = _sweep_codes(bases[i], mode, workers)
+        else:
+            by_family.setdefault(family, []).append(i)
+    if by_family:
         # the engine and its tables load only here
         from .automaton import sweep_values
+    for family, members in by_family.items():
+        ms = sorted({len(bases[i].edges) for i in members})
+        values, first_codes = sweep_values(family, mode, ms)
+        by_m = dict(zip(ms, values))
+        for i in members:
+            m = len(bases[i].edges)
+            dist, infeasible = by_m[m]
+            reports[i] = _report(
+                bases[i], mode, dist, infeasible, partial(first_codes, m), 0
+            )
+    return reports
 
-        dist, infeasible, first_codes = sweep_values(family, mode, m)
-        return _report(base, mode, dist, infeasible, first_codes, 0)
 
+def _sweep_codes(base: BaseGraph, mode: DominationMode, workers: int) -> SweepReport:
+    """The report of a sweep that solves every code of base; with
+    workers > 1 and at least POOL_MIN_CODES codes, in a process pool."""
+    m = len(base.edges)
     codes = range(1 << m)
     if workers > 1 and len(codes) >= POOL_MIN_CODES:
         # the pool stack (multiprocessing, socket, logging) loads only here
@@ -651,7 +705,9 @@ def _extreme_over_orientations(
     value = report.max_value if take_max else report.min_value
     if value is None:
         raise ValueError("no orientation is feasible under the strict requirement")
-    code = (report.argmax_codes if take_max else report.argmin_codes)[0]
+    code = OrientationCode.from_value(
+        base, (report.argmax_codes if take_max else report.argmin_codes)[0]
+    )
     outcome = dominator_chromatic_number(orient(code), mode)
     assert outcome.witness is not None
     return value, code, outcome.witness

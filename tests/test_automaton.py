@@ -72,10 +72,35 @@ def test_counts_and_first_codes_match_a_walk_over_every_code(family, n):
         values = [
             table_value(rows, OrientationCode.from_value(base, c).bits) for c in range(1 << m)
         ]
-        dist, infeasible, first_codes = automaton.sweep_values(family, mode, m)
+        [(dist, infeasible)], first_codes = automaton.sweep_values(family, mode, [m])
         assert infeasible == values.count(None)
         assert dist == {v: values.count(v) for v in set(values) - {None}}
         for value in dist:
             codes = [c for c, v in enumerate(values) if v == value]
             for limit in (1, 5, 40):
-                assert first_codes(value, limit) == codes[:limit], (mode, value, limit)
+                assert first_codes(m, value, limit) == codes[:limit], (mode, value, limit)
+
+
+@pytest.mark.parametrize(
+    "family, ms", [("path", range(1, 41)), ("cycle", range(5, 41)), ("star", range(2, 41))]
+)
+def test_one_pass_over_many_edge_counts_equals_a_pass_per_count(family, ms):
+    for mode in DominationMode:
+        values, first_codes = automaton.sweep_values(family, mode, list(ms))
+        for m, (dist, infeasible) in zip(ms, values):
+            [alone], first_alone = automaton.sweep_values(family, mode, [m])
+            assert (dist, infeasible) == alone, (mode, m)
+            assert sum(dist.values()) + infeasible == 1 << m
+            for value in dist:
+                assert first_codes(m, value, 64) == first_alone(m, value, 64), (mode, m)
+
+
+def test_a_pass_that_walks_for_no_codes_builds_no_reach_table(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the reach table was built")
+
+    monkeypatch.setattr(automaton, "_reach", refuse)
+    values, first_codes = automaton.sweep_values("cycle", DominationMode.SINK_EXEMPT, [5, 9])
+    assert [sum(dist.values()) + infeasible for dist, infeasible in values] == [32, 512]
+    with pytest.raises(AssertionError, match="reach table"):
+        first_codes(9, min(values[1][0]), 1)

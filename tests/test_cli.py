@@ -16,6 +16,7 @@ import pytest
 from domchrom import (
     Coloring,
     OrientationCode,
+    automaton,
     cli,
     directed_path,
     families,
@@ -303,6 +304,49 @@ def test_sweep_json_rows(capsys):
     assert run(["sweep", "path", "--n", "9", "--json"]) == 0
     (row,) = json.loads(capsys.readouterr().out)["outputs"]["rows"]
     assert row["kernel_solves"] == 0
+
+
+# each kind's range starts at sizes that solve every code (the 1-vertex
+# path, the 3- and 4-cycle) and runs well into the automaton's
+RANGE_SWEEPS = {"path": (1, 100), "cycle": (3, 100), "star": (1, 100)}
+
+
+@pytest.mark.parametrize("mode", ["sink-exempt", "strict"])
+@pytest.mark.parametrize("kind", RANGE_SWEEPS)
+def test_a_range_sweep_prints_the_rows_of_single_size_sweeps(kind, mode, capsys):
+    lo, hi = RANGE_SWEEPS[kind]
+
+    def out(sizes, *flags):
+        assert run(["sweep", kind, "--mode", mode, *sizes, *flags]) == 0
+        return capsys.readouterr().out
+
+    whole = ["--n-min", str(lo), "--n-max", str(hi)]
+    singles = [["--n", str(n)] for n in range(lo, hi + 1)]
+    payload = json.loads(out(whole, "--json"))
+    assert payload["inputs"]["n"] == list(range(lo, hi + 1))
+    assert payload["outputs"]["rows"] == [
+        json.loads(out(single, "--json"))["outputs"]["rows"][0] for single in singles
+    ]
+    header, *lines = [out(single, "--csv").split("\n", 1) for single in singles]
+    assert out(whole, "--csv") == "\n".join(header) + "".join(line for _, line in lines)
+    assert out(whole) == "".join(out(single) for single in singles)
+
+
+def test_csv_and_text_sweeps_walk_for_no_codes(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("walked for codes")
+
+    monkeypatch.setattr(automaton, "_first_codes", refuse)
+    monkeypatch.setattr(solver, "_scan", refuse)
+    for kind, (lo, _) in RANGE_SWEEPS.items():
+        for flags in (["--csv"], []):
+            argv = ["sweep", kind, "--n-min", str(lo), "--n-max", "30", *flags]
+            assert run(argv) == 0
+            assert run(["sweep", kind, "--n", "12", *flags]) == 0
+    capsys.readouterr()
+    # JSON prints the codes, so it walks for them
+    with pytest.raises(AssertionError, match="walked"):
+        run(["sweep", "path", "--n", "12", "--json"])
 
 
 def test_sweep_strict_mode(capsys):

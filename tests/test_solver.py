@@ -400,10 +400,10 @@ def test_sweep_path_four():
     assert sum(rep.distribution.values()) == 8
     assert rep.min_value == 3
     assert rep.max_value == 4
-    values = [c.value for c in rep.argmin_codes]
-    assert values == sorted(values)
+    assert list(rep.argmin_codes) == sorted(rep.argmin_codes)
     for code in rep.argmin_codes:
-        assert dominator_chromatic_number(orient(code)).value == 3
+        digraph = orient(OrientationCode.from_value(rep.base, code))
+        assert dominator_chromatic_number(digraph).value == 3
 
 
 def test_sweep_strict_paths_are_all_infeasible():
@@ -423,7 +423,7 @@ def test_sweep_strict_cycles_leave_only_the_directed_ones():
     assert rep.infeasible_count == 30
     # the consistent cycle is code 1 and its reversal 2^n - 2 because
     # the closing edge is stored with ascending endpoints
-    assert sorted(c.value for c in rep.argmin_codes) == [1, 30]
+    assert sorted(rep.argmin_codes) == [1, 30]
 
 
 def test_sweep_argmin_cap_and_overflow(monkeypatch):
@@ -435,7 +435,7 @@ def test_sweep_argmin_cap_and_overflow(monkeypatch):
     assert rep.argmin_overflow
     assert len(rep.argmax_codes) == 1
     assert rep.argmax_overflow
-    assert rep.argmin_codes[0].value == full.argmin_codes[0].value
+    assert rep.argmin_codes[0] == full.argmin_codes[0]
 
 
 # a 7-cycle with four chords: not recognised, so a sweep solves each of
@@ -443,6 +443,13 @@ def test_sweep_argmin_cap_and_overflow(monkeypatch):
 CHORDED_CYCLE = BaseGraph(
     7, [(i, (i + 1) % 7) for i in range(7)] + [(0, 2), (0, 3), (1, 4), (2, 5)]
 )
+
+
+@pytest.fixture
+def pool_from_2048(monkeypatch):
+    """POOL_MIN_CODES lowered to 2048, so that CHORDED_CYCLE, 11 edges,
+    pools: a sweep of 16,384 codes would take seconds."""
+    monkeypatch.setattr(solver, "POOL_MIN_CODES", 2048)
 
 
 class InlinePool:
@@ -467,6 +474,7 @@ class InlinePool:
         return future
 
 
+@pytest.mark.usefixtures("pool_from_2048")
 def test_sweep_workers_merge_deterministically(monkeypatch):
     pools = []
 
@@ -489,7 +497,8 @@ def test_sweep_workers_merge_deterministically(monkeypatch):
 @st.composite
 def pooled_bases(draw):
     """A base on 6-8 vertices with 11 or 12 edges that is not recognised:
-    at least 2048 codes, so workers=2 starts a pool."""
+    at least 2048 codes, so workers=2 starts a pool once POOL_MIN_CODES
+    is lowered to 2048."""
     n = draw(st.integers(6, 8))
     pairs = list(combinations(range(n), 2))
     edges = draw(st.lists(st.sampled_from(pairs), min_size=11, max_size=12, unique=True))
@@ -501,9 +510,10 @@ def pooled_bases(draw):
 @settings(max_examples=4, deadline=None)
 @given(pooled_bases())
 def test_pooled_sweeps_equal_serial_ones(base):
-    assert 1 << len(base.edges) >= solver.POOL_MIN_CODES
     for mode in DominationMode:
-        pooled = sweep(base, mode, workers=2)
+        with patch.object(solver, "POOL_MIN_CODES", 2048):
+            assert 1 << len(base.edges) >= solver.POOL_MIN_CODES
+            pooled = sweep(base, mode, workers=2)
         serial = sweep(base, mode, workers=1)
         assert pooled == serial, mode
         assert pooled.kernel_solves == serial.kernel_solves, mode
@@ -515,6 +525,7 @@ def test_sweep_rejects_fewer_than_one_worker():
             sweep(path_base(4), workers=workers)
 
 
+@pytest.mark.usefixtures("pool_from_2048")
 def test_sweep_pool_size_is_capped(monkeypatch):
     requested = []
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", partial(InlinePool, requested))
@@ -535,7 +546,9 @@ def test_only_a_per_code_sweep_of_2048_codes_starts_a_pool(monkeypatch):
     requested = []
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", partial(InlinePool, requested))
     monkeypatch.setattr(solver.os, "cpu_count", lambda: 2)
-    assert solver.POOL_MIN_CODES == 2048
+    # 14 edges: below them a pool lost to a serial sweep on both kernels
+    assert solver.POOL_MIN_CODES == 16_384
+    monkeypatch.setattr(solver, "POOL_MIN_CODES", 2048)
     # CHORDED_CYCLE without its last chord: 10 edges, 1024 codes
     ten_edges = BaseGraph(7, CHORDED_CYCLE.edges[:10])
     assert _family(ten_edges) is None
@@ -549,6 +562,7 @@ def test_only_a_per_code_sweep_of_2048_codes_starts_a_pool(monkeypatch):
     assert requested == [2]
 
 
+@pytest.mark.usefixtures("pool_from_2048")
 def test_sweep_workers_run_the_parent_backend(monkeypatch):
     serial = sweep(CHORDED_CYCLE)
     requested, chosen = [], []
@@ -599,12 +613,12 @@ def test_extremes_match_sweep():
     rep = sweep(base)
     value, code, witness = min_over_orientations(base)
     assert value == rep.min_value
-    assert code.value == rep.argmin_codes[0].value
+    assert code.value == rep.argmin_codes[0]
     assert witness.k == value
     assert verify(orient(code), witness).ok
     value, code, witness = max_over_orientations(base)
     assert value == rep.max_value
-    assert code.value == rep.argmax_codes[0].value
+    assert code.value == rep.argmax_codes[0]
     assert verify(orient(code), witness).ok
     # every orientation of a path has a sink, so none is strictly feasible
     with pytest.raises(ValueError, match="no orientation is feasible"):
@@ -655,7 +669,7 @@ def reference_report(base, mode, values, arg_limit):
 
     def codes_with(target):
         hits = [c for c, v in enumerate(values) if v is not None and v == target]
-        return tuple(OrientationCode.from_value(base, c) for c in hits[:arg_limit])
+        return tuple(hits[:arg_limit])
 
     return SweepReport(
         base=base,
@@ -822,8 +836,7 @@ def test_star_sweep_at_the_edge_guard(mode):
                     w for w in range(j, m + 1) if comb(w, j) >= limit or w == m
                 )
                 codes += [sum(1 << b for b in c) for c in combinations(range(width), j)]
-        codes = sorted(codes)[:limit]
-        return tuple(OrientationCode.from_value(base, c) for c in codes)
+        return tuple(sorted(codes)[:limit])
 
     lo = min(dist, default=None)
     hi = max(dist, default=None)
