@@ -66,8 +66,14 @@ def _mode(args: argparse.Namespace) -> DominationMode:
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    """The file as text mode reads it, UTF-8 with universal newlines,
+    from one bytes read: only text holding a CR pays for the newline
+    translation."""
+    with open(path, "rb") as fh:
+        text = fh.read().decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def _ms(t0: float) -> int:
@@ -571,11 +577,99 @@ def build_parser() -> argparse.ArgumentParser:
 @functools.cache
 def _command_parser(name: str) -> argparse.ArgumentParser:
     """The parser of one subcommand, built on its first use in this
-    process from the same arguments as build_parser's; parse_args leaves
-    it unchanged, so calls share it."""
+    process from the same arguments as build_parser's, with the defaults
+    _plain_args starts from; parse_args leaves it unchanged, so calls
+    share it."""
     parser = argparse.ArgumentParser(prog=f"domchrom {name}")
     _COMMANDS[name][1](parser)
+    parser._plain_defaults = _plain_defaults(parser)
     return parser
+
+
+def _plain_defaults(parser: argparse.ArgumentParser) -> dict[str, Any] | None:
+    """The values parse_args starts its namespace from, set_defaults'
+    included, when _plain_args can match every action of parser: help,
+    a store_true flag or a store of one value, and no mutually exclusive
+    group to check.  Otherwise None."""
+    if parser._mutually_exclusive_groups:
+        return None
+    defaults: dict[str, Any] = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        kind = type(action)
+        if not (
+            kind is argparse._StoreTrueAction and action.option_strings
+            or kind is argparse._StoreAction and action.nargs is None
+        ):
+            return None
+        if action.default is not argparse.SUPPRESS:
+            # parse_args passes an unused string default through type
+            if isinstance(action.default, str) and action.type is not None:
+                return None
+            defaults.setdefault(action.dest, action.default)
+    for dest, value in parser._defaults.items():
+        defaults.setdefault(dest, value)
+    return defaults
+
+
+# what _value gives for a token that parse_args refuses
+_REFUSED = object()
+
+
+def _value(action: argparse.Action, token: str) -> Any:
+    """token as parse_args stores it for action, or _REFUSED."""
+    value = token
+    if action.type is not None:
+        try:
+            value = action.type(token)
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return _REFUSED
+    if action.choices is not None and value not in action.choices:
+        return _REFUSED
+    return value
+
+
+def _plain_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace | None:
+    """The namespace parser.parse_args(argv) gives, when argv is plain:
+    exact option strings of parser, each at most once and followed by
+    its value, and as many positionals as parser has, no value or
+    positional starting with "-", and every value one that parse_args
+    accepts.  Otherwise None, and parse_args does the rest, with its
+    help, usage and error lines."""
+    defaults = getattr(parser, "_plain_defaults", None)
+    if defaults is None:
+        return None
+    options = parser._option_string_actions
+    given: dict[str, Any] = {}
+    words = []
+    tokens = iter(argv)
+    for token in tokens:
+        if token[:1] != "-":
+            words.append(token)
+            continue
+        action = options.get(token)
+        if action is None or action.dest in given or isinstance(action, argparse._HelpAction):
+            return None
+        if action.nargs == 0:  # a store_true flag
+            value = action.const
+        else:
+            token = next(tokens, "-")
+            value = _REFUSED if token[:1] == "-" else _value(action, token)
+            if value is _REFUSED:
+                return None
+        given[action.dest] = value
+    positionals = parser._get_positional_actions()
+    if len(words) != len(positionals):
+        return None
+    for action, token in zip(positionals, words):
+        value = _value(action, token)
+        if value is _REFUSED:
+            return None
+        given[action.dest] = value
+    if any(action.required and action.dest not in given for action in parser._actions):
+        return None
+    return argparse.Namespace(**{**defaults, **given})
 
 
 def run(argv: list[str] | None = None) -> int:
@@ -585,7 +679,10 @@ def run(argv: list[str] | None = None) -> int:
     # parser handles help, a missing command and an unknown one
     try:
         if argv and argv[0] in _COMMANDS:
-            args = _command_parser(argv[0]).parse_args(argv[1:])
+            parser = _command_parser(argv[0])
+            args = _plain_args(parser, argv[1:])
+            if args is None:
+                args = parser.parse_args(argv[1:])
         else:
             args = build_parser().parse_args(argv)
     except SystemExit as exc:

@@ -42,14 +42,6 @@ class Coloring(_Record):
             raise ValueError(error)
         self.__dict__.update(assignment=assignment, k=k)
 
-    @classmethod
-    def _from_checked(cls, assignment: tuple[int, ...], k: int) -> "Coloring":
-        """A coloring from labels the caller has already checked with
-        _label_error: skips __init__ and its second pass."""
-        c = object.__new__(cls)
-        c.__dict__.update(assignment=assignment, k=k)
-        return c
-
     @property
     def n(self) -> int:
         return len(self.assignment)

@@ -71,6 +71,15 @@ class _Record:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{self.__class__.__qualname__}({fields})"
 
+    @classmethod
+    def _from_checked(cls, *values):
+        """A record of the given field values, in field order, that the
+        caller has already checked and normalised as the class's
+        __init__ would: skips __init__ and its checks."""
+        record = object.__new__(cls)
+        record.__dict__.update(zip(cls._fields, values))
+        return record
+
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
@@ -128,14 +137,6 @@ class Digraph(_Record):
                 raise ValueError(f"digon between {u} and {v}")
             seen.add((u, v))
         self.__dict__.update(n=n, arcs=arcs)
-
-    @classmethod
-    def _from_checked(cls, n: int, arcs: tuple[tuple[int, int], ...]) -> "Digraph":
-        """A digraph from arcs the caller has already checked as
-        __init__ would: skips __init__ and its second pass."""
-        d = object.__new__(cls)
-        d.__dict__.update(n=n, arcs=arcs)
-        return d
 
 
 _DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
@@ -272,36 +273,42 @@ def path_base(n: int) -> BaseGraph:
     """Path on n vertices: edges (i, i+1) in index order."""
     if n < 1:
         raise ValueError("path needs at least one vertex")
-    return BaseGraph(n, [(i, i + 1) for i in range(n - 1)])
+    return BaseGraph._from_checked(n, tuple((i, i + 1) for i in range(n - 1)))
 
 
 def cycle_base(n: int) -> BaseGraph:
     """Cycle on n vertices: edges (i, i+1) then the closing edge {n-1, 0}."""
     if n < 3:
         raise ValueError("cycle needs at least three vertices")
-    return BaseGraph(n, [(i, i + 1) for i in range(n - 1)] + [(n - 1, 0)])
+    # the closing edge {n-1, 0} normalised, as __init__ stores it
+    return BaseGraph._from_checked(n, tuple((i, i + 1) for i in range(n - 1)) + ((0, n - 1),))
 
 
 def star_base(leaves: int) -> BaseGraph:
     """Star with hub 0 and leaves 1..leaves: edges (0, i) in leaf order."""
     if leaves < 1:
         raise ValueError("star needs at least one leaf")
-    return BaseGraph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+    return BaseGraph._from_checked(leaves + 1, tuple((0, i) for i in range(1, leaves + 1)))
 
 
 def _family(base: BaseGraph) -> str | None:
     """The family, "path", "cycle" or "star", whose builder gives the
     exact edge tuple of base for its vertex count, or None: the same
-    edges in another order are not recognised."""
+    edges in another order are not recognised.  The edge count and the
+    last edge leave one candidate, the only tuple built: n edges for a
+    cycle; n - 1 for a star when the last is (0, n-1) and n >= 3, else
+    for a path."""
     n, edges = base.n, base.edges
-    steps = tuple((i, i + 1) for i in range(n - 1))
-    if n >= 2 and edges == steps:
-        return "path"
-    if n >= 3 and edges == steps + ((0, n - 1),):
-        return "cycle"
-    if n >= 3 and edges == tuple((0, i) for i in range(1, n)):
-        return "star"
-    return None
+    if n >= 3 and len(edges) == n:
+        family = "cycle"
+        candidate = tuple((i, i + 1) for i in range(n - 1)) + ((0, n - 1),)
+    elif n >= 3 and len(edges) == n - 1 and edges[-1] == (0, n - 1):
+        family, candidate = "star", tuple((0, i) for i in range(1, n))
+    elif n >= 2 and len(edges) == n - 1:
+        family, candidate = "path", tuple((i, i + 1) for i in range(n - 1))
+    else:
+        return None
+    return family if edges == candidate else None
 
 
 _FLIP = str.maketrans("01", "10")

@@ -5,6 +5,8 @@ error, 3 guard exceeded.
 """
 
 import argparse
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -12,6 +14,8 @@ from collections import Counter
 from math import comb
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from domchrom import (
     Coloring,
@@ -687,3 +691,247 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("n=4 min=3")
+
+
+# ---------------------------------------------------------------- plain argv
+
+
+def _parsed(parser, argv):
+    """vars(parser.parse_args(argv)), or None when parse_args exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def _parser_tokens(parser):
+    """Every option string and choice of parser's arguments."""
+    words = []
+    for action in parser._actions:
+        words += action.option_strings
+        words += [str(c) for c in action.choices or ()]
+    return words
+
+
+# file names, numbers and words that some argument refuses, and the
+# forms only argparse's general parse reads
+_OTHER_TOKENS = [
+    "d.txt", "c.txt", "0", "2", "16", "-3", "-1", "four", "1.5", "nope", "",
+    "-h", "--", "--mode=strict", "--js", "-", "- x",
+]
+
+
+def _value(action):
+    """A value that action accepts."""
+    if action.choices:
+        return st.sampled_from(list(action.choices))
+    if action.type is int:
+        return st.integers(0, 999).map(str)
+    return st.from_regex(r"[a-z0-9_./][a-z0-9_./-]{0,6}", fullmatch=True)
+
+
+@st.composite
+def _well_formed(draw, parser):
+    """A plain argv of parser: each positional once and in order, each
+    option at most once (a required one always) before its value, and
+    the pieces in any order."""
+    positionals, pieces = [], []
+    for action in parser._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        value = draw(_value(action)) if action.nargs is None else None
+        if not action.option_strings:
+            positionals.append(value)
+        elif action.required or draw(st.booleans()):
+            flag = draw(st.sampled_from(action.option_strings))
+            pieces.append([flag] if value is None else [flag, value])
+    pieces += [None] * len(positionals)
+    order = iter(positionals)
+    return [
+        token
+        for piece in draw(st.permutations(pieces))
+        for token in (piece if piece is not None else [next(order)])
+    ]
+
+
+@st.composite
+def _edited(draw, argv, token):
+    """argv with up to three tokens inserted, deleted or replaced."""
+    argv = list(argv)
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(argv)))
+        edit = draw(st.sampled_from(["insert", "delete", "replace"]))
+        if edit == "insert" or i == len(argv):
+            argv.insert(i, draw(token))
+        elif edit == "delete":
+            del argv[i]
+        else:
+            argv[i] = draw(token)
+    return argv
+
+
+@pytest.mark.parametrize("name", list(cli._COMMANDS))
+@given(data=st.data())
+def test_plain_args_give_what_parse_args_gives_or_none(name, data):
+    parser = cli._command_parser(name)
+    token = st.one_of(
+        st.sampled_from(_parser_tokens(parser) + _OTHER_TOKENS), st.text(max_size=4)
+    )
+    argv = st.lists(token, max_size=9)
+    if name not in ("family", "invariants"):
+        # and near misses of plain argv
+        argv = st.one_of(argv, _well_formed(parser).flatmap(lambda a: _edited(a, token)))
+    argv = data.draw(argv)
+    plain = cli._plain_args(parser, argv)
+    expected = _parsed(parser, argv)
+    if plain is not None:
+        assert vars(plain) == expected
+
+
+@pytest.mark.parametrize("name", ["solve", "verify", "sweep", "formulas", "mine-discrepancy"])
+@given(data=st.data())
+def test_well_formed_argv_take_the_plain_path(name, data):
+    parser = cli._command_parser(name)
+    argv = data.draw(_well_formed(parser))
+    plain = cli._plain_args(parser, argv)
+    assert plain is not None, argv
+    assert vars(plain) == _parsed(parser, argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the argv of perfbench's solve-batch and sweep workloads
+        ["solve", "/w/g7.txt", "--mode", "strict", "--json"],
+        ["verify", "/w/g7.txt", "/w/c7.txt", "--mode", "sink-exempt", "--json"],
+        ["sweep", "star", "--n", "16", "--workers", "2", "--json"],
+        ["sweep", "star", "--n", "16", "--json"],
+        ["sweep", "cycle", "--n", "12", "--json"],
+    ],
+)
+def test_benchmark_argv_take_the_plain_path(argv):
+    parser = cli._command_parser(argv[0])
+    plain = cli._plain_args(parser, argv[1:])
+    assert plain is not None
+    assert vars(plain) == _parsed(parser, argv[1:])
+
+
+def test_parsers_with_actions_plain_args_cannot_match_are_left_to_parse_args():
+    # positionals with nargs "*" and "?"
+    for name in ("family", "invariants"):
+        parser = cli._command_parser(name)
+        assert parser._plain_defaults is None
+        assert cli._plain_args(parser, ["path", "5"]) is None
+    # a string default that parse_args would pass through type
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--k", type=int, default="3")
+    assert cli._plain_defaults(parser) is None
+    parser = argparse.ArgumentParser()
+    group = parser.add_mutually_exclusive_group()
+    group.add_argument("--a", action="store_true")
+    group.add_argument("--b", action="store_true")
+    assert cli._plain_defaults(parser) is None
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--v", action="count")
+    assert cli._plain_defaults(parser) is None
+
+
+def test_anything_but_a_plain_argv_goes_to_parse_args(capsys):
+    parser = cli._command_parser("verify")
+    for argv in (
+        ["d.txt", "c.txt", "--mode=strict"],
+        ["d.txt", "c.txt", "--js"],
+        ["d.txt", "c.txt", "--json", "--json"],
+        ["d.txt", "c.txt", "-h"],
+        ["--", "d.txt", "c.txt"],
+        ["d.txt", "-c.txt"],
+        ["d.txt", "c.txt", "--mode", "nope"],
+        ["d.txt", "c.txt", "--mode"],
+        ["d.txt"],
+    ):
+        assert cli._plain_args(parser, argv) is None, argv
+    # parse_args reads -3 as a value; the plan leaves it to parse_args
+    sweep_parser = cli._command_parser("sweep")
+    assert cli._plain_args(sweep_parser, ["star", "--n", "-3"]) is None
+    assert sweep_parser.parse_args(["star", "--n", "-3"]).n == -3
+    # the fallback keeps argparse's own reading, lines and exit codes:
+    # --js abbreviates --json, so the run gets as far as the files
+    assert run(["verify", "d.txt", "c.txt", "--js"]) == 2
+    assert "No such file or directory: 'd.txt'" in capsys.readouterr().err
+    assert run(["verify", "d.txt", "c.txt", "--bogus"]) == 2
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+    assert run(["sweep", "star", "--n", "-3", "--json"]) == 2
+    assert run(["mine-discrepancy", "--n", "5"]) == 2
+    assert "required: --family" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------- input files
+
+
+def _text_mode(path):
+    """The text-mode read the CLI once made, or the error it raised."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _bytes_read(path):
+    try:
+        return cli._read(path)
+    except (OSError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+_FILE_BODIES = {
+    "lf": b"digraph 3\n0 1\n1 2\n",
+    "crlf": b"digraph 3\r\n0 1\r\n1 2\r\n",
+    "cr": b"digraph 3\r0 1\r1 2\r",
+    "mixed": b"digraph 3\r\r\n0 1\n\r1 2",
+    "bom": b"\xef\xbb\xbfdigraph 3\r\n0 1\n1 2\n",
+    "invalid": b"digraph 3\n0 1\xff\n",
+    "invalid-late": b"# " + b"x" * 9000 + b"\r\n\xc3",
+    "empty": b"",
+}
+
+
+@pytest.mark.parametrize("body", list(_FILE_BODIES))
+def test_read_matches_a_text_mode_read(body, tmp_path):
+    path = tmp_path / f"{body}.txt"
+    path.write_bytes(_FILE_BODIES[body])
+    assert _bytes_read(str(path)) == _text_mode(str(path))
+
+
+def test_read_of_a_missing_file_or_a_directory_matches_text_mode(tmp_path):
+    for path in (tmp_path / "absent.txt", tmp_path):
+        assert _bytes_read(str(path)) == _text_mode(str(path))
+
+
+def test_line_endings_and_bad_files_give_the_same_runs(tmp_path, capsys):
+    coloring = tmp_path / "c.txt"
+    coloring.write_bytes(b"coloring 3 3\r\n0 0\r\n1 1\r\n2 2\r\n")
+    runs = {}
+    for body in ("lf", "crlf", "cr", "bom", "invalid"):
+        path = tmp_path / f"{body}.txt"
+        path.write_bytes(_FILE_BODIES[body])
+        for argv in (["solve", str(path)], ["verify", str(path), str(coloring), "--json"]):
+            code = run(argv)
+            out, err = capsys.readouterr()
+            if out.startswith("{"):
+                payload = json.loads(out)
+                payload["outputs"].pop("elapsed_ms")
+                payload["inputs"].pop("digraph")
+                out = payload
+            runs[body, argv[0]] = code, out, err
+    for command in ("solve", "verify"):
+        assert runs["crlf", command] == runs["lf", command] == runs["cr", command]
+        assert runs["lf", command][0] == 0
+        code, out, err = runs["invalid", command]
+        assert (code, out) == (2, "")
+        assert err == f"error: {_text_mode(str(tmp_path / 'invalid.txt'))[1]}\n"
+        # a BOM is no whitespace to the parser, as before
+        assert runs["bom", command][0] == 2
+    assert run(["verify", str(tmp_path / "absent.txt"), str(coloring)]) == 2
+    assert capsys.readouterr().err == f"error: {_text_mode(str(tmp_path / 'absent.txt'))[1]}\n"

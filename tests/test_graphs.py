@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from domchrom import (
@@ -17,6 +19,7 @@ from domchrom import (
     reverse,
     underlying,
 )
+from domchrom.graphs import _family, star_base
 
 
 def test_base_graph_normalizes_endpoint_order():
@@ -192,3 +195,40 @@ def test_consistent_cycle_orbit_is_a_pair():
         # closing arc against the flow; rotations and reflections give
         # one member per position and direction of the odd arc
         assert len(classes[0]) == 2 * n
+
+
+def _family_by_every_builder(base):
+    """The rule _family replaced: compare the edges with the tuple each
+    builder gives for the vertex count, path first, then cycle, then
+    star."""
+    n, edges = base.n, base.edges
+    steps = tuple((i, i + 1) for i in range(n - 1))
+    if n >= 2 and edges == steps:
+        return "path"
+    if n >= 3 and edges == steps + ((0, n - 1),):
+        return "cycle"
+    if n >= 3 and edges == tuple((0, i) for i in range(1, n)):
+        return "star"
+    return None
+
+
+def test_family_builds_one_candidate_with_the_old_answers():
+    rng = random.Random(21)
+    built = [path_base(n) for n in range(1, 11)]
+    built += [cycle_base(n) for n in range(3, 11)]
+    built += [star_base(leaves) for leaves in range(1, 10)]
+    for base in built:
+        # the builders give exactly what the validating constructor gives
+        assert BaseGraph(base.n, base.edges) == base
+        shuffled = list(base.edges)
+        rng.shuffle(shuffled)
+        for edges in (base.edges, base.edges[::-1], shuffled):
+            other = BaseGraph(base.n, edges)
+            assert _family(other) == _family_by_every_builder(other), (base, edges)
+    assert [_family(b) for b in (path_base(2), cycle_base(3), star_base(2))] == [
+        "path",
+        "cycle",
+        "star",
+    ]
+    assert _family(path_base(1)) is None
+    assert _family(BaseGraph(4, [(0, 1), (1, 2), (0, 3)])) is None
