@@ -1,7 +1,8 @@
 """Backend benchmark: python -m domchrom.bench [--repeat N]
 
-Times the pure-Python and compiled kernels on identical workloads and
-prints a table with the speedup, after the host's CPU count and Python
+Times the pure-Python and compiled kernels on identical workloads, each
+run once untimed and then best of --repeat timed runs, and prints a
+table with the speedup, after the host's CPU count and Python
 version.  Workloads cover single solves (an odd tilde cycle among
 them, whose bound needs chi = 4 from the proper search), orientation
 sweeps, and one in-process `domchrom solve --json` request; both
@@ -119,6 +120,9 @@ def _run_backend(name: str, workloads, repeat: int):
     results = {}
     timings = {}
     for label, thunk in workloads:
+        # untimed: the first call pays one-time imports, such as the
+        # automaton's tables, that the first backend timed would carry
+        thunk()
         best = float("inf")
         value = None
         for _ in range(repeat):

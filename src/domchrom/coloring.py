@@ -76,21 +76,13 @@ class Violation(_Record):
     """One verification failure: an improper arc or an undominating vertex."""
 
     kind: str  # "properness" | "domination"
-    arc: tuple[int, int] | None
-    vertex: int | None
-
-    def __init__(
-        self, kind: str, arc: tuple[int, int] | None = None, vertex: int | None = None
-    ):
-        self.__dict__.update(kind=kind, arc=arc, vertex=vertex)
+    arc: tuple[int, int] | None = None
+    vertex: int | None = None
 
 
 class Verdict(_Record):
     ok: bool
     violations: tuple[Violation, ...]
-
-    def __init__(self, ok: bool, violations: tuple[Violation, ...]):
-        self.__dict__.update(ok=ok, violations=violations)
 
 
 def canonicalize(raw: Sequence[int]) -> Coloring:

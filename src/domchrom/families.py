@@ -57,9 +57,6 @@ class ConstructiveWitness(_Record):
     coloring: Coloring
     claimed_value: int
 
-    def __init__(self, digraph: Digraph, coloring: Coloring, claimed_value: int):
-        self.__dict__.update(digraph=digraph, coloring=coloring, claimed_value=claimed_value)
-
 
 def base_graph(spec: FamilySpec) -> BaseGraph:
     """Undirected substrate of a family member: the underlying graph of

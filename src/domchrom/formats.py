@@ -122,7 +122,7 @@ def parse_base(text: str) -> BaseGraph:
             raise FormatError(f"duplicate edge {u} {v}", lineno)
         seen.add((u, v))
         edges.append((u, v))
-    return BaseGraph(n, edges)
+    return BaseGraph._from_checked(n, tuple(edges))
 
 
 def parse_coloring(text: str) -> Coloring:

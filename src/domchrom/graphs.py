@@ -39,25 +39,64 @@ def _dataclass_fields(cls):
 class _Record:
     """Base of the package's immutable value types.
 
-    A subclass declares its fields as annotations, in order, after those
-    of the record it extends, and its own __init__ stores them with
-    self.__dict__.update.  Two records are equal when they are of the
-    same class and agree on every field not named in _uncompared; the
-    hash covers the same fields.  Assignment and deletion raise
+    A subclass declares each field once, as an annotation, in order,
+    after those of the record it extends; a value set in the class body
+    is that field's default, shared by every record that takes it.  A
+    descriptor there, such as a cached_property, is not a default.  The
+    generic __init__ binds positional arguments to the fields in order,
+    then named ones; a field left out takes its default, and a missing
+    field without one, too many positionals or an unknown name raise
+    TypeError.  A type that checks or normalises its input writes its
+    own __init__.  Two records are equal when they are of the same
+    class and agree on every field not named in _uncompared; the hash
+    covers the same fields.  Assignment and deletion raise
     AttributeError.  Instances keep a __dict__, so they pickle and copy
     as plain objects do, and a cached_property stores its value there.
     """
 
     _fields = ()
+    _defaults = {}
     # names of the fields that equality and the hash ignore
     _uncompared = ()
     __dataclass_fields__ = _DataclassFields()
 
     def __init_subclass__(cls):
         super().__init_subclass__()
-        cls._fields += tuple(cls.__annotations__)
+        own = tuple(cls.__annotations__)
+        cls._fields += own
+        body = vars(cls)
+        cls._defaults = cls._defaults | {
+            name: body[name]
+            for name in own
+            if name in body and not hasattr(type(body[name]), "__get__")
+        }
         compared = [name for name in cls._fields if name not in cls._uncompared]
         cls._key = staticmethod(attrgetter(*compared))
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        name = self.__class__.__qualname__
+        if len(args) > len(fields):
+            raise TypeError(
+                f"{name}() takes {len(fields)} fields, got {len(args)} positionally"
+            )
+        values = dict(zip(fields, args))
+        for key, value in kwargs.items():
+            if key not in fields:
+                raise TypeError(f"{name}() got an unexpected field {key!r}")
+            if key in values:
+                raise TypeError(f"{name}() got multiple values for field {key!r}")
+            values[key] = value
+        defaults = self._defaults
+        attrs = self.__dict__
+        # stored in field order, whatever order the names came in
+        for field in fields:
+            if field in values:
+                attrs[field] = values[field]
+            elif field in defaults:
+                attrs[field] = defaults[field]
+            else:
+                raise TypeError(f"{name}() missing field {field!r}")
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -177,11 +216,8 @@ class OrientationCode(_Record):
         # keep the digits as the cached bitstring; the guard bit at m
         # pads the digits to m, and to none for an edgeless base
         digits = bin(value | 1 << m)[3:]
-        code = object.__new__(cls)
-        attrs = code.__dict__
-        attrs["base"] = base
-        attrs["bits"] = tuple(digits.encode().translate(_DIGIT_VALUES))
-        attrs["bitstring"] = digits
+        code = cls._from_checked(base, tuple(digits.encode().translate(_DIGIT_VALUES)))
+        code.__dict__["bitstring"] = digits
         return code
 
     @cached_property

@@ -39,11 +39,6 @@ class GapReport(_Record):
     chromatic_value: int
     gap: int
 
-    def __init__(self, dominator_value: int, chromatic_value: int, gap: int):
-        self.__dict__.update(
-            dominator_value=dominator_value, chromatic_value=chromatic_value, gap=gap
-        )
-
 
 class OrientationGapReport(_Record):
     base: BaseGraph
@@ -54,28 +49,6 @@ class OrientationGapReport(_Record):
     max_gap: int
     spread: int
     table_value: int | None
-
-    def __init__(
-        self,
-        base: BaseGraph,
-        mode: DominationMode,
-        chromatic_value: int,
-        min_dominator_value: int,
-        max_dominator_value: int,
-        max_gap: int,
-        spread: int,
-        table_value: int | None,
-    ):
-        self.__dict__.update(
-            base=base,
-            mode=mode,
-            chromatic_value=chromatic_value,
-            min_dominator_value=min_dominator_value,
-            max_dominator_value=max_dominator_value,
-            max_gap=max_gap,
-            spread=spread,
-            table_value=table_value,
-        )
 
 
 class Embedding(_Record):

@@ -226,17 +226,6 @@ class SolveOutcome(_Record):
     nodes_explored: int
     mode: DominationMode
 
-    def __init__(
-        self,
-        value: int | None,
-        witness: Coloring | None,
-        nodes_explored: int,
-        mode: DominationMode,
-    ):
-        self.__dict__.update(
-            value=value, witness=witness, nodes_explored=nodes_explored, mode=mode
-        )
-
     @property
     def feasible(self) -> bool:
         return self.value is not None
@@ -433,39 +422,9 @@ class SweepReport(_Record):
     argmax_codes: tuple[int, ...]
     argmin_overflow: bool
     argmax_overflow: bool
-    kernel_solves: int
+    kernel_solves: int = 0
 
     _uncompared = ("kernel_solves",)
-
-    def __init__(
-        self,
-        base: BaseGraph,
-        mode: DominationMode,
-        orientations: int,
-        distribution: dict[int, int],
-        infeasible_count: int,
-        min_value: int | None,
-        max_value: int | None,
-        argmin_codes: tuple[int, ...],
-        argmax_codes: tuple[int, ...],
-        argmin_overflow: bool,
-        argmax_overflow: bool,
-        kernel_solves: int = 0,
-    ):
-        self.__dict__.update(
-            base=base,
-            mode=mode,
-            orientations=orientations,
-            distribution=distribution,
-            infeasible_count=infeasible_count,
-            min_value=min_value,
-            max_value=max_value,
-            argmin_codes=argmin_codes,
-            argmax_codes=argmax_codes,
-            argmin_overflow=argmin_overflow,
-            argmax_overflow=argmax_overflow,
-            kernel_solves=kernel_solves,
-        )
 
     # A report that _report builds has no code lists until one is read:
     # these walk for it then.  A list given to __init__ sits in the

@@ -15,7 +15,6 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from domchrom import (
-    Coloring,
     Digraph,
     cycle_base,
     is_connected,
@@ -23,6 +22,7 @@ from domchrom import (
     sweep,
     underlying,
 )
+from domchrom.graphs import _Record
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
@@ -32,18 +32,24 @@ CYCLE_NS = range(3, 13)
 
 
 @pytest.fixture(scope="session", autouse=True)
-def checked_colorings():
-    """Colorings built without validation (kernel witnesses, parsed
-    colorings) must equal the validated construction, in every test."""
-    unchecked = Coloring._from_checked.__func__
+def checked_records():
+    """Records built without validation (parsed digraphs, bases and
+    colorings, kernel witnesses, family bases, codes from their values)
+    must equal the validated construction, field types included, in
+    every test."""
+    unchecked = _Record._from_checked.__func__
 
-    def from_checked(cls, assignment, k):
-        coloring = unchecked(cls, assignment, k)
-        assert type(assignment) is tuple and coloring == Coloring(assignment, k)
-        return coloring
+    def from_checked(cls, *values):
+        record = unchecked(cls, *values)
+        checked = cls(*values)
+        assert record == checked
+        assert [type(getattr(record, name)) for name in cls._fields] == [
+            type(getattr(checked, name)) for name in cls._fields
+        ]
+        return record
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(Coloring, "_from_checked", classmethod(from_checked))
+        patch.setattr(_Record, "_from_checked", classmethod(from_checked))
         yield
 
 

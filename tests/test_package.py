@@ -309,3 +309,74 @@ def test_sweep_reports_ignore_kernel_solves_and_run_results_own_their_dicts():
     first.outputs["value"] = 2
     assert second.inputs == second.outputs == {}
     assert first.inputs is not second.inputs and first.outputs is not second.outputs
+
+
+def test_generic_records_bind_by_position_by_name_and_mixed():
+    outcome = dominator_chromatic_number(directed_path(3))
+    values = [getattr(outcome, name) for name in SolveOutcome._fields]
+    by_name = dict(zip(SolveOutcome._fields, values))
+    mixed = SolveOutcome(*values[:2], mode=values[3], nodes_explored=values[2])
+    assert SolveOutcome(*values) == SolveOutcome(**by_name) == mixed == outcome
+    gap = GapReport(gap=1, chromatic_value=2, dominator_value=3)
+    assert gap == GapReport(3, 2, 1) == GapReport(3, gap=1, chromatic_value=2)
+    assert repr(gap) == "GapReport(dominator_value=3, chromatic_value=2, gap=1)"
+    assert list(vars(gap)) == list(GapReport._fields)
+
+
+def test_generic_records_take_their_class_body_defaults():
+    assert Violation("domination", vertex=2) == Violation("domination", None, 2)
+    bare = Violation("properness")
+    assert (bare.arc, bare.vertex) == (None, None)
+    rep = sweep(path_base(3))
+    fields = {name: getattr(rep, name) for name in SweepReport._fields}
+    del fields["kernel_solves"]
+    assert SweepReport(**fields).kernel_solves == 0
+    assert SweepReport(*fields.values()).kernel_solves == 0
+    assert SweepReport(*fields.values()) == rep
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: GapReport(3, 2), "GapReport() missing field 'gap'"),
+        (lambda: Violation(arc=(0, 1)), "Violation() missing field 'kind'"),
+        (lambda: GapReport(3, 2, 1, 0), "GapReport() takes 3 fields, got 4 positionally"),
+        (lambda: Verdict(True, (), extra=1), "Verdict() got an unexpected field 'extra'"),
+        (lambda: Verdict(True, ok=False), "Verdict() got multiple values for field 'ok'"),
+    ],
+    ids=["missing", "missing-first", "extra-positional", "unknown-name", "repeated"],
+)
+def test_generic_records_reject_bad_arguments(build, message):
+    with pytest.raises(TypeError) as info:
+        build()
+    assert str(info.value) == message
+
+
+def test_a_sweep_report_needs_its_code_lists():
+    rep = sweep(path_base(3))
+    # the report walks its lists on first read, so none sit in its dict
+    assert "argmin_codes" not in vars(rep) and "argmax_codes" not in vars(rep)
+    fields = {name: getattr(rep, name) for name in SweepReport._fields}
+    for name in ("argmin_codes", "argmax_codes"):
+        partial = dict(fields)
+        del partial[name]
+        with pytest.raises(TypeError) as info:
+            SweepReport(**partial)
+        assert str(info.value) == f"SweepReport() missing field {name!r}"
+
+
+def test_a_record_subclass_adds_fields_and_keeps_the_base_defaults():
+    class Tagged(Violation):
+        tag: str = "t"
+        note: str
+
+    assert Tagged._fields == ("kind", "arc", "vertex", "tag", "note")
+    tagged = Tagged("domination", note="n", vertex=4)
+    assert vars(tagged) == {"kind": "domination", "arc": None, "vertex": 4, "tag": "t", "note": "n"}
+    assert tagged == Tagged("domination", None, 4, "t", "n") != Tagged("domination", note="m")
+    with pytest.raises(TypeError, match="missing field 'note'"):
+        Tagged("domination")
+    # the base keeps its own fields and defaults
+    assert Violation("domination") == Violation("domination", None, None)
+    with pytest.raises(TypeError, match="unexpected field 'tag'"):
+        Violation("domination", tag="t")
