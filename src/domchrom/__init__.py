@@ -32,12 +32,10 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "FAMILY_KINDS",
         "ConstructiveWitness",
         "FamilySpec",
-        "base_graph",
         "cycle_min_formula",
         "cycle_optimal",
         "directed_cycle",
         "directed_path",
-        "family_digraph",
         "family_witness",
         "fig3_digraph",
         "fig4_digraph",
@@ -56,9 +54,7 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "OrientationCode",
         "code_of",
         "cycle_base",
-        "cycle_symmetry_classes",
         "is_connected",
-        "make_digraph",
         "orient",
         "out_degree_sequence",
         "out_neighbors",
@@ -72,7 +68,6 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "OrientationGapReport",
         "dominator_discrepancy",
         "dominator_gap",
-        "identity_embedding",
         "is_subdigraph",
         "orientation_gap",
         "table_gap_cycle",

@@ -2,20 +2,21 @@
 
 Times the pure-Python and compiled kernels on identical workloads, each
 run once untimed and then best of --repeat timed runs, and prints a
-table with the speedup, after the host's CPU count and Python
-version.  Workloads cover single solves (an odd tilde cycle among
-them, whose bound needs chi = 4 from the proper search), orientation
-sweeps, and one in-process `domchrom solve --json` request; both
-backends must return identical values and node counts, which the
-harness asserts before reporting.  The sweeps that compare the
-backends take bases with their edges listed last first, which no
+table with the speedup of each workload that calls a kernel, after the
+host's CPU count and Python version.  Workloads cover single solves (an
+odd tilde cycle among them, whose bound needs chi = 4 from the proper
+search), orientation sweeps, and one in-process `domchrom solve --json`
+request; both backends must return identical values and node counts,
+which the harness asserts before reporting.  The sweeps that compare
+the backends take bases with their edges listed last first, which no
 automaton recognises, so each code is solved: two of them without a
 kernel call (a star, whose packing bounds are all attained, and a
 strict path, whose orientations all have a sink).  The automaton rows,
-a star, a path and a cycle, call no kernel at all.  A cold-start line
-first gives the median wall of --repeat fresh `import domchrom.cli`
-interpreters and of as many bare ones, the fixed cost every CLI call
-pays before any work.
+a star, a path and a cycle, call no kernel at all.  Those five rows run
+the same Python on both backends, so they print no speedup.  A
+cold-start line first gives the median wall of --repeat fresh `import
+domchrom.cli` interpreters and of as many bare ones, the fixed cost
+every CLI call pays before any work.
 """
 
 from __future__ import annotations
@@ -91,35 +92,38 @@ def _reversed(base: BaseGraph) -> BaseGraph:
 
 
 def _workloads(fig4_path: str):
-    yield "solve tournament n=9", lambda: dominator_chromatic_number(tournament(9, 5))
-    yield "solve tilde-cycle n=12", lambda: dominator_chromatic_number(tilde_cycle(12))
+    """(label, thunk, whether the thunk calls a kernel) per workload."""
+    yield "solve tournament n=9", lambda: dominator_chromatic_number(tournament(9, 5)), True
+    yield "solve tilde-cycle n=12", lambda: dominator_chromatic_number(tilde_cycle(12)), True
     # an odd wheel underneath: chi(G - U) = 4 takes the proper search
-    yield "solve tilde-cycle n=25", lambda: dominator_chromatic_number(tilde_cycle(25))
-    yield "solve fig4", lambda: dominator_chromatic_number(fig4_digraph())
-    yield "sweep path n=10 reversed", lambda: _sweep(_reversed(path_base(10)))
-    yield "sweep cycle n=10 reversed", lambda: _sweep(_reversed(cycle_base(10)))
+    yield "solve tilde-cycle n=25", lambda: dominator_chromatic_number(tilde_cycle(25)), True
+    yield "solve fig4", lambda: dominator_chromatic_number(fig4_digraph()), True
+    yield "sweep path n=10 reversed", lambda: _sweep(_reversed(path_base(10))), True
+    yield "sweep cycle n=10 reversed", lambda: _sweep(_reversed(cycle_base(10))), True
     yield (
         "sweep cycle n=10 strict reversed",
         lambda: _sweep(_reversed(cycle_base(10)), DominationMode.STRICT),
+        True,
     )
     # settled without the kernel: by the packing certificate, and by sinks
-    yield "sweep star n=10 reversed", lambda: _sweep(_reversed(star_base(10)))
+    yield "sweep star n=10 reversed", lambda: _sweep(_reversed(star_base(10))), False
     yield (
         "sweep path n=14 strict reversed",
         lambda: _sweep(_reversed(path_base(14)), DominationMode.STRICT),
+        False,
     )
     # automaton sweeps
-    yield "sweep star n=16", lambda: _sweep(star_base(16))
-    yield "sweep path n=1000", lambda: _sweep(path_base(1000))
-    yield "sweep cycle n=200", lambda: _sweep(cycle_base(200))
-    yield "cli solve --json fig4", lambda: _cli_solve(fig4_path)
+    yield "sweep star n=16", lambda: _sweep(star_base(16)), False
+    yield "sweep path n=1000", lambda: _sweep(path_base(1000)), False
+    yield "sweep cycle n=200", lambda: _sweep(cycle_base(200)), False
+    yield "cli solve --json fig4", lambda: _cli_solve(fig4_path), True
 
 
 def _run_backend(name: str, workloads, repeat: int):
     kernel.use_backend(name)
     results = {}
     timings = {}
-    for label, thunk in workloads:
+    for label, thunk, _ in workloads:
         # untimed: the first call pays one-time imports, such as the
         # automaton's tables, that the first backend timed would carry
         thunk()
@@ -174,15 +178,15 @@ def main() -> None:
         if results != baseline_results:
             raise AssertionError(f"backend {name} disagrees with python: {results}")
 
-    width = max(len(label) for label, _ in workloads)
+    width = max(len(label) for label, _, _ in workloads)
     header = f"{'workload':<{width}}  " + "  ".join(f"{n:>10}" for n in available)
     if "c" in available:
         header += f"  {'speedup':>8}"
     print(header)
-    for label, _ in workloads:
+    for label, _, calls_kernel in workloads:
         row = f"{label:<{width}}  "
         row += "  ".join(f"{per_backend[n][1][label] * 1000:>8.3f}ms" for n in available)
-        if "c" in available:
+        if "c" in available and calls_kernel:
             ratio = baseline_times[label] / per_backend["c"][1][label]
             row += f"  {ratio:>7.1f}x"
         print(row)

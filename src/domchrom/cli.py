@@ -28,7 +28,6 @@ from . import kernel, solver
 from .coloring import Coloring, DominationMode, verify
 from .formats import (
     FormatError,
-    RunResult,
     emit_coloring,
     emit_csv,
     emit_digraph,
@@ -81,8 +80,7 @@ def _ms(t0: float) -> int:
 
 
 def _write_json(command: str, inputs: dict[str, Any], outputs: dict[str, Any]) -> None:
-    result = RunResult(command, inputs, outputs, kernel.backend_name)
-    sys.stdout.write(emit_json(result))
+    sys.stdout.write(emit_json(command, inputs, outputs, kernel.backend_name))
 
 
 def _print_result(

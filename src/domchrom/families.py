@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Callable
 
 from .coloring import Coloring
-from .graphs import BaseGraph, Digraph, OrientationCode, _Record, orient, underlying
+from .graphs import BaseGraph, Digraph, OrientationCode, _Record, orient
 
 
 class FamilySpec(_Record):
@@ -56,14 +56,6 @@ class ConstructiveWitness(_Record):
     digraph: Digraph
     coloring: Coloring
     claimed_value: int
-
-
-def base_graph(spec: FamilySpec) -> BaseGraph:
-    """Undirected substrate of a family member: the underlying graph of
-    family_digraph(spec).  Each builder lists its arcs in the base's edge
-    order (path_base, cycle_base, star_base, the complete graph's pairs
-    u < v), so orientation codes read the same bits off either."""
-    return underlying(family_digraph(spec))
 
 
 def directed_path(n: int) -> Digraph:
@@ -366,26 +358,24 @@ _KINDS: dict[
 FAMILY_KINDS = tuple(_KINDS)
 
 
-def family_digraph(spec: FamilySpec) -> Digraph:
-    """Canonical oriented member of a family: the digraph of its witness.
+def family_witness(spec: FamilySpec) -> ConstructiveWitness:
+    """The canonical oriented member of a family with a minimum
+    dominator coloring of it, hand-built.
 
     Paths and cycles give the minimum-value orientation; complete gives
     the transitive tournament; the remaining kinds have one member.
-    """
-    return family_witness(spec).digraph
-
-
-def family_witness(spec: FamilySpec) -> ConstructiveWitness:
-    """Minimum dominator coloring of family_digraph(spec), hand-built.
-
-    Tournaments take the all-singleton coloring (each vertex dominates
-    the singleton class of any out-neighbor, so it verifies and matches
-    the known value n).  The two fixed examples carry their unique
-    five-class colorings.
+    Each builder lists its arcs in the base's edge order (path_base,
+    cycle_base, star_base, the complete graph's pairs u < v), so
+    orientation codes read the same bits off the digraph and off its
+    underlying graph.  Tournaments take the all-singleton coloring (each
+    vertex dominates the singleton class of any out-neighbor, so it
+    verifies and matches the known value n).  The two fixed examples
+    carry their unique five-class colorings.
     """
     return _KINDS[spec.kind][2](*spec.params)
 
 
 def member_vertices(spec: FamilySpec) -> int:
-    """The vertex count of family_digraph(spec), known before it is built."""
+    """The vertex count of family_witness(spec).digraph, known before it
+    is built."""
     return _KINDS[spec.kind][1](*spec.params)

@@ -14,7 +14,7 @@ import json
 from typing import Any, Sequence
 
 from .coloring import Coloring, _label_error
-from .graphs import BaseGraph, Digraph, _Record
+from .graphs import BaseGraph, Digraph
 
 
 class FormatError(ValueError):
@@ -179,62 +179,13 @@ def emit_coloring(c: Coloring) -> str:
     return f"coloring {c.n} {c.k}\n{body}"
 
 
-class RunResult(_Record):
-    """Envelope for one command invocation: the command name, an echo
-    of its parameters, the structured payload it produced, and the
-    kernel backend that produced it (None when not recorded)."""
-
-    command: str
-    inputs: dict[str, Any]
-    outputs: dict[str, Any]
-    backend: str | None
-
-    def __init__(
-        self,
-        command: str,
-        inputs: dict[str, Any] | None = None,
-        outputs: dict[str, Any] | None = None,
-        backend: str | None = None,
-    ):
-        self.__dict__.update(
-            command=command,
-            inputs={} if inputs is None else inputs,
-            outputs={} if outputs is None else outputs,
-            backend=backend,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunResult":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"result is not JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise FormatError("result is not a JSON object")
-        for key, kind, name in (
-            ("command", str, "string"),
-            ("inputs", dict, "object"),
-            ("outputs", dict, "object"),
-        ):
-            if key not in data:
-                raise FormatError(f"result object lacks {key!r}")
-            if not isinstance(data[key], kind):
-                raise FormatError(f"result {key!r} is not a JSON {name}")
-        if not isinstance(data.get("backend"), (str, type(None))):
-            raise FormatError("result 'backend' is not a JSON string or null")
-        return cls(data["command"], data["inputs"], data["outputs"], data.get("backend"))
-
-
-def emit_json(result: RunResult) -> str:
-    """The envelope as one line of JSON with sorted keys; backend is
-    written only when recorded."""
-    payload = {
-        "command": result.command,
-        "inputs": result.inputs,
-        "outputs": result.outputs,
-    }
-    if result.backend is not None:
-        payload["backend"] = result.backend
+def emit_json(
+    command: str, inputs: dict[str, Any], outputs: dict[str, Any], backend: str
+) -> str:
+    """The envelope of one command invocation as one line of JSON with
+    sorted keys: the command name, an echo of its parameters, the
+    structured payload it produced, and the kernel backend that ran."""
+    payload = {"backend": backend, "command": command, "inputs": inputs, "outputs": outputs}
     return json.dumps(payload, sort_keys=True) + "\n"
 
 

@@ -232,11 +232,6 @@ class OrientationCode(_Record):
         return v
 
 
-def make_digraph(n: int, arcs: Iterable[tuple[int, int]]) -> Digraph:
-    """Validated digraph constructor."""
-    return Digraph(n, arcs)
-
-
 def out_neighbors(d: Digraph, v: int) -> frozenset[int]:
     if not (0 <= v < d.n):
         raise ValueError(f"vertex {v} out of range")
@@ -331,58 +326,16 @@ def _family(base: BaseGraph) -> str | None:
     """The family, "path", "cycle" or "star", whose builder gives the
     exact edge tuple of base for its vertex count, or None: the same
     edges in another order are not recognised.  The edge count and the
-    last edge leave one candidate, the only tuple built: n edges for a
+    last edge leave one candidate, the only base built: n edges for a
     cycle; n - 1 for a star when the last is (0, n-1) and n >= 3, else
     for a path."""
     n, edges = base.n, base.edges
     if n >= 3 and len(edges) == n:
-        family = "cycle"
-        candidate = tuple((i, i + 1) for i in range(n - 1)) + ((0, n - 1),)
+        family, candidate = "cycle", cycle_base(n)
     elif n >= 3 and len(edges) == n - 1 and edges[-1] == (0, n - 1):
-        family, candidate = "star", tuple((0, i) for i in range(1, n))
+        family, candidate = "star", star_base(n - 1)
     elif n >= 2 and len(edges) == n - 1:
-        family, candidate = "path", tuple((i, i + 1) for i in range(n - 1))
+        family, candidate = "path", path_base(n)
     else:
         return None
-    return family if edges == candidate else None
-
-
-_FLIP = str.maketrans("01", "10")
-
-
-def cycle_symmetry_classes(n: int) -> list[list[OrientationCode]]:
-    """Partition all 2^n orientation codes of the n-cycle into classes
-    equivalent under rotation and reflection of the cycle.
-
-    Rotations preserve the traversal direction of arcs while reflections
-    reverse it, so this is an orbit computation under the full vertex
-    symmetry group of the cycle, acting on codes through relabeling.
-
-    Classes are sorted by smallest member value; members sort ascending.
-    """
-    base = cycle_base(n)
-    classes: dict[int, list[int]] = {}
-    for code in range(1 << n):
-        classes.setdefault(_least_image(code, n), []).append(code)
-    return [
-        [OrientationCode.from_value(base, code) for code in members]
-        for members in classes.values()
-    ]
-
-
-def _least_image(code: int, n: int) -> int:
-    """The least code of the n-cycle that a rotation or a reflection
-    maps code to.
-
-    The closing edge (0, n-1) is read against the way round, so in the
-    bitstring of g = code ^ 1 position i is 0 when its arc runs
-    i -> i+1 mod n.  The rotation x -> x+1 rotates g by one position,
-    and the reflection x -> -x reverses it and flips each bit; each
-    image is conjugated back by ^ 1.
-    """
-    g = format(code ^ 1, f"0{n}b")
-    return min(
-        int(h[k:] + h[:k], 2) ^ 1
-        for h in (g, g[::-1].translate(_FLIP))
-        for k in range(n)
-    )
+    return family if edges == candidate.edges else None

@@ -60,10 +60,6 @@ class Embedding(_Record):
         self.__dict__.update(vertex_map=tuple(int(v) for v in vertex_map))
 
 
-def identity_embedding(n: int) -> Embedding:
-    return Embedding(range(n))
-
-
 def dominator_gap(
     d: Digraph, mode: DominationMode = DominationMode.SINK_EXEMPT
 ) -> GapReport:

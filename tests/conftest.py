@@ -16,8 +16,11 @@ from hypothesis import strategies as st
 
 from domchrom import (
     Digraph,
+    OrientationCode,
+    code_of,
     cycle_base,
     is_connected,
+    orient,
     path_base,
     sweep,
     underlying,
@@ -85,6 +88,49 @@ def random_connected_digraph(rng: random.Random, n: int, p: float = 0.5) -> Digr
         d = Digraph(n, arcs)
         if is_connected(underlying(d)):
             return d
+
+
+def automorphism_generators(kind, base):
+    """Vertex permutations generating the automorphism group of a path,
+    cycle or star base: the reversal; one rotation and one reflection;
+    a transposition and a cycle of the leaves."""
+    n = base.n
+    if kind == "path":
+        return [[n - 1 - x for x in range(n)]]
+    if kind == "cycle":
+        return [[(x + 1) % n for x in range(n)], [(n - x) % n for x in range(n)]]
+    return [[0, 2, 1, *range(3, n)], [0, *range(2, n), 1]]
+
+
+def relabelled_code(base, code, perm):
+    """The code of the orientation that relabelling code's vertices by
+    perm gives."""
+    d = orient(OrientationCode.from_value(base, code))
+    return code_of(base, Digraph(d.n, [(perm[u], perm[v]) for u, v in d.arcs])).value
+
+
+def code_orbits(kind, base):
+    """The orbits of every code of a path, cycle or star base under its
+    vertex automorphisms, each a sorted list, in order of least member:
+    each orbit is closed under automorphism_generators by search."""
+    generators = automorphism_generators(kind, base)
+    seen = set()
+    orbits = []
+    for code in range(1 << len(base.edges)):
+        if code in seen:
+            continue
+        seen.add(code)
+        orbit, stack = [code], [code]
+        while stack:
+            current = stack.pop()
+            for perm in generators:
+                image = relabelled_code(base, current, perm)
+                if image not in seen:
+                    seen.add(image)
+                    orbit.append(image)
+                    stack.append(image)
+        orbits.append(sorted(orbit))
+    return orbits
 
 
 @st.composite

@@ -17,11 +17,12 @@ import time
 import pytest
 from hypothesis import given, settings
 
-from conftest import CYCLE_NS, PATH_NS, digraphs, random_connected_digraph
+from conftest import CYCLE_NS, PATH_NS, code_orbits, digraphs, random_connected_digraph
 from domchrom import (
     Coloring,
     Digraph,
     DominationMode,
+    Embedding,
     FamilySpec,
     OrientationCode,
     chromatic_number,
@@ -29,7 +30,6 @@ from domchrom import (
     cycle_base,
     cycle_min_formula,
     cycle_optimal,
-    cycle_symmetry_classes,
     directed_cycle,
     directed_path,
     dominator_chromatic_number,
@@ -39,7 +39,6 @@ from domchrom import (
     family_witness,
     fig3_digraph,
     fig4_digraph,
-    identity_embedding,
     is_connected,
     is_subdigraph,
     one_way_complete_bipartite,
@@ -124,8 +123,8 @@ def test_directed_cycle_argmax_structure(cycle_sweeps):
             n, [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
         )
         by_value = {}
-        for cls in cycle_symmetry_classes(n):
-            members = {c.value for c in cls}
+        for cls in code_orbits("cycle", base):
+            members = set(cls)
             for v in members:
                 by_value[v] = members
         expected = (
@@ -229,16 +228,16 @@ def test_criterion_05_subgraphs_can_be_harder():
     # a path orientation that needs one class more
     cheap_cycle = cycle_optimal(4).digraph
     hard_path = path_optimal(4).digraph
-    assert is_subdigraph(cheap_cycle, hard_path, identity_embedding(4))
+    assert is_subdigraph(cheap_cycle, hard_path, Embedding(range(4)))
     assert dominator_chromatic_number(hard_path).value == 3
     assert dominator_chromatic_number(cheap_cycle).value == 2
     assert (
-        dominator_discrepancy(cheap_cycle, hard_path, identity_embedding(4)) == 1
+        dominator_discrepancy(cheap_cycle, hard_path, Embedding(range(4))) == 1
     )
     # the hub-sink family drives the deficit arbitrarily high
     deltas = [
         dominator_discrepancy(
-            tilde_cycle(n), directed_cycle(n), identity_embedding(n)
+            tilde_cycle(n), directed_cycle(n), Embedding(range(n))
         )
         for n in range(6, 11)
     ]

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from domchrom import BaseGraph, Coloring, Digraph, canonicalize, cycle_base, tournament
 from domchrom.formats import (
     FormatError,
-    RunResult,
     emit_base,
     emit_coloring,
     emit_csv,
@@ -182,62 +181,20 @@ def test_random_coloring_roundtrip(raw):
     assert parse_coloring(emit_coloring(c)) == c
 
 
-def test_run_result_json_roundtrip():
-    result = RunResult(
-        "solve", {"digraph": "d.txt"}, {"value": 3, "witness": [0, 1, 2]}
-    )
-    text = emit_json(result)
-    assert text.endswith("\n")
-    assert RunResult.from_json(text) == result
-    payload = json.loads(text)
-    assert set(payload) == {"command", "inputs", "outputs"}
-    # one line, keys sorted; a recorded backend is written and read back
-    recorded = RunResult("solve", result.inputs, result.outputs, "python")
-    text = emit_json(recorded)
-    assert text.count("\n") == 1
+def test_emit_json_writes_one_sorted_line_with_the_backend():
+    inputs = {"digraph": "d.txt", "mode": "sink-exempt"}
+    outputs = {"witness": [0, 1, 2], "value": 3}
+    text = emit_json("solve", inputs, outputs, "python")
+    assert text.endswith("\n") and text.count("\n") == 1
     assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
-    assert json.loads(text)["backend"] == "python"
-    assert RunResult.from_json(text) == recorded
-
-
-def test_run_result_rejects_missing_keys():
-    with pytest.raises(FormatError):
-        RunResult.from_json('{"command": "solve", "inputs": {}}')
-
-
-@pytest.mark.parametrize(
-    "text", ["5", "null", '"command inputs outputs"', "[]", "", "{not json", "{} extra"]
-)
-def test_run_result_rejects_text_that_is_not_a_json_object(text):
-    with pytest.raises(FormatError):
-        RunResult.from_json(text)
-
-
-@pytest.mark.parametrize(
-    "payload",
-    [
-        {"command": 5, "inputs": [1], "outputs": "x", "backend": 7},
-        {"command": 5, "inputs": {}, "outputs": {}},
-        {"command": None, "inputs": {}, "outputs": {}},
-        {"command": "solve", "inputs": [1], "outputs": {}},
-        {"command": "solve", "inputs": None, "outputs": {}},
-        {"command": "solve", "inputs": {}, "outputs": "x"},
-        {"command": "solve", "inputs": {}, "outputs": [{}]},
-        {"command": "solve", "inputs": {}, "outputs": {}, "backend": 7},
-        {"command": "solve", "inputs": {}, "outputs": {}, "backend": ["c"]},
-    ],
-)
-def test_run_result_rejects_fields_of_the_wrong_type(payload):
-    with pytest.raises(FormatError):
-        RunResult.from_json(json.dumps(payload))
-
-
-@pytest.mark.parametrize("backend", [None, "c"])
-def test_run_result_backend_may_be_absent_null_or_a_string(backend):
-    payload = {"command": "solve", "inputs": {}, "outputs": {}}
-    assert RunResult.from_json(json.dumps(payload)).backend is None
-    payload["backend"] = backend
-    assert RunResult.from_json(json.dumps(payload)) == RunResult("solve", {}, {}, backend)
+    payload = json.loads(text)
+    assert list(payload) == ["backend", "command", "inputs", "outputs"]
+    assert payload == {
+        "backend": "python",
+        "command": "solve",
+        "inputs": inputs,
+        "outputs": outputs,
+    }
 
 
 def test_emit_csv_scalar_conventions():

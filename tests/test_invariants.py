@@ -14,7 +14,6 @@ from domchrom import (
     directed_path,
     dominator_discrepancy,
     dominator_gap,
-    identity_embedding,
     is_subdigraph,
     orientation_gap,
     path_base,
@@ -160,13 +159,13 @@ def test_orientation_gap_cycle_matches_sweep(cycle_sweeps):
 def test_embedding_coercion_and_identity():
     e = Embedding([2, 0, 1])
     assert e.vertex_map == (2, 0, 1)
-    assert identity_embedding(3).vertex_map == (0, 1, 2)
+    assert Embedding(range(3)).vertex_map == (0, 1, 2)
 
 
 def test_is_subdigraph():
     host = tilde_cycle(4)
     sub = directed_cycle(4)
-    assert is_subdigraph(host, sub, identity_embedding(4))
+    assert is_subdigraph(host, sub, Embedding(range(4)))
     # rotation is also an embedding of the cycle into its tilde host
     assert is_subdigraph(host, sub, Embedding([1, 2, 3, 0]))
     # reflection reverses arcs, so it is not arc-preserving
@@ -191,21 +190,21 @@ def test_discrepancy_sign_convention():
     # the whole
     host = tilde_cycle(6)
     sub = directed_cycle(6)
-    assert dominator_discrepancy(host, sub, identity_embedding(6)) == 6 - 3
+    assert dominator_discrepancy(host, sub, Embedding(range(6))) == 6 - 3
     # a digraph inside itself has discrepancy zero
-    assert dominator_discrepancy(sub, sub, identity_embedding(6)) == 0
+    assert dominator_discrepancy(sub, sub, Embedding(range(6))) == 0
 
 
 def test_discrepancy_against_a_sub_path():
     whole = directed_path(5)
     part = directed_path(3)
-    assert is_subdigraph(whole, part, identity_embedding(3))
-    assert dominator_discrepancy(whole, part, identity_embedding(3)) == 3 - 5
+    assert is_subdigraph(whole, part, Embedding(range(3)))
+    assert dominator_discrepancy(whole, part, Embedding(range(3))) == 3 - 5
 
 
 def test_discrepancy_undefined_when_infeasible():
     d = star_oriented(2, 0)
     with pytest.raises(ValueError):
         dominator_discrepancy(
-            d, Digraph(3, [(0, 1)]), identity_embedding(3), DominationMode.STRICT
+            d, Digraph(3, [(0, 1)]), Embedding(range(3)), DominationMode.STRICT
         )

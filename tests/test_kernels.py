@@ -404,6 +404,25 @@ def test_bench_runs_once_per_workload():
     # per-code sweeps compare the backends; automaton sweeps call no kernel
     for label in ("sweep cycle n=10 reversed", "sweep path n=1000", "sweep cycle n=200"):
         assert label in proc.stdout
+    # a row that calls no kernel runs the same Python on both backends,
+    # so it carries no speedup; the others carry one when both ran
+    rows = {
+        line[: line.index("  ")]: line
+        for line in proc.stdout.splitlines()
+        if line.startswith(("solve ", "sweep ", "cli "))
+    }
+    no_kernel = (
+        "sweep star n=10 reversed",
+        "sweep path n=14 strict reversed",
+        "sweep star n=16",
+        "sweep path n=1000",
+        "sweep cycle n=200",
+    )
+    compared = "backends available: python, c" in proc.stdout
+    assert len(rows) == 13
+    for label, row in rows.items():
+        has_ratio = re.search(r"\dx$", row) is not None
+        assert has_ratio == (compared and label not in no_kernel), row
     assert re.search(
         r"^cold start: import domchrom\.cli \d+\.\d ms, bare interpreter \d+\.\d ms "
         r"\(median of 1 spawns each; PYTHONDONTWRITEBYTECODE (un)?set\)$",

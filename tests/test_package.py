@@ -1,7 +1,7 @@
 """The package surface and what a process loads to reach it.
 
 Package names load on first use and the CLI loads only what its command
-runs, so these tests pin the 62 public names and their owners, and the
+runs, so these tests pin the 57 public names and their owners, and the
 modules that `import domchrom.cli` and the common commands leave out.
 """
 
@@ -34,12 +34,11 @@ from domchrom import (
     dominator_chromatic_number,
     dominator_gap,
     family_witness,
-    identity_embedding,
     orientation_gap,
     path_base,
     sweep,
 )
-from domchrom.formats import RunResult, emit_coloring, emit_digraph
+from domchrom.formats import emit_coloring, emit_digraph
 from domchrom.graphs import Digraph
 
 # submodule -> the public names the package takes from it
@@ -58,12 +57,10 @@ PUBLIC = {
         "ConstructiveWitness",
         "FAMILY_KINDS",
         "FamilySpec",
-        "base_graph",
         "cycle_min_formula",
         "cycle_optimal",
         "directed_cycle",
         "directed_path",
-        "family_digraph",
         "family_witness",
         "fig3_digraph",
         "fig4_digraph",
@@ -82,9 +79,7 @@ PUBLIC = {
         "OrientationCode",
         "code_of",
         "cycle_base",
-        "cycle_symmetry_classes",
         "is_connected",
-        "make_digraph",
         "orient",
         "out_degree_sequence",
         "out_neighbors",
@@ -98,7 +93,6 @@ PUBLIC = {
         "OrientationGapReport",
         "dominator_discrepancy",
         "dominator_gap",
-        "identity_embedding",
         "is_subdigraph",
         "orientation_gap",
         "table_gap_cycle",
@@ -138,7 +132,7 @@ def _in_fresh_process(code: str):
 
 def test_all_is_frozen():
     names = sorted(name for names in PUBLIC.values() for name in names)
-    assert len(names) == 62
+    assert len(names) == 57
     assert domchrom.__all__ == names
 
 
@@ -160,6 +154,22 @@ def test_dir_lists_the_public_names_and_unknown_names_raise():
     assert not hasattr(domchrom, "no_such_name")
     with pytest.raises(ImportError):
         exec("from domchrom import no_such_name", {})
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "base_graph",
+        "cycle_symmetry_classes",
+        "family_digraph",
+        "identity_embedding",
+        "make_digraph",
+    ],
+)
+def test_removed_names_are_not_package_names(name):
+    assert name not in domchrom.__all__
+    with pytest.raises(AttributeError, match=name):
+        getattr(domchrom, name)
 
 
 def test_names_and_submodules_load_on_first_use():
@@ -245,7 +255,6 @@ RECORDS = {
     Coloring: (lambda: Coloring([0, 1, 0], 2), Coloring([0, 1, 1], 2)),
     Violation: (lambda: Violation("properness", arc=(0, 1)), Violation("domination", vertex=0)),
     Verdict: (lambda: Verdict(False, (Violation("domination", vertex=2),)), Verdict(True, ())),
-    RunResult: (lambda: RunResult("solve", {"n": 3}, {"value": 2}, "python"), RunResult("solve")),
     SolveOutcome: (
         lambda: dominator_chromatic_number(directed_path(3)),
         dominator_chromatic_number(directed_path(3), DominationMode.STRICT),
@@ -258,7 +267,7 @@ RECORDS = {
     ),
     GapReport: (lambda: dominator_gap(directed_path(3)), GapReport(3, 2, 0)),
     OrientationGapReport: (lambda: orientation_gap(path_base(4)), orientation_gap(cycle_base(4))),
-    Embedding: (lambda: identity_embedding(3), Embedding([2, 1, 0])),
+    Embedding: (lambda: Embedding(range(3)), Embedding([2, 1, 0])),
 }
 
 
@@ -296,19 +305,13 @@ def test_value_types_are_frozen_records(kind):
     assert dataclasses.asdict(a).keys() == set(names)
 
 
-def test_sweep_reports_ignore_kernel_solves_and_run_results_own_their_dicts():
+def test_sweep_reports_ignore_kernel_solves():
     rep = sweep(path_base(4))
     assert dataclasses.replace(rep, kernel_solves=7) == rep
     # with its one unhashable field blanked, a report hashes
     blank = dataclasses.replace(rep, distribution=None)
     assert hash(dataclasses.replace(blank, kernel_solves=7)) == hash(blank)
     assert dataclasses.replace(rep, min_value=1) != rep
-    first, second = RunResult("solve"), RunResult("solve")
-    assert first.inputs == first.outputs == {}
-    first.inputs["n"] = 3
-    first.outputs["value"] = 2
-    assert second.inputs == second.outputs == {}
-    assert first.inputs is not second.inputs and first.outputs is not second.outputs
 
 
 def test_generic_records_bind_by_position_by_name_and_mixed():

@@ -12,7 +12,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import digraphs, random_connected_digraph
+from conftest import (
+    automorphism_generators,
+    digraphs,
+    random_connected_digraph,
+    relabelled_code,
+)
 from domchrom import kernel, solver
 from domchrom import (
     BaseGraph,
@@ -23,7 +28,6 @@ from domchrom import (
     OrientationCode,
     SweepReport,
     chromatic_number,
-    code_of,
     cycle_base,
     directed_cycle,
     directed_path,
@@ -755,10 +759,6 @@ def test_relabelled_bases_sweep_like_the_recognised_ones(case):
             assert getattr(got, field) == getattr(want, field), (field, mode)
 
 
-def relabel(d, perm):
-    return Digraph(d.n, [(perm[u], perm[v]) for u, v in d.arcs])
-
-
 @st.composite
 def symmetric_codes(draw):
     """A path, cycle or star base on at most 9 vertices, its family, and
@@ -771,23 +771,6 @@ def symmetric_codes(draw):
         )
     )
     return kind, base, draw(st.integers(0, (1 << len(base.edges)) - 1))
-
-
-def automorphism_generators(kind, base):
-    """Vertex permutations generating the automorphism group of a path,
-    cycle or star base: the reversal; one rotation and one reflection;
-    a transposition and a cycle of the leaves."""
-    n = base.n
-    if kind == "path":
-        return [[n - 1 - x for x in range(n)]]
-    if kind == "cycle":
-        return [[(x + 1) % n for x in range(n)], [(n - x) % n for x in range(n)]]
-    return [[0, 2, 1, *range(3, n)], [0, *range(2, n), 1]]
-
-
-def relabelled_code(base, code, perm):
-    d = orient(OrientationCode.from_value(base, code))
-    return code_of(base, relabel(d, perm)).value
 
 
 @given(symmetric_codes())
