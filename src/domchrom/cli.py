@@ -222,12 +222,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     solver.check_automaton_size(kind.vertices(ns[-1]))
     t0 = time.perf_counter()
     bases = [kind.build(n) for n in ns]
+    # every sweep runs in this process: --workers is checked, not used
+    if args.workers < 1:
+        raise ValueError("workers must be at least 1")
     if len(bases) == 1:
         # through sweep, the one-base case, which perfbench's tracer wraps
-        reports = [sweep(bases[0], mode, workers=args.workers)]
+        reports = [sweep(bases[0], mode)]
     else:
         # the sizes one automaton covers share one counting pass
-        reports = sweeps(bases, mode, workers=args.workers)
+        reports = sweeps(bases, mode)
     # only JSON prints codes, so only JSON walks for them
     codes = args.json and not args.csv
     rows = []

@@ -56,9 +56,9 @@ def solve_fixed_k_proper(n: int, adj: list[int], k: int) -> list[int] | None:
 
 def use_backend(name: str | None) -> str:
     """Rebind the active kernel in this process; None restores the
-    import-time default.  Sweep pool workers run it once at start-up with
-    the parent's name; other subprocesses pick their backend at import,
-    honoring DOMCHROM_KERNEL."""
+    import-time default.  The bench and the tests switch backends with
+    it; a subprocess picks its backend at import, honoring
+    DOMCHROM_KERNEL."""
     global _impl, backend_name, solve_fixed_k_dominator
     target = _default_name if name is None else name
     _impl = load_backend(target)

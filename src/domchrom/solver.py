@@ -40,9 +40,7 @@ edges, sweep through a minimised automaton (the automaton module): no
 orientation is solved, and the kernel is not called.  The bases of one
 family that sweeps() is given share one counting pass, and a report
 walks for its extremal codes only when they are read.  Any other base
-solves every code.  With workers > 1 and at least POOL_MIN_CODES codes
-they are split into contiguous chunks whose values come back in order,
-so the report never depends on scheduling.
+solves every code, in this process.
 
 Results are deterministic: fixed vertex order, ascending class trials,
 ties between codes broken by ascending numeric value.
@@ -64,9 +62,6 @@ DEFAULT_MAX_SWEEP_EDGES = 24
 SWEEP_EDGES_ENV = "DOMCHROM_MAX_SWEEP_EDGES"
 # the most vertices of a base that an automaton sweeps
 AUTOMATON_MAX_VERTICES = 1000
-# the fewest codes a sweep with workers > 1 hands to a process pool: on
-# 2 cores, below 14 edges the pool's start cost outweighed its gain
-POOL_MIN_CODES = 16_384
 ORACLE_MAX_VERTICES = 10
 KERNEL_MAX_VERTICES = 64
 # the most codes an extremal list of a sweep report holds
@@ -442,9 +437,9 @@ class SweepReport(_Record):
         return {name: getattr(self, name) for name in self._fields}
 
 
-def _solve_codes(base: BaseGraph, mode: DominationMode, codes) -> tuple[array, int]:
-    """Values of the orientations with the given codes, in order, 0
-    marking an infeasible one; and how many took the kernel ladder.
+def _solve_codes(base: BaseGraph, mode: DominationMode) -> tuple[array, int]:
+    """Values of every orientation of base, indexed by code, 0 marking
+    an infeasible one; and how many took the kernel ladder.
 
     A strict-mode sink leaves an orientation infeasible, and a bound
     its certificate attains is its value: neither runs the kernel.
@@ -456,7 +451,7 @@ def _solve_codes(base: BaseGraph, mode: DominationMode, codes) -> tuple[array, i
     strict = mode is DominationMode.STRICT
     values = array("B")
     climbed = 0
-    for code in codes:
+    for code in range(1 << m):
         outs = [0] * n
         for i in range(m):
             u, v = edges[i]
@@ -563,44 +558,34 @@ def check_sweep_size(n: int, m: int) -> None:
 
 
 def sweep(
-    base: BaseGraph,
-    mode: DominationMode = DominationMode.SINK_EXEMPT,
-    *,
-    workers: int = 1,
+    base: BaseGraph, mode: DominationMode = DominationMode.SINK_EXEMPT
 ) -> SweepReport:
     """Aggregate the values of every orientation of base.
 
     A path, a cycle with at least 5 vertices or a star, with its edges
     in the order of its builder, sweeps through its automaton and solves
-    no orientation; workers is then unused.  Any other base solves every
-    code.
+    no orientation.  Any other base solves every code.
     """
-    return sweeps([base], mode, workers=workers)[0]
+    return sweeps([base], mode)[0]
 
 
 def sweeps(
-    bases: Sequence[BaseGraph],
-    mode: DominationMode = DominationMode.SINK_EXEMPT,
-    *,
-    workers: int = 1,
+    bases: Sequence[BaseGraph], mode: DominationMode = DominationMode.SINK_EXEMPT
 ) -> list[SweepReport]:
-    """The report of sweep(base, mode, workers=workers) for each base, in
-    order.  The bases that one automaton sweeps share one counting pass
-    over all their edge counts; every base is checked before any is
-    swept."""
+    """The report of sweep(base, mode) for each base, in order.  The
+    bases that one automaton sweeps share one counting pass over all
+    their edge counts; every base is checked before any is swept."""
     families = [_automaton_family(base) for base in bases]
     for base, family in zip(bases, families):
         if family is not None:
             check_automaton_size(base.n)
         else:
             check_sweep_size(base.n, len(base.edges))
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
     reports: list[SweepReport | None] = [None] * len(bases)
     by_family: dict[str, list[int]] = {}
     for i, family in enumerate(families):
         if family is None:
-            reports[i] = _sweep_codes(bases[i], mode, workers)
+            reports[i] = _sweep_codes(bases[i], mode)
         else:
             by_family.setdefault(family, []).append(i)
     if by_family:
@@ -619,37 +604,9 @@ def sweeps(
     return reports
 
 
-def _sweep_codes(base: BaseGraph, mode: DominationMode, workers: int) -> SweepReport:
-    """The report of a sweep that solves every code of base; with
-    workers > 1 and at least POOL_MIN_CODES codes, in a process pool."""
-    m = len(base.edges)
-    codes = range(1 << m)
-    if workers > 1 and len(codes) >= POOL_MIN_CODES:
-        # the pool stack (multiprocessing, socket, logging) loads only here
-        from concurrent.futures import ProcessPoolExecutor
-
-        step = max(1, len(codes) // (workers * 8))
-        chunks = [codes[i : i + step] for i in range(0, len(codes), step)]
-        # never more processes than requested, CPUs, or chunks to run
-        size = min(workers, os.cpu_count() or 1, len(chunks))
-        values = array("B")
-        kernel_solves = 0
-        # A worker started by spawn or forkserver imports the kernel
-        # afresh; each one is set to the parent's backend once.
-        with ProcessPoolExecutor(
-            max_workers=size,
-            initializer=kernel.use_backend,
-            initargs=(kernel.backend_name,),
-        ) as pool:
-            futures = [
-                pool.submit(_solve_codes, base, mode, chunk) for chunk in chunks
-            ]
-            for future in futures:
-                chunk_values, chunk_solves = future.result()
-                values.extend(chunk_values)
-                kernel_solves += chunk_solves
-    else:
-        values, kernel_solves = _solve_codes(base, mode, codes)
+def _sweep_codes(base: BaseGraph, mode: DominationMode) -> SweepReport:
+    """The report of a sweep that solves every code of base."""
+    values, kernel_solves = _solve_codes(base, mode)
     dist = Counter(values)
     infeasible = dist.pop(0, 0)
     return _report(base, mode, dist, infeasible, partial(_scan, values), kernel_solves)

@@ -201,6 +201,9 @@ def test_cli_import_and_common_commands_skip_the_pool_families_and_invariants(tm
         ["solve", str(dpath), "--json"],
         ["verify", str(dpath), str(cpath), "--json"],
         ["sweep", "star", "--n", "16", "--workers", "2", "--json"],
+        # a 4-cycle solves each code, the per-code sweep path, and reads
+        # its closed-form minimum from families
+        ["sweep", "cycle", "--n", "4", "--workers", "2", "--json"],
     ]
     report = _in_fresh_process(
         "import contextlib, io, json, sys\n"
@@ -214,7 +217,13 @@ def test_cli_import_and_common_commands_skip_the_pool_families_and_invariants(tm
         "    report.append([code, loaded()])\n"
         "print(json.dumps(report))\n"
     )
-    assert report == [[None, []], [0, []], [0, []], [0, []]]
+    assert report == [
+        [None, []],
+        [0, []],
+        [0, []],
+        [0, []],
+        [0, ["domchrom.families"]],
+    ]
 
 
 def test_only_a_sweep_loads_the_automaton_and_nothing_loads_its_builder(tmp_path):

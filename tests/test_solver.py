@@ -1,9 +1,5 @@
-import concurrent.futures
-import os
 import random
 from collections import Counter
-from concurrent.futures import Future, ProcessPoolExecutor
-from functools import partial
 from itertools import combinations
 from math import comb
 from unittest.mock import patch
@@ -443,141 +439,18 @@ def test_sweep_argmin_cap_and_overflow(monkeypatch):
 
 
 # a 7-cycle with four chords: not recognised, so a sweep solves each of
-# its 2^11 codes, exactly the pool threshold
+# its 2^11 codes
 CHORDED_CYCLE = BaseGraph(
     7, [(i, (i + 1) % 7) for i in range(7)] + [(0, 2), (0, 3), (1, 4), (2, 5)]
 )
 
 
-@pytest.fixture
-def pool_from_2048(monkeypatch):
-    """POOL_MIN_CODES lowered to 2048, so that CHORDED_CYCLE, 11 edges,
-    pools: a sweep of 16,384 codes would take seconds."""
-    monkeypatch.setattr(solver, "POOL_MIN_CODES", 2048)
-
-
-class InlinePool:
-    """Stands in for ProcessPoolExecutor: records the requested size,
-    runs the worker initializer once, as one worker would, and runs each
-    chunk at once, in this process."""
-
-    def __init__(self, requested, max_workers, initializer=None, initargs=()):
-        requested.append(max_workers)
-        if initializer is not None:
-            initializer(*initargs)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        future = Future()
-        future.set_result(fn(*args))
-        return future
-
-
-@pytest.mark.usefixtures("pool_from_2048")
-def test_sweep_workers_merge_deterministically(monkeypatch):
-    pools = []
-
-    class RecordingPool(ProcessPoolExecutor):
-        def __init__(self, max_workers, **kwargs):
-            pools.append(max_workers)
-            super().__init__(max_workers=max_workers, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+def test_per_code_sweep_counts_its_ladders_and_caps_its_lists(monkeypatch):
     monkeypatch.setattr(solver, "ARG_LIMIT", 3)
-    serial = sweep(CHORDED_CYCLE)
-    assert pools == []
-    parallel = sweep(CHORDED_CYCLE, workers=2)
-    assert pools == [min(2, os.cpu_count() or 1)]
-    assert serial == parallel
-    assert serial.kernel_solves == parallel.kernel_solves == 616
-    assert serial.argmin_overflow and serial.argmax_overflow
-
-
-@st.composite
-def pooled_bases(draw):
-    """A base on 6-8 vertices with 11 or 12 edges that is not recognised:
-    at least 2048 codes, so workers=2 starts a pool once POOL_MIN_CODES
-    is lowered to 2048."""
-    n = draw(st.integers(6, 8))
-    pairs = list(combinations(range(n), 2))
-    edges = draw(st.lists(st.sampled_from(pairs), min_size=11, max_size=12, unique=True))
-    base = BaseGraph(n, edges)
-    assume(_family(base) is None)
-    return base
-
-
-@settings(max_examples=4, deadline=None)
-@given(pooled_bases())
-def test_pooled_sweeps_equal_serial_ones(base):
-    for mode in DominationMode:
-        with patch.object(solver, "POOL_MIN_CODES", 2048):
-            assert 1 << len(base.edges) >= solver.POOL_MIN_CODES
-            pooled = sweep(base, mode, workers=2)
-        serial = sweep(base, mode, workers=1)
-        assert pooled == serial, mode
-        assert pooled.kernel_solves == serial.kernel_solves, mode
-
-
-def test_sweep_rejects_fewer_than_one_worker():
-    for workers in (0, -1):
-        with pytest.raises(ValueError, match="workers"):
-            sweep(path_base(4), workers=workers)
-
-
-@pytest.mark.usefixtures("pool_from_2048")
-def test_sweep_pool_size_is_capped(monkeypatch):
-    requested = []
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", partial(InlinePool, requested))
-    serial = sweep(CHORDED_CYCLE)
-    monkeypatch.setattr(solver.os, "cpu_count", lambda: 3)
-    assert sweep(CHORDED_CYCLE, workers=10_000) == serial
-    # the stand-in ran, so the requests below start no process
-    assert requested == [3]
-    # 10,000 workers make chunks of one code: 2048 chunks
-    monkeypatch.setattr(solver.os, "cpu_count", lambda: 1_000_000)
-    assert sweep(CHORDED_CYCLE, workers=10_000) == serial
-    monkeypatch.setattr(solver.os, "cpu_count", lambda: None)
-    assert sweep(CHORDED_CYCLE, workers=2) == serial
-    assert requested == [3, 2048, 1]
-
-
-def test_only_a_per_code_sweep_of_2048_codes_starts_a_pool(monkeypatch):
-    requested = []
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", partial(InlinePool, requested))
-    monkeypatch.setattr(solver.os, "cpu_count", lambda: 2)
-    # 14 edges: below them a pool lost to a serial sweep on both kernels
-    assert solver.POOL_MIN_CODES == 16_384
-    monkeypatch.setattr(solver, "POOL_MIN_CODES", 2048)
-    # CHORDED_CYCLE without its last chord: 10 edges, 1024 codes
-    ten_edges = BaseGraph(7, CHORDED_CYCLE.edges[:10])
-    assert _family(ten_edges) is None
-    assert sweep(ten_edges, workers=2) == sweep(ten_edges)
-    assert requested == []
-    assert sweep(CHORDED_CYCLE, workers=2) == sweep(CHORDED_CYCLE)
-    assert requested == [2]
-    # an automaton sweep solves no code, so it never pools
-    for base in (path_base(12), cycle_base(11), star_base(11)):
-        sweep(base, workers=2)
-    assert requested == [2]
-
-
-@pytest.mark.usefixtures("pool_from_2048")
-def test_sweep_workers_run_the_parent_backend(monkeypatch):
-    serial = sweep(CHORDED_CYCLE)
-    requested, chosen = [], []
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", partial(InlinePool, requested))
-    monkeypatch.setattr(kernel, "backend_name", "parent-choice")
-    monkeypatch.setattr(kernel, "use_backend", chosen.append)
-    assert sweep(CHORDED_CYCLE, workers=2) == serial
-    # set once per worker, never per chunk, and not by a serial sweep
-    assert chosen == ["parent-choice"]
-    assert sweep(CHORDED_CYCLE) == serial
-    assert chosen == ["parent-choice"]
+    report = sweep(CHORDED_CYCLE)
+    assert report.kernel_solves == 616
+    assert report.argmin_overflow and report.argmax_overflow
+    assert len(report.argmin_codes) == len(report.argmax_codes) == 3
 
 
 def reversed_path(n):
