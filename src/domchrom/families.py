@@ -7,16 +7,28 @@ vertices).  The witness builders below return an orientation together
 with a coloring that meets the closed form; the test suite checks them
 against the verifier and, for small n, against exhaustive sweeps.
 
-Witness layout for paths, n = 4k+1: orient every odd vertex (0-based)
-toward both neighbors.  All sources share one class; the shared sinks
-at positions 2 mod 4 get singleton classes that their two neighboring
-sources dominate; the remaining sinks at positions 0 mod 4 share one
-class.  That spends k+2 classes.  The other residues extend this
-pattern by one or two vertices: appending a vertex that points at a
-singleton-class sink costs nothing, while recoloring the old end
-vertex to a fresh singleton before appending costs one class.  Cycles
-wrap the same alternating pattern, with one irregular vertex absorbing
-the wrap-around when n is odd.
+Past the hand-listed small cases (paths on at most 4 vertices or on 6,
+cycles on at most 6), three rules build the path and even-cycle witnesses:
+
+1. Odd path: every odd vertex (0-based) points at both neighbors.  All
+   sources share one class; the sinks at positions 0 mod 4 share
+   another; the sinks at positions 2 mod 4 get singleton classes that
+   their two neighboring sources dominate.  For n = 4k+1 that spends
+   k+2 classes; for n = 4k+3 the last sink, at 2 mod 4, is the one more
+   singleton that the residue costs.
+2. Even path: the (n-1)-pattern plus vertex n-1 pointing at n-2 and
+   joining the source class, after n-2 is made a singleton.  When
+   n = 0 mod 4, n-2 already is one and the new vertex costs nothing;
+   when n = 2 mod 4, n-2 takes a fresh class.
+3. Even cycle: the path pattern plus the closing arc n-1 -> 0.  Vertex
+   n-1 is a source in the source class and vertex 0 a sink in class 0,
+   so the arc keeps the coloring proper and keeps every domination.
+
+Odd cycles cannot alternate all the way round: both residues share the
+sources at even positions 2..n-3 and one out-degree-one vertex.  For
+n = 4k+1, vertex 1 points at the singleton sink 0 and vertices 1..n-1
+take the (n-1)-path's colors one class up; for n = 4k+3, vertex 0
+points at both neighbors and vertex n-1 at the singleton sink n-2.
 """
 
 from __future__ import annotations
@@ -99,10 +111,10 @@ def cycle_min_formula(n: int) -> int:
     return (n + 3) // 4 + 2
 
 
-def _alternating_path_arcs(n: int) -> list[tuple[int, int]]:
-    # every odd vertex points at both neighbors; needs odd n
+def _sources(first: int, stop: int) -> list[tuple[int, int]]:
+    # vertices first, first+2, ... below stop point at both neighbors
     arcs = []
-    for i in range(1, n, 2):
+    for i in range(first, stop, 2):
         arcs.append((i, i - 1))
         arcs.append((i, i + 1))
     return arcs
@@ -122,8 +134,20 @@ def _alternating_colors(n: int) -> list[int]:
     return colors
 
 
+def _path_pattern(n: int) -> tuple[list[tuple[int, int]], list[int]]:
+    # arcs and colors of the path witness for n = 4, 5 and n >= 7
+    if n % 2:
+        return _sources(1, n), _alternating_colors(n)
+    arcs, colors = _path_pattern(n - 1)
+    arcs.append((n - 1, n - 2))
+    colors[n - 2] = 2 + (n - 2) // 4
+    colors.append(1)
+    return arcs, colors
+
+
 def path_optimal(n: int) -> ConstructiveWitness:
-    """Orientation of the n-path meeting path_min_formula, with coloring."""
+    """Orientation of the n-path meeting path_min_formula, with coloring.
+    Past n <= 4 and n = 6, odd paths alternate and even paths extend them."""
     value = path_min_formula(n)
     if n == 1:
         return ConstructiveWitness(Digraph(1, []), Coloring([0], 1), value)
@@ -138,38 +162,13 @@ def path_optimal(n: int) -> ConstructiveWitness:
     if n == 6:
         d = Digraph(6, [(0, 1), (2, 1), (2, 3), (4, 3), (4, 5)])
         return ConstructiveWitness(d, Coloring([0, 1, 0, 2, 0, 2], 3), value)
-
-    r = n % 4
-    if r == 3:
-        # alternating witness on n-2 vertices, plus a source at n-2
-        # pointing at the old end and at a fresh singleton sink at n-1
-        m = n - 2
-        arcs = _alternating_path_arcs(m) + [(m, m - 1), (m, m + 1)]
-        colors = _alternating_colors(m) + [1, 2 + (m - 1) // 4]
-        return ConstructiveWitness(Digraph(n, arcs), Coloring(colors, value), value)
-    if r == 1:
-        arcs = _alternating_path_arcs(n)
-        colors = _alternating_colors(n)
-        return ConstructiveWitness(Digraph(n, arcs), Coloring(colors, value), value)
-    if r == 0:
-        # extend the (n-1)-witness (residue 3) with a vertex that
-        # points at its singleton-class end and joins the source class
-        w = path_optimal(n - 1)
-        arcs = list(w.digraph.arcs) + [(n - 1, n - 2)]
-        colors = list(w.coloring.assignment) + [1]
-        return ConstructiveWitness(Digraph(n, arcs), Coloring(colors, value), value)
-    # r == 2, n >= 10: recolor the end of the alternating (n-1)-witness
-    # to a fresh singleton, then append a vertex pointing at it
-    m = n - 1
-    arcs = _alternating_path_arcs(m) + [(n - 1, n - 2)]
-    colors = _alternating_colors(m)
-    colors[m - 1] = 2 + (m - 1) // 4
-    colors.append(1)
+    arcs, colors = _path_pattern(n)
     return ConstructiveWitness(Digraph(n, arcs), Coloring(colors, value), value)
 
 
 def cycle_optimal(n: int) -> ConstructiveWitness:
-    """Orientation of the n-cycle meeting cycle_min_formula, with coloring."""
+    """Orientation of the n-cycle meeting cycle_min_formula, with coloring.
+    Past n <= 6, even cycles close the path pattern; odd ones get their own."""
     value = cycle_min_formula(n)
     if n == 3:
         return ConstructiveWitness(directed_cycle(3), Coloring([0, 1, 2], 3), value)
@@ -182,49 +181,19 @@ def cycle_optimal(n: int) -> ConstructiveWitness:
     if n == 6:
         d = Digraph(6, [(1, 0), (1, 2), (3, 2), (3, 4), (5, 4), (5, 0)])
         return ConstructiveWitness(d, Coloring([0, 1, 0, 1, 2, 1], 3), value)
-
-    r = n % 4
-    if r == 0:
-        # alternating pattern wraps cleanly: sources odd, sinks even
-        arcs = _alternating_path_arcs(n - 1) + [(n - 1, n - 2), (n - 1, 0)]
-        colors = _alternating_colors(n)
+    if n % 2 == 0:
+        arcs, colors = _path_pattern(n)
+        arcs.append((n - 1, 0))
         return ConstructiveWitness(Digraph(n, arcs), Coloring(colors, value), value)
-    if r == 2:
-        # wrap the alternating (n-1)-path witness: recolor its end to a
-        # fresh singleton, close the cycle through a new source
-        m = n - 1
-        arcs = _alternating_path_arcs(m) + [(n - 1, n - 2), (n - 1, 0)]
-        colors = _alternating_colors(m)
-        colors[m - 1] = 2 + (m - 1) // 4
-        colors.append(1)
+    # arcs listed so the underlying edge order is the cycle base's
+    run = _sources(2, n - 1)
+    if n % 4 == 1:
+        arcs = [(1, 0)] + run + [(n - 1, n - 2), (n - 1, 0)]
+        colors = [0] + [c + 1 for c in _alternating_colors(n - 1)]
         return ConstructiveWitness(Digraph(n, arcs), Coloring(colors, value), value)
-    if r == 1:
-        # one sink of the wrapped pattern is fed by an out-degree-one
-        # vertex, so it takes a singleton class of its own
-        arcs = [(1, 0)]
-        for i in range(2, n - 1, 2):
-            arcs.append((i, i - 1))
-            arcs.append((i, i + 1))
-        arcs += [(n - 1, n - 2), (n - 1, 0)]
-        colors = [0, 1]
-        for i in range(2, n):
-            if i % 2 == 0:
-                colors.append(2)
-            elif i % 4 == 3:
-                colors.append(3 + (i - 3) // 4)
-            else:
-                colors.append(1)
-        return ConstructiveWitness(Digraph(n, arcs), Coloring(colors, value), value)
-    # r == 3: sources on even positions, one of them out-degree one;
-    # sinks at 1 mod 4 take singletons, sinks at 3 mod 4 share with the
-    # irregular vertex; arcs listed so the underlying edge order is the
-    # cycle base's
-    arcs = [(0, 1)]
-    for i in range(2, n - 1, 2):
-        arcs.append((i, i - 1))
-        arcs.append((i, i + 1))
-    arcs.append((n - 1, n - 2))
-    arcs.append((0, n - 1))
+    # n % 4 == 3: sinks at 1 mod 4 take singletons, sinks at 3 mod 4
+    # share a class with the out-degree-one vertex n-1
+    arcs = [(0, 1)] + run + [(n - 1, n - 2), (0, n - 1)]
     colors = []
     for i in range(n - 1):
         if i % 2 == 0:

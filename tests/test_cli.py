@@ -570,6 +570,24 @@ def test_mine_discrepancy_csv(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "cycle", "--n-min", "4", "--n-max", "6"],
+        ["formulas", "path", "--n-min", "1", "--n-max", "5"],
+        ["mine-discrepancy", "--family", "tilde-cycle", "--n-min", "5", "--n-max", "6"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_csv_wins_over_json(argv, capsys):
+    assert run([*argv, "--csv"]) == 0
+    csv_only = capsys.readouterr()
+    assert csv_only.out.startswith("n,")
+    for flags in (["--json", "--csv"], ["--csv", "--json"]):
+        assert run([*argv, *flags]) == 0
+        assert capsys.readouterr() == csv_only
+
+
+@pytest.mark.parametrize(
     "argv, n_min, n_max",
     [(["--n", "5"], 5, 5), (["--n-min", "4", "--n-max", "6"], 4, 6)],
 )

@@ -33,6 +33,8 @@ from domchrom.graphs import star_base
 PATH_MIN = [1, 2, 2, 3, 3, 3, 4, 4, 4, 5, 5, 5]
 # frozen likewise, n = 3..12
 CYCLE_MIN = [3, 2, 3, 3, 4, 4, 5, 5, 5, 5]
+# every residue and small case, and the top of the `family` size guard
+WITNESS_SIZES = [*range(1, 201), *range(990, 1001)]
 
 
 def test_path_min_formula_frozen_table():
@@ -48,23 +50,25 @@ def test_cycle_min_formula_frozen_table():
 
 
 def test_path_witnesses_meet_the_formula():
-    for n in range(1, 13):
+    for n in WITNESS_SIZES:
         w = path_optimal(n)
         assert underlying(w.digraph) == path_base(n)
         assert w.claimed_value == path_min_formula(n)
         assert w.coloring.k == w.claimed_value
         assert verify(w.digraph, w.coloring).ok
-        assert dominator_chromatic_number(w.digraph).value == w.claimed_value
+        if n <= 12:
+            assert dominator_chromatic_number(w.digraph).value == w.claimed_value
 
 
 def test_cycle_witnesses_meet_the_formula():
-    for n in range(3, 13):
+    for n in WITNESS_SIZES[2:]:  # from 3 vertices
         w = cycle_optimal(n)
         assert underlying(w.digraph) == cycle_base(n)
         assert w.claimed_value == cycle_min_formula(n)
         assert w.coloring.k == w.claimed_value
         assert verify(w.digraph, w.coloring).ok
-        assert dominator_chromatic_number(w.digraph).value == w.claimed_value
+        if n <= 12:
+            assert dominator_chromatic_number(w.digraph).value == w.claimed_value
 
 
 def test_family_spec_validation():
@@ -167,9 +171,9 @@ def test_base_graph_of_each_kind():
     def base(kind, *params):
         return underlying(family_witness(FamilySpec(kind, params)).digraph)
 
-    for n in range(1, 41):
+    for n in WITNESS_SIZES:
         assert base("path", n) == path_base(n)
-    for n in range(3, 41):
+    for n in WITNESS_SIZES[2:]:  # from 3 vertices
         assert base("cycle", n) == cycle_base(n)
     for leaves in range(1, 9):
         for in_arcs in range(leaves + 1):
@@ -235,6 +239,51 @@ def test_family_witness_matches_the_frozen_witness(spec):
     w = family_witness(spec)
     got = (w.digraph.arcs, w.coloring.assignment, w.claimed_value)
     assert got == FROZEN_WITNESSES[spec.kind]
+
+
+# with path 7 and cycle 8 above, one frozen witness per residue mod 4
+# of both families: arcs, assignment, claimed value
+FROZEN_RESIDUE_WITNESSES = {
+    ("path", 8): (
+        ((1, 0), (1, 2), (3, 2), (3, 4), (5, 4), (5, 6), (7, 6)),
+        (0, 1, 2, 1, 0, 1, 3, 1),
+        4,
+    ),
+    ("path", 9): (
+        ((1, 0), (1, 2), (3, 2), (3, 4), (5, 4), (5, 6), (7, 6), (7, 8)),
+        (0, 1, 2, 1, 0, 1, 3, 1, 0),
+        4,
+    ),
+    ("path", 10): (
+        ((1, 0), (1, 2), (3, 2), (3, 4), (5, 4), (5, 6), (7, 6), (7, 8), (9, 8)),
+        (0, 1, 2, 1, 0, 1, 3, 1, 4, 1),
+        5,
+    ),
+    ("cycle", 9): (
+        ((1, 0), (2, 1), (2, 3), (4, 3), (4, 5), (6, 5), (6, 7), (8, 7), (8, 0)),
+        (0, 1, 2, 3, 2, 1, 2, 4, 2),
+        5,
+    ),
+    ("cycle", 10): (
+        ((1, 0), (1, 2), (3, 2), (3, 4), (5, 4), (5, 6), (7, 6), (7, 8), (9, 8))
+        + ((9, 0),),
+        (0, 1, 2, 1, 0, 1, 3, 1, 4, 1),
+        5,
+    ),
+    ("cycle", 11): (
+        ((0, 1), (2, 1), (2, 3), (4, 3), (4, 5), (6, 5), (6, 7), (8, 7), (8, 9))
+        + ((10, 9), (0, 10)),
+        (0, 1, 0, 2, 0, 3, 0, 2, 0, 4, 2),
+        5,
+    ),
+}
+
+
+@pytest.mark.parametrize("kind, n", FROZEN_RESIDUE_WITNESSES)
+def test_path_and_cycle_witnesses_match_one_frozen_witness_per_residue(kind, n):
+    w = family_witness(FamilySpec(kind, (n,)))
+    got = (w.digraph.arcs, w.coloring.assignment, w.claimed_value)
+    assert got == FROZEN_RESIDUE_WITNESSES[kind, n]
 
 
 @pytest.mark.parametrize("spec", SAMPLE_SPECS, ids=lambda s: s.kind)
