@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 from typing import Sequence
 
-from .graphs import Digraph, _Record
+from .graphs import Digraph, _Record, out_neighbors
 
 
 class DominationMode(enum.Enum):
@@ -114,9 +114,7 @@ def dominated_classes(d: Digraph, v: int, c: Coloring) -> set[int]:
     dominates nothing.
     """
     _check_size(d, c)
-    if not (0 <= v < d.n):
-        raise ValueError(f"vertex {v} out of range")
-    outs = {b for a, b in d.arcs if a == v}
+    outs = out_neighbors(d, v)
     return {j for j, members in enumerate(c.class_members()) if members <= outs}
 
 

@@ -7,8 +7,8 @@ vertices).  The witness builders below return an orientation together
 with a coloring that meets the closed form; the test suite checks them
 against the verifier and, for small n, against exhaustive sweeps.
 
-Past the hand-listed small cases (paths on at most 4 vertices or on 6,
-cycles on at most 6), three rules build the path and even-cycle witnesses:
+Past the hand-listed small cases (paths on 2, 3 and 6 vertices, cycles
+on at most 6), three rules build the path and even-cycle witnesses:
 
 1. Odd path: every odd vertex (0-based) points at both neighbors.  All
    sources share one class; the sinks at positions 0 mod 4 share
@@ -135,7 +135,7 @@ def _alternating_colors(n: int) -> list[int]:
 
 
 def _path_pattern(n: int) -> tuple[list[tuple[int, int]], list[int]]:
-    # arcs and colors of the path witness for n = 4, 5 and n >= 7
+    # arcs and colors of the path witness for n = 1, 4, 5 and n >= 7
     if n % 2:
         return _sources(1, n), _alternating_colors(n)
     arcs, colors = _path_pattern(n - 1)
@@ -147,18 +147,13 @@ def _path_pattern(n: int) -> tuple[list[tuple[int, int]], list[int]]:
 
 def path_optimal(n: int) -> ConstructiveWitness:
     """Orientation of the n-path meeting path_min_formula, with coloring.
-    Past n <= 4 and n = 6, odd paths alternate and even paths extend them."""
+    Apart from n = 2, 3 and 6, odd paths alternate and even paths extend them."""
     value = path_min_formula(n)
-    if n == 1:
-        return ConstructiveWitness(Digraph(1, []), Coloring([0], 1), value)
     if n == 2:
         return ConstructiveWitness(directed_path(2), Coloring([0, 1], 2), value)
     if n == 3:
         d = Digraph(3, [(1, 0), (1, 2)])
         return ConstructiveWitness(d, Coloring([0, 1, 0], 2), value)
-    if n == 4:
-        d = Digraph(4, [(1, 0), (1, 2), (3, 2)])
-        return ConstructiveWitness(d, Coloring([0, 1, 2, 1], 3), value)
     if n == 6:
         d = Digraph(6, [(0, 1), (2, 1), (2, 3), (4, 3), (4, 5)])
         return ConstructiveWitness(d, Coloring([0, 1, 0, 2, 0, 2], 3), value)

@@ -4,7 +4,8 @@ machine-readable result envelope used by the command line.
 All three text formats are line-based with LF endings and single
 spaces: a header line naming the object and its sizes, then one line
 per arc, edge, or vertex.  parse and emit are exact inverses on valid
-files.  Parse errors carry the offending line number.
+files.  A parser checks each line once, in order, and the first check
+that fails names the error and its line number.
 """
 
 from __future__ import annotations
@@ -34,134 +35,114 @@ def _lines(text: str) -> list[str]:
     return lines
 
 
-def _ints(raw: str, count: int, lineno: int) -> list[int]:
-    parts = raw.split()
-    if len(parts) != count:
-        raise FormatError(f"expected {count} fields, got {len(parts)}", lineno)
-    out = []
-    for p in parts:
-        try:
-            out.append(int(p))
-        except ValueError:
-            raise FormatError(f"non-integer token {p!r}", lineno)
-    return out
-
-
 def _header(lines: list[str], tag: str, count: int) -> list[int]:
+    """The count integers after tag on line 1, the first a positive vertex count."""
     parts = lines[0].split()
     if not parts or parts[0] != tag:
         raise FormatError(f"header must start with {tag!r}", 1)
     if len(parts) != count + 1:
         raise FormatError(f"header needs {count} integer(s) after {tag!r}", 1)
-    out = []
-    for p in parts[1:]:
-        try:
-            out.append(int(p))
-        except ValueError:
-            raise FormatError(f"non-integer token {p!r}", 1)
+    try:
+        out = [int(token := p) for p in parts[1:]]
+    except ValueError:
+        raise FormatError(f"non-integer token {token!r}", 1) from None
+    if out[0] < 1:
+        raise FormatError("vertex count must be positive", 1)
     return out
 
 
-def _check_endpoint(x: int, n: int, lineno: int) -> None:
-    if not (0 <= x < n):
-        raise FormatError(f"vertex {x} out of range 0..{n - 1}", lineno)
+def _out_of_range(x: int, n: int, lineno: int) -> FormatError:
+    return FormatError(f"vertex {x} out of range 0..{n - 1}", lineno)
 
 
 def parse_digraph(text: str) -> Digraph:
     lines = _lines(text)
     (n,) = _header(lines, "digraph", 1)
-    if n < 1:
-        raise FormatError("vertex count must be positive", 1)
     arcs: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(lines[1:], start=2):
-        # one pass per line; a line that fails any check is re-read by
-        # _arc_error, which names the first check it fails
+        parts = raw.split()
         try:
-            a, b = raw.split()
-            arc = (int(a), int(b))
+            token, other = parts
+            u = int(token)
+            v = int(token := other)
         except ValueError:
-            raise _arc_error(raw, n, seen, lineno) from None
-        u, v = arc
-        if not (0 <= u < n and 0 <= v < n) or u == v or arc in seen or (v, u) in seen:
-            raise _arc_error(raw, n, seen, lineno)
+            # the unpack refused the field count, or int() refused token
+            if len(parts) != 2:
+                raise FormatError(f"expected 2 fields, got {len(parts)}", lineno) from None
+            raise FormatError(f"non-integer token {token!r}", lineno) from None
+        if not 0 <= u < n:
+            raise _out_of_range(u, n, lineno)
+        if not 0 <= v < n:
+            raise _out_of_range(v, n, lineno)
+        if u == v:
+            raise FormatError(f"loop at vertex {u}", lineno)
+        arc = (u, v)
+        if arc in seen:
+            raise FormatError(f"duplicate arc {u} {v}", lineno)
+        if (v, u) in seen:
+            raise FormatError(f"digon: arc {v} {u} already present", lineno)
         seen.add(arc)
         arcs.append(arc)
     return Digraph._from_checked(n, tuple(arcs))
 
 
-def _arc_error(raw: str, n: int, seen: set[tuple[int, int]], lineno: int) -> FormatError:
-    """The error for an arc line that parse_digraph rejects."""
-    try:
-        u, v = _ints(raw, 2, lineno)
-        _check_endpoint(u, n, lineno)
-        _check_endpoint(v, n, lineno)
-    except FormatError as exc:
-        return exc
-    if u == v:
-        return FormatError(f"loop at vertex {u}", lineno)
-    if (u, v) in seen:
-        return FormatError(f"duplicate arc {u} {v}", lineno)
-    return FormatError(f"digon: arc {v} {u} already present", lineno)
-
-
 def parse_base(text: str) -> BaseGraph:
     lines = _lines(text)
     (n,) = _header(lines, "graph", 1)
-    if n < 1:
-        raise FormatError("vertex count must be positive", 1)
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(lines[1:], start=2):
-        u, v = _ints(raw, 2, lineno)
-        _check_endpoint(u, n, lineno)
-        _check_endpoint(v, n, lineno)
+        parts = raw.split()
+        try:
+            token, other = parts
+            u = int(token)
+            v = int(token := other)
+        except ValueError:
+            if len(parts) != 2:
+                raise FormatError(f"expected 2 fields, got {len(parts)}", lineno) from None
+            raise FormatError(f"non-integer token {token!r}", lineno) from None
+        if not 0 <= u < n:
+            raise _out_of_range(u, n, lineno)
+        if not 0 <= v < n:
+            raise _out_of_range(v, n, lineno)
         if u >= v:
             raise FormatError("edge must list the smaller endpoint first", lineno)
-        if (u, v) in seen:
+        edge = (u, v)
+        if edge in seen:
             raise FormatError(f"duplicate edge {u} {v}", lineno)
-        seen.add((u, v))
-        edges.append((u, v))
+        seen.add(edge)
+        edges.append(edge)
     return BaseGraph._from_checked(n, tuple(edges))
 
 
 def parse_coloring(text: str) -> Coloring:
     lines = _lines(text)
     n, k = _header(lines, "coloring", 2)
-    if n < 1:
-        raise FormatError("vertex count must be positive", 1)
     if len(lines) - 1 != n:
         raise FormatError(f"expected {n} vertex lines, got {len(lines) - 1}", 1)
     assignment: list[int | None] = [None] * n
     for lineno, raw in enumerate(lines[1:], start=2):
-        # one pass per line; a line that fails any check is re-read by
-        # _vertex_error, which names the first check it fails
+        parts = raw.split()
         try:
-            a, b = raw.split()
-            v, c = int(a), int(b)
+            token, other = parts
+            v = int(token)
+            c = int(token := other)
         except ValueError:
-            raise _vertex_error(raw, n, assignment, lineno) from None
-        if not 0 <= v < n or assignment[v] is not None or c < 0:
-            raise _vertex_error(raw, n, assignment, lineno)
+            if len(parts) != 2:
+                raise FormatError(f"expected 2 fields, got {len(parts)}", lineno) from None
+            raise FormatError(f"non-integer token {token!r}", lineno) from None
+        if not 0 <= v < n:
+            raise _out_of_range(v, n, lineno)
+        if assignment[v] is not None:
+            raise FormatError(f"vertex {v} assigned twice", lineno)
+        if c < 0:
+            raise FormatError(f"negative class {c}", lineno)
         assignment[v] = c
     error = _label_error(assignment, k)  # type: ignore[arg-type]
     if error is not None:
         raise FormatError(error)
     return Coloring._from_checked(tuple(assignment), k)  # type: ignore[arg-type]
-
-
-def _vertex_error(
-    raw: str, n: int, assignment: list[int | None], lineno: int
-) -> FormatError:
-    """The error for a vertex line that parse_coloring rejects."""
-    try:
-        v, c = _ints(raw, 2, lineno)
-        _check_endpoint(v, n, lineno)
-    except FormatError as exc:
-        return exc
-    if assignment[v] is not None:
-        return FormatError(f"vertex {v} assigned twice", lineno)
-    return FormatError(f"negative class {c}", lineno)
 
 
 def emit_digraph(d: Digraph) -> str:
