@@ -42,13 +42,26 @@ def _header(lines: list[str], tag: str, count: int) -> list[int]:
         raise FormatError(f"header must start with {tag!r}", 1)
     if len(parts) != count + 1:
         raise FormatError(f"header needs {count} integer(s) after {tag!r}", 1)
-    try:
-        out = [int(token := p) for p in parts[1:]]
-    except ValueError:
-        raise FormatError(f"non-integer token {token!r}", 1) from None
+    out = [_int(p, 1) for p in parts[1:]]
     if out[0] < 1:
         raise FormatError("vertex count must be positive", 1)
     return out
+
+
+def _int(token: str, lineno: int) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise FormatError(f"non-integer token {token!r}", lineno) from None
+
+
+def _pair(raw: str, lineno: int) -> tuple[int, int]:
+    """The two integers of a body line; its first bad field names the error."""
+    parts = raw.split()
+    if len(parts) != 2:
+        raise FormatError(f"expected 2 fields, got {len(parts)}", lineno)
+    a, b = parts
+    return _int(a, lineno), _int(b, lineno)
 
 
 def _out_of_range(x: int, n: int, lineno: int) -> FormatError:
@@ -61,16 +74,7 @@ def parse_digraph(text: str) -> Digraph:
     arcs: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(lines[1:], start=2):
-        parts = raw.split()
-        try:
-            token, other = parts
-            u = int(token)
-            v = int(token := other)
-        except ValueError:
-            # the unpack refused the field count, or int() refused token
-            if len(parts) != 2:
-                raise FormatError(f"expected 2 fields, got {len(parts)}", lineno) from None
-            raise FormatError(f"non-integer token {token!r}", lineno) from None
+        u, v = _pair(raw, lineno)
         if not 0 <= u < n:
             raise _out_of_range(u, n, lineno)
         if not 0 <= v < n:
@@ -93,15 +97,7 @@ def parse_base(text: str) -> BaseGraph:
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(lines[1:], start=2):
-        parts = raw.split()
-        try:
-            token, other = parts
-            u = int(token)
-            v = int(token := other)
-        except ValueError:
-            if len(parts) != 2:
-                raise FormatError(f"expected 2 fields, got {len(parts)}", lineno) from None
-            raise FormatError(f"non-integer token {token!r}", lineno) from None
+        u, v = _pair(raw, lineno)
         if not 0 <= u < n:
             raise _out_of_range(u, n, lineno)
         if not 0 <= v < n:
@@ -123,15 +119,7 @@ def parse_coloring(text: str) -> Coloring:
         raise FormatError(f"expected {n} vertex lines, got {len(lines) - 1}", 1)
     assignment: list[int | None] = [None] * n
     for lineno, raw in enumerate(lines[1:], start=2):
-        parts = raw.split()
-        try:
-            token, other = parts
-            v = int(token)
-            c = int(token := other)
-        except ValueError:
-            if len(parts) != 2:
-                raise FormatError(f"expected 2 fields, got {len(parts)}", lineno) from None
-            raise FormatError(f"non-integer token {token!r}", lineno) from None
+        v, c = _pair(raw, lineno)
         if not 0 <= v < n:
             raise _out_of_range(v, n, lineno)
         if assignment[v] is not None:

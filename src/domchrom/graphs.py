@@ -9,9 +9,31 @@ which is how the solver enumerates all orientations of a base.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property
 from operator import attrgetter
 from typing import Iterable, Sequence
+
+
+class _DataclassFields:
+    """The __dataclass_fields__ of a record class, which
+    dataclasses.replace, fields and asdict look for.  It is built on
+    first use, so only such a caller imports dataclasses."""
+
+    def __get__(self, record, cls):
+        return _dataclass_fields(cls)
+
+
+@cache
+def _dataclass_fields(cls):
+    import dataclasses
+
+    return dataclasses.make_dataclass(
+        cls.__name__,
+        [
+            (name, "Any", dataclasses.field(compare=name not in cls._uncompared))
+            for name in cls._fields
+        ],
+    ).__dataclass_fields__
 
 
 class _Record:
@@ -36,6 +58,7 @@ class _Record:
     _defaults = {}
     # names of the fields that equality and the hash ignore
     _uncompared = ()
+    __dataclass_fields__ = _DataclassFields()
 
     def __init_subclass__(cls):
         super().__init_subclass__()

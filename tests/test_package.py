@@ -5,6 +5,7 @@ runs, so these tests pin the 57 public names and their owners, and the
 modules that `import domchrom.cli` and the common commands leave out.
 """
 
+import dataclasses
 import importlib
 import json
 import pickle
@@ -286,7 +287,7 @@ def test_value_types_are_frozen_records(kind):
     assert type(a) is kind and a is not b
     assert a == b and not a != b
     assert a != other
-    names = list(kind._fields)
+    names = [f.name for f in dataclasses.fields(kind)]
     assert a != tuple(getattr(a, name) for name in names)
     assert all(a != value for value in (RECORDS[k][1] for k in RECORDS if k is not kind))
     # equality holds only within one class, a subclass included
@@ -309,16 +310,17 @@ def test_value_types_are_frozen_records(kind):
     assert repr(a) == f"{kind.__name__}(" + ", ".join(
         f"{name}={getattr(a, name)!r}" for name in names
     ) + ")"
+    assert dataclasses.replace(a) == a
+    assert dataclasses.asdict(a).keys() == set(names)
 
 
 def test_sweep_reports_ignore_kernel_solves():
     rep = sweep(path_base(4))
-    fields = {name: getattr(rep, name) for name in SweepReport._fields}
-    assert SweepReport(**{**fields, "kernel_solves": 7}) == rep
+    assert dataclasses.replace(rep, kernel_solves=7) == rep
     # with its one unhashable field blanked, a report hashes
-    blank = {**fields, "distribution": None}
-    assert hash(SweepReport(**{**blank, "kernel_solves": 7})) == hash(SweepReport(**blank))
-    assert SweepReport(**{**fields, "min_value": 1}) != rep
+    blank = dataclasses.replace(rep, distribution=None)
+    assert hash(dataclasses.replace(blank, kernel_solves=7)) == hash(blank)
+    assert dataclasses.replace(rep, min_value=1) != rep
 
 
 def test_generic_records_bind_by_position_by_name_and_mixed():
