@@ -51,7 +51,6 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
     "graphs": (
         "BaseGraph",
         "Digraph",
-        "OrientationCode",
         "code_of",
         "cycle_base",
         "is_connected",
@@ -63,7 +62,6 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "underlying",
     ),
     "invariants": (
-        "Embedding",
         "GapReport",
         "OrientationGapReport",
         "dominator_discrepancy",

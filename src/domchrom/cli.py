@@ -422,7 +422,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
     for n in ns:
         # dominator_discrepancy, with each digraph solved once: the
         # directed cycle is the first n arcs of the tilde cycle, so the
-        # identity embedding needs no check
+        # vertex map range(n) needs no check
         host_value = dominator_chromatic_number(tilde_cycle(n), mode).value
         sub_value = dominator_chromatic_number(directed_cycle(n), mode).value
         if host_value is None or sub_value is None:

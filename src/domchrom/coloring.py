@@ -17,6 +17,7 @@ comparison; under it, any digraph with a sink is infeasible.
 from __future__ import annotations
 
 import enum
+from operator import index
 from typing import Sequence
 
 from .graphs import Digraph, _Record, out_neighbors
@@ -36,7 +37,8 @@ class Coloring(_Record):
     k: int
 
     def __init__(self, assignment: Sequence[int], k: int):
-        assignment = tuple(int(c) for c in assignment)
+        assignment = tuple(map(index, assignment))
+        k = index(k)
         error = _label_error(assignment, k)
         if error is not None:
             raise ValueError(error)

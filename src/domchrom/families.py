@@ -33,10 +33,11 @@ points at both neighbors and vertex n-1 at the singleton sink n-2.
 
 from __future__ import annotations
 
+from operator import index
 from typing import Callable
 
 from .coloring import Coloring
-from .graphs import BaseGraph, Digraph, OrientationCode, _Record, orient
+from .graphs import BaseGraph, Digraph, _Record, orient
 
 
 class FamilySpec(_Record):
@@ -48,7 +49,7 @@ class FamilySpec(_Record):
     def __init__(self, kind: str, params: tuple[int, ...] = ()):
         if kind not in FAMILY_KINDS:
             raise ValueError(f"unknown family kind {kind!r}")
-        params = tuple(int(p) for p in params)
+        params = tuple(map(index, params))
         floors = _KINDS[kind][0]
         if len(params) != len(floors):
             raise ValueError(
@@ -232,7 +233,7 @@ def tournament(n: int, chooser: int = 0) -> Digraph:
     if n < 1:
         raise ValueError("tournament needs at least one vertex")
     base = BaseGraph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
-    return orient(OrientationCode.from_value(base, chooser))
+    return orient(base, chooser)
 
 
 def tilde_cycle(n: int) -> Digraph:

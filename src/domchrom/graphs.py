@@ -3,15 +3,17 @@
 Vertices are the integers 0..n-1.  Digraphs are simple: no loops, no
 parallel arcs, and no two vertices joined in both directions, so the
 underlying undirected graph is simple as well.  A BaseGraph is such an
-undirected substrate; an OrientationCode picks one direction per edge,
-which is how the solver enumerates all orientations of a base.
+undirected substrate.  An orientation code is an integer with a bit
+per edge, edge 0 the most significant: the codes 0 .. 2^|edges| - 1
+are every orientation of a base.  Constructors read vertex counts and
+labels with operator.index, so a float raises TypeError.
 """
 
 from __future__ import annotations
 
-from functools import cache, cached_property
-from operator import attrgetter
-from typing import Iterable, Sequence
+from functools import cache
+from operator import attrgetter, index
+from typing import Iterable
 
 
 class _DataclassFields:
@@ -137,11 +139,13 @@ class BaseGraph(_Record):
     edges: tuple[tuple[int, int], ...]
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
+        n = index(n)
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         normalized = []
         seen = set()
         for u, v in edges:
+            u, v = index(u), index(v)
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
@@ -161,9 +165,10 @@ class Digraph(_Record):
     arcs: tuple[tuple[int, int], ...]
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]]):
+        n = index(n)
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        arcs = tuple((int(u), int(v)) for u, v in arcs)
+        arcs = tuple((index(u), index(v)) for u, v in arcs)
         seen = set()
         for u, v in arcs:
             if u == v:
@@ -176,60 +181,6 @@ class Digraph(_Record):
                 raise ValueError(f"digon between {u} and {v}")
             seen.add((u, v))
         self.__dict__.update(n=n, arcs=arcs)
-
-
-_DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
-_DIGIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
-
-
-class OrientationCode(_Record):
-    """One orientation of a base graph, as a bit per edge.
-
-    Bit i refers to edge i = (u, v) with u < v of the base: 0 orients it
-    u->v, 1 orients it v->u.  Rendered as a bitstring whose first
-    character is edge 0; the numeric value of a code is that bitstring
-    read as a binary number, which fixes the tie-break order used by
-    sweep reports.
-    """
-
-    base: BaseGraph
-    bits: tuple[int, ...]
-
-    def __init__(self, base: BaseGraph, bits: Sequence[int]):
-        bits = tuple(int(b) for b in bits)
-        if len(bits) != len(base.edges):
-            raise ValueError(
-                f"code length {len(bits)} != edge count {len(base.edges)}"
-            )
-        if any(b not in (0, 1) for b in bits):
-            raise ValueError("code bits must be 0 or 1")
-        self.__dict__.update(base=base, bits=bits)
-
-    @classmethod
-    def from_value(cls, base: BaseGraph, value: int) -> "OrientationCode":
-        m = len(base.edges)
-        if not 0 <= value < 1 << m:
-            if m == 0:
-                raise ValueError("edgeless base admits only code 0")
-            raise ValueError(f"code value {value} out of range for {m} edges")
-        # bits built here are valid by construction: skip __init__, and
-        # keep the digits as the cached bitstring; the guard bit at m
-        # pads the digits to m, and to none for an edgeless base
-        digits = bin(value | 1 << m)[3:]
-        code = cls._from_checked(base, tuple(digits.encode().translate(_DIGIT_VALUES)))
-        code.__dict__["bitstring"] = digits
-        return code
-
-    @cached_property
-    def bitstring(self) -> str:
-        return bytes(self.bits).translate(_DIGIT_CHARS).decode()
-
-    @property
-    def value(self) -> int:
-        v = 0
-        for b in self.bits:
-            v = (v << 1) | b
-        return v
 
 
 def out_neighbors(d: Digraph, v: int) -> frozenset[int]:
@@ -250,14 +201,24 @@ def underlying(d: Digraph) -> BaseGraph:
     return BaseGraph(d.n, d.arcs)
 
 
-def orient(code: OrientationCode) -> Digraph:
-    arcs = []
-    for (u, v), b in zip(code.base.edges, code.bits):
-        arcs.append((u, v) if b == 0 else (v, u))
-    return Digraph(code.base.n, arcs)
+def orient(base: BaseGraph, code: int) -> Digraph:
+    """The orientation of base that code picks.  Bit i of code, counted
+    from the most significant of len(base.edges) bits, orients edge
+    i = (u, v), u < v: 0 as u->v, 1 as v->u."""
+    code = index(code)
+    m = len(base.edges)
+    if not 0 <= code < 1 << m:
+        if m == 0:
+            raise ValueError("edgeless base admits only code 0")
+        raise ValueError(f"code value {code} out of range for {m} edges")
+    arcs = [
+        (v, u) if code >> (m - 1 - i) & 1 else (u, v)
+        for i, (u, v) in enumerate(base.edges)
+    ]
+    return Digraph(base.n, arcs)
 
 
-def code_of(base: BaseGraph, d: Digraph) -> OrientationCode:
+def code_of(base: BaseGraph, d: Digraph) -> int:
     """Inverse of orient: the code that produces d from base.
 
     Errors if d is not an orientation of base.
@@ -265,15 +226,15 @@ def code_of(base: BaseGraph, d: Digraph) -> OrientationCode:
     if d.n != base.n or len(d.arcs) != len(base.edges):
         raise ValueError("digraph is not an orientation of the base")
     arcset = set(d.arcs)
-    bits = []
+    code = 0
     for u, v in base.edges:
         if (u, v) in arcset:
-            bits.append(0)
+            code <<= 1
         elif (v, u) in arcset:
-            bits.append(1)
+            code = code << 1 | 1
         else:
             raise ValueError(f"base edge ({u}, {v}) is unoriented in the digraph")
-    return OrientationCode(base, bits)
+    return code
 
 
 def reverse(d: Digraph) -> Digraph:

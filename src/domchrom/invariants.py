@@ -21,6 +21,7 @@ disagreement stays visible.
 
 from __future__ import annotations
 
+from operator import index
 from typing import Sequence
 
 from .coloring import DominationMode
@@ -49,15 +50,6 @@ class OrientationGapReport(_Record):
     max_gap: int
     spread: int
     table_value: int | None
-
-
-class Embedding(_Record):
-    """Maps vertex i of a sub-digraph to vertex_map[i] of a host."""
-
-    vertex_map: tuple[int, ...]
-
-    def __init__(self, vertex_map: Sequence[int]):
-        self.__dict__.update(vertex_map=tuple(int(v) for v in vertex_map))
 
 
 def dominator_gap(
@@ -135,13 +127,12 @@ def orientation_gap(
     )
 
 
-def is_subdigraph(d: Digraph, h: Digraph, e: Embedding) -> bool:
-    """True iff e injectively maps h into d preserving every arc."""
-    if len(e.vertex_map) != h.n:
-        raise ValueError(
-            f"embedding maps {len(e.vertex_map)} vertices, sub-digraph has {h.n}"
-        )
-    vm = e.vertex_map
+def is_subdigraph(d: Digraph, h: Digraph, vertex_map: Sequence[int]) -> bool:
+    """True iff vertex_map, which sends vertex i of h to vertex_map[i]
+    of d, maps h into d injectively and preserving every arc."""
+    vm = tuple(map(index, vertex_map))
+    if len(vm) != h.n:
+        raise ValueError(f"embedding maps {len(vm)} vertices, sub-digraph has {h.n}")
     if any(not (0 <= x < d.n) for x in vm):
         raise ValueError("embedding target out of range")
     if len(set(vm)) != len(vm):
@@ -153,16 +144,17 @@ def is_subdigraph(d: Digraph, h: Digraph, e: Embedding) -> bool:
 def dominator_discrepancy(
     d: Digraph,
     h: Digraph,
-    e: Embedding,
+    vertex_map: Sequence[int],
     mode: DominationMode = DominationMode.SINK_EXEMPT,
 ) -> int:
     """Dominator value of the sub-digraph h minus that of its host d.
 
     Positive values witness sub-digraphs strictly harder than the host
     containing them; the tilde-cycle family as host drives this
-    arbitrarily high with the directed cycle embedded identically.
+    arbitrarily high with the directed cycle embedded identically, as
+    vertex_map range(n).
     """
-    if not is_subdigraph(d, h, e):
+    if not is_subdigraph(d, h, vertex_map):
         raise ValueError("invalid embedding: h does not embed into d")
     out_h = dominator_chromatic_number(h, mode)
     out_d = dominator_chromatic_number(d, mode)

@@ -56,7 +56,7 @@ from typing import Callable, Sequence
 
 from . import kernel
 from .coloring import Coloring, DominationMode
-from .graphs import BaseGraph, Digraph, OrientationCode, _family, _Record, orient
+from .graphs import BaseGraph, Digraph, _family, _Record, orient
 
 DEFAULT_MAX_SWEEP_EDGES = 24
 SWEEP_EDGES_ENV = "DOMCHROM_MAX_SWEEP_EDGES"
@@ -396,14 +396,14 @@ class SweepReport(_Record):
 
     distribution maps value to orientation count; together with
     infeasible_count it accounts for all 2^|edges| codes.  The extremal
-    code lists hold integer codes, the numeric values of OrientationCode
-    (OrientationCode.from_value(report.base, c) is the orientation of
-    c), ascending and capped at ARG_LIMIT codes each, with overflow
-    flags telling whether codes were dropped.  A report from a sweep
-    walks each list on its first read, so a caller that reads only the
-    distribution never pays for them.  kernel_solves counts the codes
-    whose value took the kernel ladder, 0 on an automaton sweep; it is
-    not part of the answer, so report equality ignores it.
+    code lists hold orientation codes, the integers that orient takes
+    (orient(report.base, c) is the orientation of c), ascending and
+    capped at ARG_LIMIT codes each, with overflow flags telling whether
+    codes were dropped.  A report from a sweep walks each list on its
+    first read, so a caller that reads only the distribution never pays
+    for them.  kernel_solves counts the codes whose value took the
+    kernel ladder, 0 on an automaton sweep; it is not part of the
+    answer, so report equality ignores it.
     """
 
     base: BaseGraph
@@ -614,24 +614,22 @@ def _sweep_codes(base: BaseGraph, mode: DominationMode) -> SweepReport:
 
 def _extreme_over_orientations(
     base: BaseGraph, mode: DominationMode, take_max: bool
-) -> tuple[int, OrientationCode, Coloring]:
+) -> tuple[int, int, Coloring]:
     # the witness solve needs the kernel: refuse its size before sweeping
     check_solvable_size(base.n)
     report = sweep(base, mode)
     value = report.max_value if take_max else report.min_value
     if value is None:
         raise ValueError("no orientation is feasible under the strict requirement")
-    code = OrientationCode.from_value(
-        base, (report.argmax_codes if take_max else report.argmin_codes)[0]
-    )
-    outcome = dominator_chromatic_number(orient(code), mode)
+    code = (report.argmax_codes if take_max else report.argmin_codes)[0]
+    outcome = dominator_chromatic_number(orient(base, code), mode)
     assert outcome.witness is not None
     return value, code, outcome.witness
 
 
 def min_over_orientations(
     base: BaseGraph, mode: DominationMode = DominationMode.SINK_EXEMPT
-) -> tuple[int, OrientationCode, Coloring]:
+) -> tuple[int, int, Coloring]:
     """Smallest dominator chromatic value over all orientations, with
     the first achieving code (ascending) and its witness."""
     return _extreme_over_orientations(base, mode, take_max=False)
@@ -639,6 +637,6 @@ def min_over_orientations(
 
 def max_over_orientations(
     base: BaseGraph, mode: DominationMode = DominationMode.SINK_EXEMPT
-) -> tuple[int, OrientationCode, Coloring]:
+) -> tuple[int, int, Coloring]:
     """Largest dominator chromatic value over all orientations."""
     return _extreme_over_orientations(base, mode, take_max=True)

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from domchrom import (
     Digraph,
-    OrientationCode,
     code_of,
     cycle_base,
     is_connected,
@@ -37,9 +36,8 @@ CYCLE_NS = range(3, 13)
 @pytest.fixture(scope="session", autouse=True)
 def checked_records():
     """Records built without validation (parsed digraphs, bases and
-    colorings, kernel witnesses, family bases, codes from their values)
-    must equal the validated construction, field types included, in
-    every test."""
+    colorings, kernel witnesses, family bases) must equal the validated
+    construction, field types included, in every test."""
     unchecked = _Record._from_checked.__func__
 
     def from_checked(cls, *values):
@@ -105,8 +103,8 @@ def automorphism_generators(kind, base):
 def relabelled_code(base, code, perm):
     """The code of the orientation that relabelling code's vertices by
     perm gives."""
-    d = orient(OrientationCode.from_value(base, code))
-    return code_of(base, Digraph(d.n, [(perm[u], perm[v]) for u, v in d.arcs])).value
+    d = orient(base, code)
+    return code_of(base, Digraph(d.n, [(perm[u], perm[v]) for u, v in d.arcs]))
 
 
 def code_orbits(kind, base):

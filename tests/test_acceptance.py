@@ -22,9 +22,7 @@ from domchrom import (
     Coloring,
     Digraph,
     DominationMode,
-    Embedding,
     FamilySpec,
-    OrientationCode,
     chromatic_number,
     code_of,
     cycle_base,
@@ -128,8 +126,8 @@ def test_directed_cycle_argmax_structure(cycle_sweeps):
             for v in members:
                 by_value[v] = members
         expected = (
-            by_value[code_of(base, directed_cycle(n)).value]
-            | by_value[code_of(base, one_flip).value]
+            by_value[code_of(base, directed_cycle(n))]
+            | by_value[code_of(base, one_flip)]
         )
         assert argmax == expected, f"cycle n={n}"
         assert len(argmax) == 2 + 2 * n
@@ -228,17 +226,13 @@ def test_criterion_05_subgraphs_can_be_harder():
     # a path orientation that needs one class more
     cheap_cycle = cycle_optimal(4).digraph
     hard_path = path_optimal(4).digraph
-    assert is_subdigraph(cheap_cycle, hard_path, Embedding(range(4)))
+    assert is_subdigraph(cheap_cycle, hard_path, range(4))
     assert dominator_chromatic_number(hard_path).value == 3
     assert dominator_chromatic_number(cheap_cycle).value == 2
-    assert (
-        dominator_discrepancy(cheap_cycle, hard_path, Embedding(range(4))) == 1
-    )
+    assert dominator_discrepancy(cheap_cycle, hard_path, range(4)) == 1
     # the hub-sink family drives the deficit arbitrarily high
     deltas = [
-        dominator_discrepancy(
-            tilde_cycle(n), directed_cycle(n), Embedding(range(n))
-        )
+        dominator_discrepancy(tilde_cycle(n), directed_cycle(n), range(n))
         for n in range(6, 11)
     ]
     assert deltas == [3, 3, 5, 5, 7]
@@ -267,7 +261,7 @@ def test_criterion_06_monotonicity_and_path_cycle_comparison(
     for n in range(2, 10):
         base = path_base(n)
         for code_value in range(1 << (n - 1)):
-            d = orient(OrientationCode.from_value(base, code_value))
+            d = orient(base, code_value)
             whole = value_of(d)
             for i in range(n):
                 for j in range(i + 1, n + 1):
@@ -328,7 +322,7 @@ def test_criterion_08_oracle_equivalence():
             base = base_of(n)
             m = len(base.edges)
             for code_value in range(1 << m):
-                d = orient(OrientationCode.from_value(base, code_value))
+                d = orient(base, code_value)
                 assert (
                     dominator_chromatic_number(d).value
                     == dominator_chromatic_number_oracle(d)

@@ -5,8 +5,9 @@ import pytest
 from conftest import code_orbits
 from domchrom import (
     BaseGraph,
+    Coloring,
     Digraph,
-    OrientationCode,
+    FamilySpec,
     code_of,
     cycle_base,
     directed_cycle,
@@ -64,54 +65,79 @@ def test_digraph_trivial_sizes():
 
 
 def test_orientation_code_value_roundtrip():
-    base = path_base(4)
-    for value in range(8):
-        code = OrientationCode.from_value(base, value)
-        assert code.value == value
-        assert len(code.bits) == 3
-        assert int(code.bitstring, 2) == value
-        # built from bits, the bitstring is computed rather than seeded
-        assert OrientationCode(base, code.bits).bitstring == code.bitstring
-        assert code == OrientationCode(base, code.bits)
-        assert hash(code) == hash(OrientationCode(base, code.bits))
-    edgeless = BaseGraph(3, [])
-    assert OrientationCode.from_value(edgeless, 0).bits == ()
+    # every code of a path, a cycle, a star and an edgeless base comes
+    # back from the orientation it picks
+    for base in (path_base(4), cycle_base(4), star_base(3), BaseGraph(3, [])):
+        for code in range(1 << len(base.edges)):
+            d = orient(base, code)
+            assert underlying(d) == base
+            assert code_of(base, d) == code
 
 
 def test_orientation_code_bitstring_is_msb_first():
+    # code 4 of a 3-edge path is the bitstring 100: only the first edge
+    # flips; code 1 flips only the last
     base = path_base(4)
-    code = OrientationCode.from_value(base, 4)
-    assert code.bitstring == "100"
-    assert code.bits == (1, 0, 0)
+    assert orient(base, 4).arcs == ((1, 0), (1, 2), (2, 3))
+    assert orient(base, 1).arcs == ((0, 1), (1, 2), (3, 2))
 
 
 def test_orientation_code_validation():
     base = path_base(4)
-    with pytest.raises(ValueError):
-        OrientationCode(base, [0, 1])
-    with pytest.raises(ValueError):
-        OrientationCode(base, [0, 2, 0])
     with pytest.raises(ValueError, match="code value 8 out of range for 3 edges"):
-        OrientationCode.from_value(base, 8)
+        orient(base, 8)
     with pytest.raises(ValueError, match="code value -1 out of range"):
-        OrientationCode.from_value(base, -1)
+        orient(base, -1)
     with pytest.raises(ValueError, match="edgeless base admits only code 0"):
-        OrientationCode.from_value(BaseGraph(2, []), 1)
+        orient(BaseGraph(2, []), 1)
+    with pytest.raises(TypeError):
+        orient(base, 2.0)
 
 
 def test_orient_and_code_of_are_inverse():
+    # code_of reads the arcs in any order; orient lists them in the
+    # base's edge order
+    rng = random.Random(4)
     base = cycle_base(4)
-    for value in range(16):
-        code = OrientationCode.from_value(base, value)
-        d = orient(code)
-        assert code_of(base, d).bits == code.bits
+    for code in range(16):
+        arcs = list(orient(base, code).arcs)
+        rng.shuffle(arcs)
+        d = Digraph(4, arcs)
+        assert code_of(base, d) == code
+        assert sorted(orient(base, code_of(base, d)).arcs) == sorted(arcs)
 
 
 def test_orient_bit_semantics():
     # bit 0 keeps the stored (u, v) direction, bit 1 flips it
     base = path_base(3)
-    assert orient(OrientationCode(base, [0, 0])).arcs == ((0, 1), (1, 2))
-    assert orient(OrientationCode(base, [1, 0])).arcs == ((1, 0), (1, 2))
+    assert orient(base, 0b00).arcs == ((0, 1), (1, 2))
+    assert orient(base, 0b10).arcs == ((1, 0), (1, 2))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Digraph(3, [(0, 1.7)]),
+        lambda: BaseGraph(3, [(0, 1.7)]),
+        lambda: Coloring([0, 1.9, 0.2], 2),
+        lambda: FamilySpec("path", (4.6,)),
+        lambda: Digraph(2.0, []),
+        lambda: BaseGraph(2.0, []),
+        lambda: Coloring([0, 1], 2.0),
+    ],
+    ids=[
+        "digraph-arc",
+        "base-edge",
+        "coloring-class",
+        "family-param",
+        "digraph-n",
+        "base-n",
+        "coloring-k",
+    ],
+)
+def test_float_labels_raise_rather_than_truncate(build):
+    with pytest.raises(TypeError):
+        build()
 
 
 def test_code_of_rejects_non_orientations():
@@ -182,7 +208,7 @@ def test_consistent_cycle_orbit_is_a_pair():
     # reversal is all ones except the last bit
     for n in (3, 5, 8):
         base = cycle_base(n)
-        assert code_of(base, directed_cycle(n)).value == 1
+        assert code_of(base, directed_cycle(n)) == 1
         classes = code_orbits("cycle", base)
         orbit = next(cls for cls in classes if 1 in cls)
         assert orbit == [1, (1 << n) - 2]

@@ -1,7 +1,7 @@
 """The package surface and what a process loads to reach it.
 
 Package names load on first use and the CLI loads only what its command
-runs, so these tests pin the 57 public names and their owners, and the
+runs, so these tests pin the 55 public names and their owners, and the
 modules that `import domchrom.cli` and the common commands leave out.
 """
 
@@ -20,10 +20,8 @@ from domchrom import (
     Coloring,
     ConstructiveWitness,
     DominationMode,
-    Embedding,
     FamilySpec,
     GapReport,
-    OrientationCode,
     OrientationGapReport,
     SolveOutcome,
     SweepReport,
@@ -76,7 +74,6 @@ PUBLIC = {
     "graphs": [
         "BaseGraph",
         "Digraph",
-        "OrientationCode",
         "code_of",
         "cycle_base",
         "is_connected",
@@ -88,7 +85,6 @@ PUBLIC = {
         "underlying",
     ],
     "invariants": [
-        "Embedding",
         "GapReport",
         "OrientationGapReport",
         "dominator_discrepancy",
@@ -132,7 +128,7 @@ def _in_fresh_process(code: str):
 
 def test_all_is_frozen():
     names = sorted(name for names in PUBLIC.values() for name in names)
-    assert len(names) == 57
+    assert len(names) == 55
     assert domchrom.__all__ == names
 
 
@@ -159,6 +155,8 @@ def test_dir_lists_the_public_names_and_unknown_names_raise():
 @pytest.mark.parametrize(
     "name",
     [
+        "Embedding",
+        "OrientationCode",
         "base_graph",
         "cycle_symmetry_classes",
         "family_digraph",
@@ -257,10 +255,6 @@ def test_only_a_sweep_loads_the_automaton_and_nothing_loads_its_builder(tmp_path
 RECORDS = {
     BaseGraph: (lambda: path_base(3), cycle_base(3)),
     Digraph: (lambda: Digraph(3, [(0, 1), (1, 2)]), Digraph(3, [(1, 0), (1, 2)])),
-    OrientationCode: (
-        lambda: OrientationCode(path_base(3), [0, 1]),
-        OrientationCode.from_value(path_base(3), 2),
-    ),
     Coloring: (lambda: Coloring([0, 1, 0], 2), Coloring([0, 1, 1], 2)),
     Violation: (lambda: Violation("properness", arc=(0, 1)), Violation("domination", vertex=0)),
     Verdict: (lambda: Verdict(False, (Violation("domination", vertex=2),)), Verdict(True, ())),
@@ -276,7 +270,6 @@ RECORDS = {
     ),
     GapReport: (lambda: dominator_gap(directed_path(3)), GapReport(3, 2, 0)),
     OrientationGapReport: (lambda: orientation_gap(path_base(4)), orientation_gap(cycle_base(4))),
-    Embedding: (lambda: Embedding(range(3)), Embedding([2, 1, 0])),
 }
 
 

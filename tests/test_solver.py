@@ -21,7 +21,6 @@ from domchrom import (
     Digraph,
     DominationMode,
     GuardExceeded,
-    OrientationCode,
     SweepReport,
     chromatic_number,
     cycle_base,
@@ -402,7 +401,7 @@ def test_sweep_path_four():
     assert rep.max_value == 4
     assert list(rep.argmin_codes) == sorted(rep.argmin_codes)
     for code in rep.argmin_codes:
-        digraph = orient(OrientationCode.from_value(rep.base, code))
+        digraph = orient(rep.base, code)
         assert dominator_chromatic_number(digraph).value == 3
 
 
@@ -490,13 +489,13 @@ def test_extremes_match_sweep():
     rep = sweep(base)
     value, code, witness = min_over_orientations(base)
     assert value == rep.min_value
-    assert code.value == rep.argmin_codes[0]
+    assert code == rep.argmin_codes[0]
     assert witness.k == value
-    assert verify(orient(code), witness).ok
+    assert verify(orient(base, code), witness).ok
     value, code, witness = max_over_orientations(base)
     assert value == rep.max_value
-    assert code.value == rep.argmax_codes[0]
-    assert verify(orient(code), witness).ok
+    assert code == rep.argmax_codes[0]
+    assert verify(orient(base, code), witness).ok
     # every orientation of a path has a sink, so none is strictly feasible
     with pytest.raises(ValueError, match="no orientation is feasible"):
         min_over_orientations(path_base(4), DominationMode.STRICT)
@@ -526,15 +525,13 @@ def test_sweep_distribution_counts_every_orientation(cycle_sweeps):
 def test_underlying_of_min_witness_is_the_base():
     base = cycle_base(7)
     _, code, _ = min_over_orientations(base)
-    assert underlying(orient(code)) == base
+    assert underlying(orient(base, code)) == base
 
 
 def per_code_values(base, mode):
     """Every code's value, solved one digraph at a time."""
     return [
-        dominator_chromatic_number(
-            orient(OrientationCode.from_value(base, c)), mode
-        ).value
+        dominator_chromatic_number(orient(base, c), mode).value
         for c in range(1 << len(base.edges))
     ]
 
@@ -651,10 +648,10 @@ def test_vertex_automorphisms_keep_codes_in_their_orbit(case):
     # isomorphic orientations share a value: each code's image under an
     # automorphism, a relabelled orientation, solves to the same value
     kind, base, code = case
-    d = orient(OrientationCode.from_value(base, code))
+    d = orient(base, code)
     for perm in automorphism_generators(kind, base):
         image = relabelled_code(base, code, perm)
-        e = orient(OrientationCode.from_value(base, image))
+        e = orient(base, image)
         for mode in DominationMode:
             assert (
                 dominator_chromatic_number(e, mode).value
@@ -672,9 +669,7 @@ def test_star_sweep_at_the_edge_guard(mode):
     assert len(base.edges) == solver.DEFAULT_MAX_SWEEP_EDGES
     report = sweep(base, mode)
     values = [
-        dominator_chromatic_number(
-            orient(OrientationCode.from_value(base, (1 << j) - 1)), mode
-        ).value
+        dominator_chromatic_number(orient(base, (1 << j) - 1), mode).value
         for j in range(m + 1)
     ]
     dist = Counter()
