@@ -24,8 +24,6 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "Verdict",
         "Violation",
         "canonicalize",
-        "dominated_classes",
-        "is_proper",
         "verify",
     ),
     "families": (
@@ -56,9 +54,7 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "is_connected",
         "orient",
         "out_degree_sequence",
-        "out_neighbors",
         "path_base",
-        "reverse",
         "underlying",
     ),
     "invariants": (

@@ -156,6 +156,8 @@ def main() -> None:
     parser = argparse.ArgumentParser(description="compare kernel backends")
     parser.add_argument("--repeat", type=int, default=3, help="best-of repetitions")
     args = parser.parse_args()
+    if args.repeat < 1:
+        parser.error("--repeat must be at least 1")
 
     available = kernel.available_backends()
     print(f"nproc: {os.cpu_count()}  python: {platform.python_version()}")

@@ -5,11 +5,14 @@ mine-discrepancy.  Exit codes: 0 success, 1 semantic failure (a
 verification that finds violations, or an invariant undefined on the
 instance), 2 usage or parse error, 3 size guard exceeded.
 
-JSON output is a stable one-line envelope {backend, command, inputs,
-outputs}, backend naming the kernel that ran; keys inside outputs are
-documented in the README.  CSV rows keep a fixed column order.
-Orientation codes print as bitstrings, first edge of the base as the
-most significant bit.
+Each command writes its result once, through _print_result: a CSV
+table when the command has one (sweep, formulas, mine-discrepancy) and
+--csv is given, else the JSON envelope under --json, else text; only
+family --emit-* writes raw files instead.  The JSON envelope is one
+stable line {backend, command, inputs, outputs}, backend naming the
+kernel that ran; keys inside outputs are documented in the README.  CSV
+rows keep a fixed column order.  Orientation codes print as bitstrings,
+first edge of the base as the most significant bit.
 
 Only the modules a command runs are loaded: solve and verify never
 import families or invariants, and each command's parser is built on
@@ -22,7 +25,7 @@ import argparse
 import functools
 import sys
 import time
-from typing import TYPE_CHECKING, Any, Callable, NamedTuple
+from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple
 
 from . import kernel, solver
 from .coloring import Coloring, DominationMode, verify
@@ -79,21 +82,27 @@ def _ms(t0: float) -> int:
     return int(round((time.perf_counter() - t0) * 1000))
 
 
-def _write_json(command: str, inputs: dict[str, Any], outputs: dict[str, Any]) -> None:
-    sys.stdout.write(emit_json(command, inputs, outputs, kernel.backend_name))
-
-
 def _print_result(
     args: argparse.Namespace,
     command: str,
     inputs: dict[str, Any],
-    outputs: dict[str, Any],
-    text: str,
+    outputs: dict[str, Any] | Callable[[], dict[str, Any]],
+    text: str | Callable[[], str],
+    table: tuple[list[str], Iterable[list[Any]]] | None = None,
 ) -> None:
-    if args.json:
-        _write_json(command, inputs, outputs)
+    """Write the result: table (header, rows) as CSV under --csv, else
+    the envelope of outputs under --json, else text.  outputs and text
+    may each be the function that builds it, and the table's rows a
+    generator, so work that only one format prints is done only for it."""
+    if table is not None and args.csv:
+        result = emit_csv(*table)
+    elif args.json:
+        if callable(outputs):
+            outputs = outputs()
+        result = emit_json(command, inputs, outputs, kernel.backend_name)
     else:
-        sys.stdout.write(text)
+        result = text() if callable(text) else text
+    sys.stdout.write(result)
 
 
 # ---------------------------------------------------------------- solve
@@ -111,13 +120,13 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         "nodes_explored": out.nodes_explored,
         "elapsed_ms": _ms(t0),
     }
-    if args.json:
-        _write_json("solve", {"digraph": args.digraph, "mode": mode.value}, outputs)
-    elif out.value is None:
-        sys.stdout.write("value: infeasible\n")
-    else:
-        witness = " ".join(str(c) for c in out.witness.assignment)
-        sys.stdout.write(f"value: {out.value}\nwitness: {witness}\n")
+
+    def text() -> str:
+        if out.value is None:
+            return "value: infeasible\n"
+        return f"value: {out.value}\nwitness: {' '.join(map(str, outputs['witness']))}\n"
+
+    _print_result(args, "solve", {"digraph": args.digraph, "mode": mode.value}, outputs, text)
     return EXIT_OK
 
 
@@ -184,16 +193,16 @@ _SWEEP_KINDS = {
     "star": _SweepKind(star_base, lambda n: n + 1, lambda n: 2),
 }
 
-# sweep CSV columns: (header, key of the JSON row)
-_SWEEP_CSV = (
-    ("n", "n"),
-    ("min", "min_value"),
-    ("max", "max_value"),
-    ("formula", "formula"),
-    ("matches_formula", "matches_formula"),
-    ("orientations", "orientations"),
-    ("infeasible", "infeasible_count"),
-)
+# sweep CSV column header -> key of the JSON row, in column order
+_SWEEP_CSV = {
+    "n": "n",
+    "min": "min_value",
+    "max": "max_value",
+    "formula": "formula",
+    "matches_formula": "matches_formula",
+    "orientations": "orientations",
+    "infeasible": "infeasible_count",
+}
 
 
 def _range_from(args: argparse.Namespace) -> range:
@@ -229,46 +238,43 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     else:
         # the sizes one automaton covers share one counting pass
         reports = sweeps(bases, mode)
-    # only JSON prints codes, so only JSON walks for them
-    codes = args.json and not args.csv
     rows = []
     for n, rep in zip(ns, reports):
         formula = kind.min_formula(n)
-        row = {
-            "n": n,
-            "orientations": rep.orientations,
-            "distribution": {str(k): v for k, v in rep.distribution.items()},
-            "infeasible_count": rep.infeasible_count,
-            "min_value": rep.min_value,
-            "max_value": rep.max_value,
-        }
-        if codes:
-            # an m-digit bitstring: a guard bit at m pads the binary digits
+        rows.append(
+            {
+                "n": n,
+                "orientations": rep.orientations,
+                "distribution": {str(k): v for k, v in rep.distribution.items()},
+                "infeasible_count": rep.infeasible_count,
+                "min_value": rep.min_value,
+                "max_value": rep.max_value,
+                "argmin_overflow": rep.argmin_overflow,
+                "argmax_overflow": rep.argmax_overflow,
+                "formula": formula,
+                "matches_formula": rep.min_value == formula,
+                "kernel_solves": rep.kernel_solves,
+            }
+        )
+
+    def outputs() -> dict[str, Any]:
+        # only JSON prints codes, so only JSON walks for them; an m-digit
+        # bitstring: a guard bit at m pads the binary digits
+        for row, rep in zip(rows, reports):
             guard = 1 << len(rep.base.edges)
             row["argmin_codes"] = [bin(c | guard)[3:] for c in rep.argmin_codes]
             row["argmax_codes"] = [bin(c | guard)[3:] for c in rep.argmax_codes]
-        row.update(
-            argmin_overflow=rep.argmin_overflow,
-            argmax_overflow=rep.argmax_overflow,
-            formula=formula,
-            matches_formula=rep.min_value == formula,
-            kernel_solves=rep.kernel_solves,
-        )
-        rows.append(row)
+        return {"rows": rows, "mode": mode.value, "elapsed_ms": _ms(t0)}
+
     inputs = {"base": args.base, "n": list(ns), "mode": mode.value, "workers": args.workers}
-    outputs = {"rows": rows, "mode": mode.value, "elapsed_ms": _ms(t0)}
-    if args.csv:
-        header = [head for head, _ in _SWEEP_CSV]
-        csv_rows = [[r[key] for _, key in _SWEEP_CSV] for r in rows]
-        sys.stdout.write(emit_csv(header, csv_rows))
-        return EXIT_OK
+    table = (list(_SWEEP_CSV), ([r[key] for key in _SWEEP_CSV.values()] for r in rows))
     text = "".join(
         f"n={r['n']} min={r['min_value']} max={r['max_value']} "
         f"formula={r['formula']} match={str(r['matches_formula']).lower()} "
         f"orientations={r['orientations']} infeasible={r['infeasible_count']}\n"
         for r in rows
     )
-    _print_result(args, "sweep", inputs, outputs, text)
+    _print_result(args, "sweep", inputs, outputs, text, table)
     return EXIT_OK
 
 
@@ -337,13 +343,10 @@ def _cmd_formulas(args: argparse.Namespace) -> int:
         )
     fn = _SWEEP_KINDS[args.base].min_formula
     rows = [{"n": n, "value": fn(n)} for n in ns]
-    if args.csv:
-        sys.stdout.write(emit_csv(["n", "value"], [[r["n"], r["value"]] for r in rows]))
-        return EXIT_OK
     inputs = {"base": args.base, "n_min": ns[0], "n_max": ns[-1]}
-    outputs = {"rows": rows}
     text = "".join(f"n={r['n']} value={r['value']}\n" for r in rows)
-    _print_result(args, "formulas", inputs, outputs, text)
+    table = (["n", "value"], ([r["n"], r["value"]] for r in rows))
+    _print_result(args, "formulas", inputs, {"rows": rows}, text, table)
     return EXIT_OK
 
 
@@ -437,14 +440,6 @@ def _cmd_mine(args: argparse.Namespace) -> int:
                 "discrepancy": sub_value - host_value,
             }
         )
-    if args.csv:
-        sys.stdout.write(
-            emit_csv(
-                ["n", "host_value", "sub_value", "discrepancy"],
-                [[r["n"], r["host_value"], r["sub_value"], r["discrepancy"]] for r in rows],
-            )
-        )
-        return EXIT_OK
     inputs = {
         "family": args.family,
         "n_min": ns[0],
@@ -457,7 +452,9 @@ def _cmd_mine(args: argparse.Namespace) -> int:
         f"discrepancy={r['discrepancy']}\n"
         for r in rows
     )
-    _print_result(args, "mine-discrepancy", inputs, outputs, text)
+    header = ["n", "host_value", "sub_value", "discrepancy"]
+    table = (header, ([r[key] for key in header] for r in rows))
+    _print_result(args, "mine-discrepancy", inputs, outputs, text, table)
     return EXIT_OK
 
 

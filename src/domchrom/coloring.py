@@ -20,7 +20,7 @@ import enum
 from operator import index
 from typing import Sequence
 
-from .graphs import Digraph, _Record, out_neighbors
+from .graphs import Digraph, _Record
 
 
 class DominationMode(enum.Enum):
@@ -98,33 +98,12 @@ def canonicalize(raw: Sequence[int]) -> Coloring:
     return Coloring(out, len(mapping))
 
 
-def _check_size(d: Digraph, c: Coloring) -> None:
-    if c.n != d.n:
-        raise ValueError(f"coloring covers {c.n} vertices, digraph has {d.n}")
-
-
-def is_proper(d: Digraph, c: Coloring) -> bool:
-    _check_size(d, c)
-    a = c.assignment
-    return all(a[u] != a[v] for u, v in d.arcs)
-
-
-def dominated_classes(d: Digraph, v: int, c: Coloring) -> set[int]:
-    """Indices of classes contained in the out-neighborhood of v.
-
-    Every class of a Coloring is nonempty, so an empty out-neighborhood
-    dominates nothing.
-    """
-    _check_size(d, c)
-    outs = out_neighbors(d, v)
-    return {j for j, members in enumerate(c.class_members()) if members <= outs}
-
-
 def verify(
     d: Digraph, c: Coloring, mode: DominationMode = DominationMode.SINK_EXEMPT
 ) -> Verdict:
     """Exhaustive check; collects every violation for diagnostics."""
-    _check_size(d, c)
+    if c.n != d.n:
+        raise ValueError(f"coloring covers {c.n} vertices, digraph has {d.n}")
     a = c.assignment
     violations: list[Violation] = []
     outs = [0] * d.n

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import io
 import json
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 from .coloring import Coloring, _label_error
 from .graphs import BaseGraph, Digraph
@@ -158,7 +158,7 @@ def emit_json(
     return json.dumps(payload, sort_keys=True) + "\n"
 
 
-def emit_csv(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
+def emit_csv(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
     import csv  # only the CSV outputs load it
 
     buf = io.StringIO()

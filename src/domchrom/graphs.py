@@ -183,12 +183,6 @@ class Digraph(_Record):
         self.__dict__.update(n=n, arcs=arcs)
 
 
-def out_neighbors(d: Digraph, v: int) -> frozenset[int]:
-    if not (0 <= v < d.n):
-        raise ValueError(f"vertex {v} out of range")
-    return frozenset(b for a, b in d.arcs if a == v)
-
-
 def out_degree_sequence(d: Digraph) -> tuple[int, ...]:
     degs = [0] * d.n
     for a, _ in d.arcs:
@@ -235,11 +229,6 @@ def code_of(base: BaseGraph, d: Digraph) -> int:
         else:
             raise ValueError(f"base edge ({u}, {v}) is unoriented in the digraph")
     return code
-
-
-def reverse(d: Digraph) -> Digraph:
-    """Reverse every arc."""
-    return Digraph(d.n, tuple((v, u) for u, v in d.arcs))
 
 
 def is_connected(base: BaseGraph) -> bool:

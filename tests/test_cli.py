@@ -200,10 +200,17 @@ def test_lazy_command_parsers_match_the_full_parser(capsys):
 def test_json_envelope_is_one_line_and_names_the_backend(dpath3, tmp_path, capsys):
     c = tmp_path / "good.txt"
     c.write_text(emit_coloring(Coloring([0, 1, 2], 3)))
+    b = tmp_path / "base.txt"
+    b.write_text(emit_base(path_base(4)))
     for argv in (
         ["solve", dpath3, "--json"],
         ["verify", dpath3, str(c), "--json"],
         ["sweep", "path", "--n", "4", "--json"],
+        ["family", "cycle", "5", "--json"],
+        ["formulas", "cycle", "--n-min", "3", "--n-max", "5", "--json"],
+        ["invariants", dpath3, "--json"],
+        ["invariants", "--base", str(b), "--star", "--json"],
+        ["mine-discrepancy", "--family", "tilde-cycle", "--n", "5", "--json"],
     ):
         assert run(argv) == 0
         out = capsys.readouterr().out
@@ -342,7 +349,7 @@ def test_csv_and_text_sweeps_walk_for_no_codes(monkeypatch, capsys):
     monkeypatch.setattr(automaton, "_first_codes", refuse)
     monkeypatch.setattr(solver, "_scan", refuse)
     for kind, (lo, _) in RANGE_SWEEPS.items():
-        for flags in (["--csv"], []):
+        for flags in (["--csv"], [], ["--json", "--csv"]):
             argv = ["sweep", kind, "--n-min", str(lo), "--n-max", "30", *flags]
             assert run(argv) == 0
             assert run(["sweep", kind, "--n", "12", *flags]) == 0

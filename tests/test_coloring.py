@@ -11,10 +11,7 @@ from domchrom import (
     Violation,
     canonicalize,
     directed_path,
-    dominated_classes,
     fig3_digraph,
-    is_proper,
-    star_oriented,
     verify,
 )
 
@@ -65,23 +62,6 @@ def test_canonicalize_is_idempotent_and_partition_preserving(raw):
     for i in range(len(raw)):
         for j in range(i + 1, len(raw)):
             assert (raw[i] == raw[j]) == (c.assignment[i] == c.assignment[j])
-
-
-def test_is_proper():
-    d = directed_path(3)
-    assert is_proper(d, Coloring([0, 1, 0], 2))
-    assert not is_proper(d, Coloring([0, 0, 1], 2))
-    with pytest.raises(ValueError):
-        is_proper(d, Coloring([0, 1], 2))
-
-
-def test_dominated_classes_on_a_star():
-    d = star_oriented(3, 0)  # hub 0 points at all three leaves
-    c = Coloring([0, 1, 1, 1], 2)
-    assert dominated_classes(d, 0, c) == {1}
-    assert dominated_classes(d, 1, c) == set()
-    with pytest.raises(ValueError):
-        dominated_classes(d, 4, c)
 
 
 def test_verify_accepts_a_known_good_coloring():

@@ -14,9 +14,7 @@ from domchrom import (
     is_connected,
     orient,
     out_degree_sequence,
-    out_neighbors,
     path_base,
-    reverse,
     underlying,
 )
 from domchrom.graphs import _family, star_base
@@ -153,19 +151,9 @@ def test_underlying_keeps_arc_order():
     assert underlying(d).edges == ((1, 2), (0, 1), (2, 3))
 
 
-def test_reverse_is_an_involution():
-    d = Digraph(4, [(0, 1), (2, 1), (2, 3)])
-    assert reverse(reverse(d)) == d
-    assert reverse(d).arcs == ((1, 0), (1, 2), (3, 2))
-
-
-def test_out_neighbors_and_degrees():
+def test_out_degree_sequence():
     d = Digraph(4, [(0, 1), (0, 2), (3, 0)])
-    assert out_neighbors(d, 0) == frozenset({1, 2})
-    assert out_neighbors(d, 1) == frozenset()
     assert out_degree_sequence(d) == (2, 0, 0, 1)
-    with pytest.raises(ValueError):
-        out_neighbors(d, 4)
 
 
 def test_is_connected():

@@ -392,6 +392,22 @@ def test_env_variable_with_bad_value_fails_loudly():
     assert "fortran" in proc.stderr
 
 
+def test_bench_refuses_a_repeat_below_one(monkeypatch, capsys):
+    from domchrom import bench
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("spawned an interpreter")
+
+    monkeypatch.setattr(bench.subprocess, "run", refuse)
+    monkeypatch.setattr(sys, "argv", ["bench", "--repeat", "0"])
+    with pytest.raises(SystemExit) as exc:
+        bench.main()
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ")
+    assert "--repeat must be at least 1" in err
+
+
 def test_bench_runs_once_per_workload():
     proc = subprocess.run(
         [sys.executable, "-m", "domchrom.bench", "--repeat", "1"],

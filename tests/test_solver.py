@@ -306,6 +306,33 @@ def test_sweeps_settled_by_the_bound_call_no_kernel(monkeypatch):
     assert budgets
 
 
+@pytest.mark.parametrize("mode", list(DominationMode))
+def test_sweeps_report_each_base_as_sweep_does(mode):
+    # unsorted, sizes repeated within and across kinds; automaton bases
+    # mixed with the 1-vertex path, the 3- and 4-cycle and a path with
+    # its edges listed last first, which are solved code by code
+    bases = [
+        cycle_base(9),
+        path_base(6),
+        star_base(8),
+        path_base(1),
+        cycle_base(6),
+        REVERSED_PATH_9,
+        path_base(6),
+        cycle_base(3),
+        star_base(5),
+        cycle_base(4),
+        path_base(12),
+        cycle_base(6),
+    ]
+    reports = solver.sweeps(bases, mode)
+    singles = [sweep(base, mode) for base in bases]
+    assert reports == singles
+    # equality ignores kernel_solves
+    assert [r.kernel_solves for r in reports] == [s.kernel_solves for s in singles]
+    assert solver.sweeps([], mode) == []
+
+
 def test_a_strict_sink_costs_one_kernel_call_at_n(monkeypatch):
     budgets = spy_kernel_calls(monkeypatch)
     for d in (directed_path(6), star_oriented(4, 1), Digraph(1, [])):
