@@ -5,18 +5,19 @@ run once untimed and then best of --repeat timed runs, and prints a
 table with the speedup of each workload that calls a kernel, after the
 host's CPU count and Python version.  Workloads cover single solves (an
 odd tilde cycle among them, whose bound needs chi = 4 from the proper
-search), orientation sweeps, and one in-process `domchrom solve --json`
-request; both backends must return identical values and node counts,
-which the harness asserts before reporting.  The sweeps that compare
-the backends take bases with their edges listed last first, which no
-automaton recognises, so each code is solved: two of them without a
-kernel call (a star, whose packing bounds are all attained, and a
-strict path, whose orientations all have a sink).  The automaton rows,
-a star, a path and a cycle, call no kernel at all.  Those five rows run
-the same Python on both backends, so they print no speedup.  A
-cold-start line first gives the median wall of --repeat fresh `import
-domchrom.cli` interpreters and of as many bare ones, the fixed cost
-every CLI call pays before any work.
+search), orientation sweeps, and in-process `domchrom solve --json` and
+`verify --json` requests on fig4 and its witness; both backends must
+return identical values, node counts and verdicts, which the harness
+asserts before reporting.  The sweeps that compare the backends take
+bases with their edges listed last first, which no automaton
+recognises, so each code is solved: two of them without a kernel call
+(a star, whose packing bounds are all attained, and a strict path,
+whose orientations all have a sink).  The automaton rows, a star, a
+path and a cycle, call no kernel at all, nor does verify.
+Those six rows run the same Python on both backends, so they print no
+speedup.  A cold-start line first gives the median wall of --repeat
+fresh `import domchrom.cli` interpreters and of as many bare ones, the
+fixed cost every CLI call pays before any work.
 """
 
 from __future__ import annotations
@@ -35,20 +36,20 @@ import time
 from pathlib import Path
 
 from . import cli, kernel
-from .coloring import DominationMode
+from .coloring import Coloring, DominationMode
 from .families import fig4_digraph, tilde_cycle, tournament
-from .formats import emit_digraph
+from .formats import emit_coloring, emit_digraph
 from .graphs import BaseGraph, cycle_base, path_base, star_base
 from .solver import dominator_chromatic_number, sweep
 
 
-def _cli_solve(path: str) -> dict:
-    """One in-process `domchrom solve <path> --json` request; its outputs."""
+def _cli(*argv: str) -> dict:
+    """One in-process `domchrom <argv> --json` request; its outputs."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = cli.run(["solve", path, "--json"])
+        code = cli.run([*argv, "--json"])
     if code != 0:
-        raise AssertionError(f"solve {path} exited {code}")
+        raise AssertionError(f"{' '.join(argv)} exited {code}")
     return json.loads(out.getvalue())["outputs"]
 
 
@@ -91,7 +92,7 @@ def _reversed(base: BaseGraph) -> BaseGraph:
     return BaseGraph(base.n, reversed(base.edges))
 
 
-def _workloads(fig4_path: str):
+def _workloads(fig4_path: str, fig4_coloring: str):
     """(label, thunk, whether the thunk calls a kernel) per workload."""
     yield "solve tournament n=9", lambda: dominator_chromatic_number(tournament(9, 5)), True
     yield "solve tilde-cycle n=12", lambda: dominator_chromatic_number(tilde_cycle(12)), True
@@ -116,7 +117,8 @@ def _workloads(fig4_path: str):
     yield "sweep star n=16", lambda: _sweep(star_base(16)), False
     yield "sweep path n=1000", lambda: _sweep(path_base(1000)), False
     yield "sweep cycle n=200", lambda: _sweep(cycle_base(200)), False
-    yield "cli solve --json fig4", lambda: _cli_solve(fig4_path), True
+    yield "cli solve --json fig4", lambda: _cli("solve", fig4_path), True
+    yield "cli verify --json fig4", lambda: _cli("verify", fig4_path, fig4_coloring), False
 
 
 def _run_backend(name: str, workloads, repeat: int):
@@ -148,7 +150,7 @@ def _fingerprint(value):
             value.argmax_codes,
         )
     if isinstance(value, dict):
-        return (value["value"], value["nodes_explored"])
+        return value["ok"] if "ok" in value else (value["value"], value["nodes_explored"])
     return (value.value, value.nodes_explored)
 
 
@@ -169,7 +171,9 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         fig4_path = str(Path(tmp) / "fig4.txt")
         Path(fig4_path).write_text(emit_digraph(fig4_digraph()))
-        workloads = list(_workloads(fig4_path))
+        fig4_coloring = str(Path(tmp) / "fig4.col")
+        Path(fig4_coloring).write_text(emit_coloring(Coloring([0, 1, 0, 2, 3, 4], 5)))
+        workloads = list(_workloads(fig4_path, fig4_coloring))
         per_backend = {}
         for name in available:
             per_backend[name] = _run_backend(name, workloads, args.repeat)

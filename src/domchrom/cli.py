@@ -69,10 +69,10 @@ def _mode(args: argparse.Namespace) -> DominationMode:
 
 def _read(path: str) -> str:
     """The file as text mode reads it, UTF-8 with universal newlines,
-    from one bytes read: only text holding a CR pays for the newline
-    translation."""
-    with open(path, "rb") as fh:
-        text = fh.read().decode("utf-8")
+    from one unbuffered bytes read: only text holding a CR pays for the
+    newline translation."""
+    with open(path, "rb", buffering=0) as fh:
+        text = fh.readall().decode("utf-8")
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return text

@@ -5,14 +5,15 @@ All three text formats are line-based with LF endings and single
 spaces: a header line naming the object and its sizes, then one line
 per arc, edge, or vertex.  parse and emit are exact inverses on valid
 files.  A parser checks each line once, in order, and the first check
-that fails names the error and its line number.
+that fails names the error and its line number; _pairs reads the body
+lines of all three.  No list is sized by a header's count alone.
 """
 
 from __future__ import annotations
 
 import io
 import json
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from .coloring import Coloring, _label_error
 from .graphs import BaseGraph, Digraph
@@ -55,13 +56,20 @@ def _int(token: str, lineno: int) -> int:
         raise FormatError(f"non-integer token {token!r}", lineno) from None
 
 
-def _pair(raw: str, lineno: int) -> tuple[int, int]:
-    """The two integers of a body line; its first bad field names the error."""
-    parts = raw.split()
-    if len(parts) != 2:
-        raise FormatError(f"expected 2 fields, got {len(parts)}", lineno)
-    a, b = parts
-    return _int(a, lineno), _int(b, lineno)
+def _pairs(lines: list[str]) -> Iterator[tuple[int, int, int]]:
+    """(lineno, u, v) for each body line, the two integers it holds; a
+    line's first bad field names the error."""
+    for lineno, raw in enumerate(lines[1:], start=2):
+        parts = raw.split()
+        if len(parts) != 2:
+            raise FormatError(f"expected 2 fields, got {len(parts)}", lineno)
+        a, b = parts
+        try:
+            u, v = int(a), int(b)
+        except ValueError:
+            for token in parts:
+                _int(token, lineno)  # raises for the first bad token
+        yield lineno, u, v
 
 
 def _out_of_range(x: int, n: int, lineno: int) -> FormatError:
@@ -72,22 +80,22 @@ def parse_digraph(text: str) -> Digraph:
     lines = _lines(text)
     (n,) = _header(lines, "digraph", 1)
     arcs: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    for lineno, raw in enumerate(lines[1:], start=2):
-        u, v = _pair(raw, lineno)
+    # arc (u, v) as u * n + v, one int per vertex pair in range
+    seen: set[int] = set()
+    for lineno, u, v in _pairs(lines):
         if not 0 <= u < n:
             raise _out_of_range(u, n, lineno)
         if not 0 <= v < n:
             raise _out_of_range(v, n, lineno)
         if u == v:
             raise FormatError(f"loop at vertex {u}", lineno)
-        arc = (u, v)
-        if arc in seen:
+        key = u * n + v
+        if key in seen:
             raise FormatError(f"duplicate arc {u} {v}", lineno)
-        if (v, u) in seen:
+        if v * n + u in seen:
             raise FormatError(f"digon: arc {v} {u} already present", lineno)
-        seen.add(arc)
-        arcs.append(arc)
+        seen.add(key)
+        arcs.append((u, v))
     return Digraph._from_checked(n, tuple(arcs))
 
 
@@ -96,8 +104,7 @@ def parse_base(text: str) -> BaseGraph:
     (n,) = _header(lines, "graph", 1)
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
-    for lineno, raw in enumerate(lines[1:], start=2):
-        u, v = _pair(raw, lineno)
+    for lineno, u, v in _pairs(lines):
         if not 0 <= u < n:
             raise _out_of_range(u, n, lineno)
         if not 0 <= v < n:
@@ -118,8 +125,7 @@ def parse_coloring(text: str) -> Coloring:
     if len(lines) - 1 != n:
         raise FormatError(f"expected {n} vertex lines, got {len(lines) - 1}", 1)
     assignment: list[int | None] = [None] * n
-    for lineno, raw in enumerate(lines[1:], start=2):
-        v, c = _pair(raw, lineno)
+    for lineno, v, c in _pairs(lines):
         if not 0 <= v < n:
             raise _out_of_range(v, n, lineno)
         if assignment[v] is not None:
@@ -148,6 +154,10 @@ def emit_coloring(c: Coloring) -> str:
     return f"coloring {c.n} {c.k}\n{body}"
 
 
+# json.dumps builds a new encoder on every call that passes sort_keys
+_JSON = json.JSONEncoder(sort_keys=True)
+
+
 def emit_json(
     command: str, inputs: dict[str, Any], outputs: dict[str, Any], backend: str
 ) -> str:
@@ -155,7 +165,7 @@ def emit_json(
     sorted keys: the command name, an echo of its parameters, the
     structured payload it produced, and the kernel backend that ran."""
     payload = {"backend": backend, "command": command, "inputs": inputs, "outputs": outputs}
-    return json.dumps(payload, sort_keys=True) + "\n"
+    return _JSON.encode(payload) + "\n"
 
 
 def emit_csv(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:

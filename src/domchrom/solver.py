@@ -92,13 +92,6 @@ def _adjacency_masks(n: int, pairs) -> list[int]:
     return adj
 
 
-def _out_masks(d: Digraph) -> list[int]:
-    outs = [0] * d.n
-    for u, v in d.arcs:
-        outs[u] |= 1 << v
-    return outs
-
-
 def _required_vertices(n: int, outs: list[int], mode: DominationMode) -> list[int]:
     """The vertices that must dominate a class, in the order that the
     packing bound and the kernels' packing rule walk: by out-degree, then
@@ -110,10 +103,16 @@ def _required_vertices(n: int, outs: list[int], mode: DominationMode) -> list[in
 
 def _kernel_inputs(d: Digraph, mode: DominationMode) -> tuple[list[int], ...]:
     """adj, outs and required of d, once its size is checked."""
-    check_solvable_size(d.n)
-    adj = _adjacency_masks(d.n, d.arcs)
-    outs = _out_masks(d)
-    return adj, outs, _required_vertices(d.n, outs, mode)
+    n = d.n
+    check_solvable_size(n)
+    adj = [0] * n
+    outs = [0] * n
+    for u, v in d.arcs:
+        bit = 1 << v
+        outs[u] |= bit
+        adj[u] |= bit
+        adj[v] |= 1 << u
+    return adj, outs, _required_vertices(n, outs, mode)
 
 
 def chromatic_number(base: BaseGraph) -> int:
@@ -250,11 +249,11 @@ def dominator_chromatic_number(
     start, _ = _lower_bound(d.n, adj, outs, required)
     assignment, value, nodes = _solve_masks(d.n, adj, outs, required, start)
     if assignment is None:
-        return SolveOutcome(None, None, nodes, mode)
+        return SolveOutcome._from_checked(None, None, nodes, mode)
     # canonical labels, and every budget below value is refuted or below
     # the bound, so the kernel's coloring uses exactly value classes
     witness = Coloring._from_checked(tuple(assignment), value)
-    return SolveOutcome(value, witness, nodes, mode)
+    return SolveOutcome._from_checked(value, witness, nodes, mode)
 
 
 def _lower_bound(

@@ -918,6 +918,8 @@ _FILE_BODIES = {
     "invalid": b"digraph 3\n0 1\xff\n",
     "invalid-late": b"# " + b"x" * 9000 + b"\r\n\xc3",
     "empty": b"",
+    # past any read buffer: 180 KB of CRLF lines, each with a 2-byte character
+    "large": b"digraph 3\r\n" + b"# \xc3\xa9\r\n" * 30000 + b"0 1\r\n",
 }
 
 
@@ -931,6 +933,15 @@ def test_read_matches_a_text_mode_read(body, tmp_path):
 def test_read_of_a_missing_file_or_a_directory_matches_text_mode(tmp_path):
     for path in (tmp_path / "absent.txt", tmp_path):
         assert _bytes_read(str(path)) == _text_mode(str(path))
+
+
+def test_a_huge_header_is_refused_by_size_before_any_work(tmp_path, capsys):
+    path = tmp_path / "huge.txt"
+    path.write_text("digraph 10000000\n0 9999999\n")
+    for argv in (["solve", str(path)], ["invariants", str(path), "--json"]):
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: kernels support at most 64 vertices\n")
 
 
 def test_line_endings_and_bad_files_give_the_same_runs(tmp_path, capsys):

@@ -1,10 +1,12 @@
 import json
+import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from domchrom import BaseGraph, Coloring, Digraph, canonicalize, cycle_base, tournament
+from domchrom import formats
 from domchrom.formats import (
     FormatError,
     emit_base,
@@ -219,6 +221,172 @@ def test_random_digraph_roundtrip(n, data):
 def test_random_coloring_roundtrip(raw):
     c = canonicalize(raw)
     assert parse_coloring(emit_coloring(c)) == c
+
+
+# ---------------------------------------------------------------- reference parsers
+
+# The body-line checks as they were before one generator read all three
+# formats: a _pair call with two _int calls per line, and tuple keys for
+# a digraph's seen arcs.  The parsers must match them record for record
+# and message for message.
+
+
+def _ref_int(token, lineno):
+    try:
+        return int(token)
+    except ValueError:
+        raise FormatError(f"non-integer token {token!r}", lineno) from None
+
+
+def _ref_pair(raw, lineno):
+    parts = raw.split()
+    if len(parts) != 2:
+        raise FormatError(f"expected 2 fields, got {len(parts)}", lineno)
+    a, b = parts
+    return _ref_int(a, lineno), _ref_int(b, lineno)
+
+
+def _ref_digraph(text):
+    lines = formats._lines(text)
+    (n,) = formats._header(lines, "digraph", 1)
+    arcs = []
+    seen = set()
+    for lineno, raw in enumerate(lines[1:], start=2):
+        u, v = _ref_pair(raw, lineno)
+        if not 0 <= u < n:
+            raise formats._out_of_range(u, n, lineno)
+        if not 0 <= v < n:
+            raise formats._out_of_range(v, n, lineno)
+        if u == v:
+            raise FormatError(f"loop at vertex {u}", lineno)
+        if (u, v) in seen:
+            raise FormatError(f"duplicate arc {u} {v}", lineno)
+        if (v, u) in seen:
+            raise FormatError(f"digon: arc {v} {u} already present", lineno)
+        seen.add((u, v))
+        arcs.append((u, v))
+    return Digraph(n, arcs)
+
+
+def _ref_base(text):
+    lines = formats._lines(text)
+    (n,) = formats._header(lines, "graph", 1)
+    edges = []
+    seen = set()
+    for lineno, raw in enumerate(lines[1:], start=2):
+        u, v = _ref_pair(raw, lineno)
+        if not 0 <= u < n:
+            raise formats._out_of_range(u, n, lineno)
+        if not 0 <= v < n:
+            raise formats._out_of_range(v, n, lineno)
+        if u >= v:
+            raise FormatError("edge must list the smaller endpoint first", lineno)
+        if (u, v) in seen:
+            raise FormatError(f"duplicate edge {u} {v}", lineno)
+        seen.add((u, v))
+        edges.append((u, v))
+    return BaseGraph(n, edges)
+
+
+def _ref_coloring(text):
+    lines = formats._lines(text)
+    n, k = formats._header(lines, "coloring", 2)
+    if len(lines) - 1 != n:
+        raise FormatError(f"expected {n} vertex lines, got {len(lines) - 1}", 1)
+    assignment = [None] * n
+    for lineno, raw in enumerate(lines[1:], start=2):
+        v, c = _ref_pair(raw, lineno)
+        if not 0 <= v < n:
+            raise formats._out_of_range(v, n, lineno)
+        if assignment[v] is not None:
+            raise FormatError(f"vertex {v} assigned twice", lineno)
+        if c < 0:
+            raise FormatError(f"negative class {c}", lineno)
+        assignment[v] = c
+    error = formats._label_error(assignment, k)
+    if error is not None:
+        raise FormatError(error)
+    return Coloring(assignment, k)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except FormatError as exc:
+        return str(exc), exc.line
+
+
+# int() takes signs, underscores between digits and non-ASCII digits;
+# the rest are no integers, or out of range for any n here
+_ODD_TOKENS = st.sampled_from(
+    ["+1", "-0", "1_0", "0_1", "\u0663", "\uff12", "-1", "6", "x", "1.0", "0x1", "_1", "1__0"]
+)
+_GAPS = st.sampled_from([" ", "  ", "\t", " \t ", "\x0b", "\u00a0"])
+_PADS = st.one_of(st.just(""), _GAPS)
+
+
+@st.composite
+def _line(draw, n):
+    # mostly two vertices of 0..n-1, so that the later checks are reached
+    fields = 2 if draw(st.integers(0, 15)) else draw(st.sampled_from([0, 1, 3]))
+    line = draw(_PADS)
+    for i in range(fields):
+        if draw(st.integers(0, 7)):
+            token = str(draw(st.integers(0, n - 1)))
+        else:
+            token = draw(_ODD_TOKENS)
+        line += (draw(_GAPS) if i else "") + token
+    return line + draw(_PADS)
+
+
+@st.composite
+def _texts(draw):
+    n = draw(st.integers(min_value=1, max_value=5))
+    header = draw(
+        st.sampled_from([f"digraph {n}", f"graph {n}", f"coloring {n} {n - 1}", f"coloring {n} 2"])
+    )
+    count = draw(st.one_of(st.just(n), st.integers(min_value=0, max_value=7)))
+    body = draw(st.lists(_line(n), min_size=count, max_size=count))
+    return "".join(f"{line}\n" for line in [header, *body])
+
+
+@settings(max_examples=500)
+@given(_texts())
+@example("digraph 3\n0 1\n0 1\n")
+@example("digraph 3\n0 1\n1 0\n")
+@example("digraph 3\n2\t2\n")
+@example("digraph 11\n1_0 +1\n-0 \u0663\n")
+@example("graph 3\n0  1 2\n")
+@example("graph 3\n1 0\n")
+@example("coloring 2 2\n0 0\n0 1\n")
+@example("coloring 2 2\n+1 1\n-0 0\n")
+@example("coloring 2 2\nx 1\n")
+def test_parsers_match_the_reference_line_checker(text):
+    for parse, reference in (
+        (parse_digraph, _ref_digraph),
+        (parse_base, _ref_base),
+        (parse_coloring, _ref_coloring),
+    ):
+        assert _outcome(parse, text) == _outcome(reference, text), (parse.__name__, text)
+
+
+def test_no_parser_allocates_by_the_header_vertex_count():
+    # a coloring's vertex lines must number n before anything is sized by n
+    texts = (
+        (parse_digraph, _ref_digraph, "digraph 10000000\n0 9999999\n"),
+        (parse_base, _ref_base, "graph 10000000\n0 9999999\n"),
+        (parse_coloring, _ref_coloring, "coloring 10000000 1\n0 0\n"),
+    )
+    for parse, reference, text in texts:
+        tracemalloc.start()
+        try:
+            outcome = _outcome(parse, text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, (text, peak)
+        assert outcome == _outcome(reference, text)
+    assert parse_digraph(texts[0][2]) == Digraph(10_000_000, [(0, 9_999_999)])
 
 
 def test_emit_json_writes_one_sorted_line_with_the_backend():

@@ -417,6 +417,7 @@ def test_bench_runs_once_per_workload():
     assert proc.returncode == 0, proc.stderr
     assert f"nproc: {os.cpu_count()}" in proc.stdout
     assert "cli solve --json fig4" in proc.stdout
+    assert "cli verify --json fig4" in proc.stdout
     # per-code sweeps compare the backends; automaton sweeps call no kernel
     for label in ("sweep cycle n=10 reversed", "sweep path n=1000", "sweep cycle n=200"):
         assert label in proc.stdout
@@ -433,9 +434,10 @@ def test_bench_runs_once_per_workload():
         "sweep star n=16",
         "sweep path n=1000",
         "sweep cycle n=200",
+        "cli verify --json fig4",
     )
     compared = "backends available: python, c" in proc.stdout
-    assert len(rows) == 13
+    assert len(rows) == 14
     for label, row in rows.items():
         has_ratio = re.search(r"\dx$", row) is not None
         assert has_ratio == (compared and label not in no_kernel), row

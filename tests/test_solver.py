@@ -179,11 +179,9 @@ def test_ladder_bound_lies_between_chromatic_number_and_value(d):
     # chi(G) <= |S| + chi(G - S) <= the packing bound <= the oracle's
     # value; started there, the ladder ends at the same budget and the
     # same coloring as from |S| + chi(G - S), on no more nodes
-    adj = solver._adjacency_masks(d.n, d.arcs)
-    outs = solver._out_masks(d)
     chi = chromatic_number(underlying(d))
     for mode in DominationMode:
-        required = solver._required_vertices(d.n, outs, mode)
+        adj, outs, required = solver._kernel_inputs(d, mode)
         reference = _singleton_bound(d.n, adj, outs, required)
         bound, _ = solver._lower_bound(d.n, adj, outs, required)
         assert chi <= reference <= bound
@@ -224,7 +222,7 @@ def test_ladder_computes_one_chromatic_number(monkeypatch):
             sides.clear()
             odd.clear()
             dominator_chromatic_number(d, mode)
-            sink = mode is STRICT and not all(solver._out_masks(d))
+            sink = mode is STRICT and not all(solver._kernel_inputs(d, mode)[1])
             assert len(sides) == (0 if sink else 1), (d, mode)
             assert odd == (sides if d is wheel else []), (d, mode)
     sides.clear()
@@ -241,10 +239,8 @@ def test_ladder_computes_one_chromatic_number(monkeypatch):
 # vertex 1's out-set {0, 2} holds the packing class {2} of vertex 0
 @example(Digraph(3, [(0, 2), (1, 0), (1, 2)]))
 def test_an_accepted_certificate_is_an_optimal_dominator_coloring(d):
-    adj = solver._adjacency_masks(d.n, d.arcs)
-    outs = solver._out_masks(d)
     for mode in DominationMode:
-        required = solver._required_vertices(d.n, outs, mode)
+        adj, outs, required = solver._kernel_inputs(d, mode)
         bound, classes = solver._lower_bound(d.n, adj, outs, required)
         if classes is None:
             continue
