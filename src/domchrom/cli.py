@@ -14,6 +14,12 @@ kernel that ran; keys inside outputs are documented in the README.  CSV
 rows keep a fixed column order.  Orientation codes print as bitstrings,
 first edge of the base as the most significant bit.
 
+Each command is declared once, as its row of _COMMANDS: its help line,
+its handler, the function that adds its own arguments, and whether it
+prints a CSV table.  _add_arguments builds both the full parser's
+subcommand and the command's own parser from that row: the own
+arguments, then --json, then --csv for a table, then the handler.
+
 Only the modules a command runs are loaded: solve and verify never
 import families or invariants, and each command's parser is built on
 its first use in the process.
@@ -25,12 +31,11 @@ import argparse
 import functools
 import sys
 import time
-from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple
+from typing import Any, Callable, Iterable
 
 from . import kernel, solver
 from .coloring import Coloring, DominationMode, verify
 from .formats import (
-    FormatError,
     emit_coloring,
     emit_csv,
     emit_digraph,
@@ -39,7 +44,7 @@ from .formats import (
     parse_coloring,
     parse_digraph,
 )
-from .graphs import BaseGraph, cycle_base, path_base, star_base
+from .graphs import cycle_base, path_base, star_base
 from .solver import (
     GuardExceeded,
     UndefinedInvariant,
@@ -47,9 +52,6 @@ from .solver import (
     sweep,
     sweeps,
 )
-
-if TYPE_CHECKING:
-    from .families import ConstructiveWitness, FamilySpec
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -61,10 +63,6 @@ EXIT_GUARD = 3
 FAMILY_MAX_VERTICES = 1000
 # the most sizes that one formulas call tabulates
 FORMULAS_MAX_SIZES = 100_000
-
-
-def _mode(args: argparse.Namespace) -> DominationMode:
-    return DominationMode(args.mode)
 
 
 def _read(path: str) -> str:
@@ -109,7 +107,7 @@ def _print_result(
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    mode = _mode(args)
+    mode = DominationMode(args.mode)
     d = parse_digraph(_read(args.digraph))
     t0 = time.perf_counter()
     out = dominator_chromatic_number(d, mode)
@@ -134,7 +132,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    mode = _mode(args)
+    mode = DominationMode(args.mode)
     d = parse_digraph(_read(args.digraph))
     c = parse_coloring(_read(args.coloring))
     t0 = time.perf_counter()
@@ -163,35 +161,21 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- sweep
 
 
-class _SweepKind(NamedTuple):
-    """A sweep base kind: the function that makes its base from n; the
-    vertex count of that base as a function of n, so sizes are checked
-    before any graph is built; and the closed-form minimum over
-    orientations."""
-
-    build: Callable[[int], BaseGraph]
-    vertices: Callable[[int], int]
-    min_formula: Callable[[int], int]
+# sweep base kind -> (the function that builds its base on n, the
+# vertices of that base past n, so sizes are checked before any graph
+# is built); a star on n leaves has n + 1 vertices
+_SWEEP_KINDS = {"path": (path_base, 0), "cycle": (cycle_base, 0), "star": (star_base, 1)}
 
 
-def _path_min(n: int) -> int:
-    from .families import path_min_formula
+def _min_formula(kind: str) -> Callable[[int], int]:
+    """The closed-form minimum over the orientations of kind's base on
+    n; families loads only for a path or a cycle."""
+    if kind == "star":
+        return lambda n: 2
+    from .families import cycle_min_formula, path_min_formula
 
-    return path_min_formula(n)
+    return path_min_formula if kind == "path" else cycle_min_formula
 
-
-def _cycle_min(n: int) -> int:
-    from .families import cycle_min_formula
-
-    return cycle_min_formula(n)
-
-
-# sweep base kind -> _SweepKind; a star on n leaves has n + 1 vertices
-_SWEEP_KINDS = {
-    "path": _SweepKind(path_base, lambda n: n, _path_min),
-    "cycle": _SweepKind(cycle_base, lambda n: n, _cycle_min),
-    "star": _SweepKind(star_base, lambda n: n + 1, lambda n: 2),
-}
 
 # sweep CSV column header -> key of the JSON row, in column order
 _SWEEP_CSV = {
@@ -210,25 +194,25 @@ def _range_from(args: argparse.Namespace) -> range:
     without a list of every size being built first."""
     if args.n is not None:
         if args.n_min is not None or args.n_max is not None:
-            raise FormatError("give either --n or --n-min/--n-max, not both")
+            raise ValueError("give either --n or --n-min/--n-max, not both")
         return range(args.n, args.n + 1)
     if args.n_min is None or args.n_max is None:
-        raise FormatError("need --n or both --n-min and --n-max")
+        raise ValueError("need --n or both --n-min and --n-max")
     if args.n_min > args.n_max:
-        raise FormatError("--n-min must not exceed --n-max")
+        raise ValueError("--n-min must not exceed --n-max")
     return range(args.n_min, args.n_max + 1)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    mode = _mode(args)
+    mode = DominationMode(args.mode)
     ns = _range_from(args)
-    kind = _SWEEP_KINDS[args.base]
+    build, past_n = _SWEEP_KINDS[args.base]
     # every kind sweeps through its automaton, bar the 1-vertex path and
     # the 3- and 4-cycle, which solve each code well inside every guard;
     # the vertex count grows with n, so the largest base checks the range
-    solver.check_automaton_size(kind.vertices(ns[-1]))
+    solver.check_automaton_size(ns[-1] + past_n)
     t0 = time.perf_counter()
-    bases = [kind.build(n) for n in ns]
+    bases = [build(n) for n in ns]
     # every sweep runs in this process: --workers is checked, not used
     if args.workers < 1:
         raise ValueError("workers must be at least 1")
@@ -239,8 +223,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         # the sizes one automaton covers share one counting pass
         reports = sweeps(bases, mode)
     rows = []
+    min_formula = _min_formula(args.base)
     for n, rep in zip(ns, reports):
-        formula = kind.min_formula(n)
+        formula = min_formula(n)
         rows.append(
             {
                 "n": n,
@@ -281,7 +266,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- family
 
 
-def _family_witness(args: argparse.Namespace) -> tuple[FamilySpec, ConstructiveWitness]:
+def _cmd_family(args: argparse.Namespace) -> int:
     from .families import (
         ConstructiveWitness,
         FamilySpec,
@@ -299,14 +284,11 @@ def _family_witness(args: argparse.Namespace) -> tuple[FamilySpec, ConstructiveW
         )
     if args.directed:
         if args.kind not in ("path", "cycle"):
-            raise FormatError("--directed applies only to path and cycle")
+            raise ValueError("--directed applies only to path and cycle")
         d = directed_path(n) if args.kind == "path" else directed_cycle(n)
-        return spec, ConstructiveWitness(d, Coloring(list(range(n)), n), n)
-    return spec, family_witness(spec)
-
-
-def _cmd_family(args: argparse.Namespace) -> int:
-    spec, w = _family_witness(args)
+        w = ConstructiveWitness(d, Coloring(list(range(n)), n), n)
+    else:
+        w = family_witness(spec)
     if args.emit_digraph or args.emit_witness:
         if args.emit_digraph:
             sys.stdout.write(emit_digraph(w.digraph))
@@ -341,7 +323,7 @@ def _cmd_formulas(args: argparse.Namespace) -> int:
         raise GuardExceeded(
             f"formulas over {len(ns)} sizes exceeds the guard of {FORMULAS_MAX_SIZES}"
         )
-    fn = _SWEEP_KINDS[args.base].min_formula
+    fn = _min_formula(args.base)
     rows = [{"n": n, "value": fn(n)} for n in ns]
     inputs = {"base": args.base, "n_min": ns[0], "n_max": ns[-1]}
     text = "".join(f"n={r['n']} value={r['value']}\n" for r in rows)
@@ -356,12 +338,12 @@ def _cmd_formulas(args: argparse.Namespace) -> int:
 def _cmd_invariants(args: argparse.Namespace) -> int:
     from .invariants import dominator_gap, orientation_gap
 
-    mode = _mode(args)
+    mode = DominationMode(args.mode)
     if args.digraph is not None and args.base is not None:
-        raise FormatError("give either a digraph file or --base, not both")
+        raise ValueError("give either a digraph file or --base, not both")
     if args.star:
         if args.base is None:
-            raise FormatError("--star needs --base <base-file>")
+            raise ValueError("--star needs --base <base-file>")
         base = parse_base(_read(args.base))
         t0 = time.perf_counter()
         rep = orientation_gap(base, mode)
@@ -387,7 +369,7 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
         _print_result(args, "invariants", inputs, outputs, text)
         return EXIT_OK
     if args.digraph is None:
-        raise FormatError("need a digraph file, or --base with --star")
+        raise ValueError("need a digraph file, or --base with --star")
     d = parse_digraph(_read(args.digraph))
     t0 = time.perf_counter()
     rep = dominator_gap(d, mode)
@@ -414,10 +396,10 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
 def _cmd_mine(args: argparse.Namespace) -> int:
     from .families import directed_cycle, tilde_cycle
 
-    mode = _mode(args)
+    mode = DominationMode(args.mode)
     ns = _range_from(args)
     if ns[0] < 3:
-        raise FormatError("tilde-cycle needs n >= 3")
+        raise ValueError("tilde-cycle needs n >= 3")
     # the tilde cycle of the largest n has the most vertices, n + 1
     solver.check_solvable_size(ns[-1] + 1)
     t0 = time.perf_counter()
@@ -479,16 +461,12 @@ def _add_range(p: argparse.ArgumentParser) -> None:
 def _solve_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("digraph", help="digraph file")
     _add_mode(p)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_solve)
 
 
 def _verify_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("digraph")
     p.add_argument("coloring")
     _add_mode(p)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_verify)
 
 
 def _sweep_args(p: argparse.ArgumentParser) -> None:
@@ -496,9 +474,6 @@ def _sweep_args(p: argparse.ArgumentParser) -> None:
     _add_range(p)
     _add_mode(p)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--csv", action="store_true")
-    p.set_defaults(handler=_cmd_sweep)
 
 
 def _family_args(p: argparse.ArgumentParser) -> None:
@@ -513,16 +488,11 @@ def _family_args(p: argparse.ArgumentParser) -> None:
         action="store_true",
         help="use the consistently oriented path/cycle instead of the optimal orientation",
     )
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_family)
 
 
 def _formulas_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("base", choices=["path", "cycle"])
     _add_range(p)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--csv", action="store_true")
-    p.set_defaults(handler=_cmd_formulas)
 
 
 def _invariants_args(p: argparse.ArgumentParser) -> None:
@@ -534,29 +504,47 @@ def _invariants_args(p: argparse.ArgumentParser) -> None:
         help="aggregate over all orientations of --base",
     )
     _add_mode(p)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_invariants)
 
 
 def _mine_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", choices=["tilde-cycle"], required=True)
     _add_range(p)
     _add_mode(p)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--csv", action="store_true")
-    p.set_defaults(handler=_cmd_mine)
 
 
-# command -> (its help line, the function that adds its arguments)
+# command -> (its help line, its handler, the function that adds its
+# own arguments, whether it prints a CSV table)
 _COMMANDS = {
-    "solve": ("dominator chromatic number of a digraph file", _solve_args),
-    "verify": ("check a coloring file against a digraph file", _verify_args),
-    "sweep": ("solve every orientation of a base graph", _sweep_args),
-    "family": ("emit a family member and its witness", _family_args),
-    "formulas": ("closed-form minimum table", _formulas_args),
-    "invariants": ("gap report for a digraph or a base graph", _invariants_args),
-    "mine-discrepancy": ("sub-digraph vs host dominator values by family", _mine_args),
+    "solve": ("dominator chromatic number of a digraph file", _cmd_solve, _solve_args, False),
+    "verify": ("check a coloring file against a digraph file", _cmd_verify, _verify_args, False),
+    "sweep": ("solve every orientation of a base graph", _cmd_sweep, _sweep_args, True),
+    "family": ("emit a family member and its witness", _cmd_family, _family_args, False),
+    "formulas": ("closed-form minimum table", _cmd_formulas, _formulas_args, True),
+    "invariants": (
+        "gap report for a digraph or a base graph",
+        _cmd_invariants,
+        _invariants_args,
+        False,
+    ),
+    "mine-discrepancy": (
+        "sub-digraph vs host dominator values by family",
+        _cmd_mine,
+        _mine_args,
+        True,
+    ),
 }
+
+
+def _add_arguments(parser: argparse.ArgumentParser, name: str) -> None:
+    """Add command name's own arguments, then --json, then --csv when it
+    prints a table, and set its handler."""
+    _, handler, add_own_arguments, table = _COMMANDS[name]
+    add_own_arguments(parser)
+    parser.add_argument("--json", action="store_true")
+    if table:
+        parser.add_argument("--csv", action="store_true")
+    parser.set_defaults(handler=handler)
+
 
 def build_parser() -> argparse.ArgumentParser:
     """The parser with every subcommand."""
@@ -565,65 +553,46 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact dominator colorings of directed graphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, add_arguments) in _COMMANDS.items():
-        add_arguments(sub.add_parser(name, help=help_line))
+    for name, (help_line, *_) in _COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=help_line), name)
     return parser
 
 
 @functools.cache
 def _command_parser(name: str) -> argparse.ArgumentParser:
     """The parser of one subcommand, built on its first use in this
-    process from the same arguments as build_parser's, with the defaults
-    _plain_args starts from; parse_args leaves it unchanged, so calls
-    share it."""
+    process by the same _add_arguments as build_parser's, with the
+    defaults _plain_args starts from; parse_args leaves it unchanged, so
+    calls share it."""
     parser = argparse.ArgumentParser(prog=f"domchrom {name}")
-    _COMMANDS[name][1](parser)
+    _add_arguments(parser, name)
     parser._plain_defaults = _plain_defaults(parser)
     return parser
 
 
 def _plain_defaults(parser: argparse.ArgumentParser) -> dict[str, Any] | None:
     """The values parse_args starts its namespace from, set_defaults'
-    included, when _plain_args can match every action of parser: help,
-    a store_true flag or a store of one value, and no mutually exclusive
-    group to check.  Otherwise None."""
-    if parser._mutually_exclusive_groups:
-        return None
-    defaults: dict[str, Any] = {}
+    included, when every action of parser takes at most one value, as
+    _plain_args reads them.  Otherwise None: family's params and
+    invariants' optional digraph are left to parse_args."""
+    defaults = dict(parser._defaults)
     for action in parser._actions:
-        if isinstance(action, argparse._HelpAction):
-            continue
-        kind = type(action)
-        if not (
-            kind is argparse._StoreTrueAction and action.option_strings
-            or kind is argparse._StoreAction and action.nargs is None
-        ):
+        if action.nargs not in (None, 0):
             return None
         if action.default is not argparse.SUPPRESS:
-            # parse_args passes an unused string default through type
-            if isinstance(action.default, str) and action.type is not None:
-                return None
-            defaults.setdefault(action.dest, action.default)
-    for dest, value in parser._defaults.items():
-        defaults.setdefault(dest, value)
+            defaults[action.dest] = action.default
     return defaults
 
 
-# what _value gives for a token that parse_args refuses
-_REFUSED = object()
-
-
 def _value(action: argparse.Action, token: str) -> Any:
-    """token as parse_args stores it for action, or _REFUSED."""
-    value = token
+    """token as parse_args stores it for action, or None when parse_args
+    refuses it; int is the one type any command declares."""
     if action.type is not None:
         try:
-            value = action.type(token)
-        except (TypeError, ValueError, argparse.ArgumentTypeError):
-            return _REFUSED
-    if action.choices is not None and value not in action.choices:
-        return _REFUSED
-    return value
+            token = action.type(token)
+        except ValueError:
+            return None
+    return token if action.choices is None or token in action.choices else None
 
 
 def _plain_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace | None:
@@ -651,8 +620,8 @@ def _plain_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Na
             value = action.const
         else:
             token = next(tokens, "-")
-            value = _REFUSED if token[:1] == "-" else _value(action, token)
-            if value is _REFUSED:
+            value = None if token[:1] == "-" else _value(action, token)
+            if value is None:
                 return None
         given[action.dest] = value
     positionals = parser._get_positional_actions()
@@ -660,7 +629,7 @@ def _plain_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Na
         return None
     for action, token in zip(positionals, words):
         value = _value(action, token)
-        if value is _REFUSED:
+        if value is None:
             return None
         given[action.dest] = value
     if any(action.required and action.dest not in given for action in parser._actions):

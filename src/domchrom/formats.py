@@ -3,10 +3,12 @@ machine-readable result envelope used by the command line.
 
 All three text formats are line-based with LF endings and single
 spaces: a header line naming the object and its sizes, then one line
-per arc, edge, or vertex.  parse and emit are exact inverses on valid
-files.  A parser checks each line once, in order, and the first check
-that fails names the error and its line number; _pairs reads the body
-lines of all three.  No list is sized by a header's count alone.
+per arc, edge, or vertex.  Every number is ASCII digits after an
+optional "-"; any other token, "+1", "1_0" or a non-ASCII digit among
+them, is a non-integer token.  parse and emit are exact inverses on
+valid files.  A parser checks each line once, in order, and the first
+check that fails names the error and its line number; _pairs reads the
+body lines of all three.  No list is sized by a header's count alone.
 """
 
 from __future__ import annotations
@@ -50,15 +52,22 @@ def _header(lines: list[str], tag: str, count: int) -> list[int]:
 
 
 def _int(token: str, lineno: int) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise FormatError(f"non-integer token {token!r}", lineno) from None
+    """token as a number of the formats; int() alone also reads a "+", a
+    "_" between digits and non-ASCII digits."""
+    if token.isascii() and "_" not in token and "+" not in token:
+        try:
+            return int(token)
+        except ValueError:
+            pass
+    raise FormatError(f"non-integer token {token!r}", lineno)
 
 
-def _pairs(lines: list[str]) -> Iterator[tuple[int, int, int]]:
-    """(lineno, u, v) for each body line, the two integers it holds; a
-    line's first bad field names the error."""
+def _pairs(text: str, lines: list[str]) -> Iterator[tuple[int, int, int]]:
+    """(lineno, u, v) for each body line of text, the two integers it
+    holds; a line's first bad field names the error.  int() reads a
+    token as _int does when text is ASCII and holds no "_" or "+", so
+    only another text has each token checked by _int."""
+    plain = text.isascii() and "_" not in text and "+" not in text
     for lineno, raw in enumerate(lines[1:], start=2):
         parts = raw.split()
         if len(parts) != 2:
@@ -67,8 +76,9 @@ def _pairs(lines: list[str]) -> Iterator[tuple[int, int, int]]:
         try:
             u, v = int(a), int(b)
         except ValueError:
-            for token in parts:
-                _int(token, lineno)  # raises for the first bad token
+            plain = False  # _int names the bad token
+        if not plain:
+            u, v = _int(a, lineno), _int(b, lineno)
         yield lineno, u, v
 
 
@@ -82,7 +92,7 @@ def parse_digraph(text: str) -> Digraph:
     arcs: list[tuple[int, int]] = []
     # arc (u, v) as u * n + v, one int per vertex pair in range
     seen: set[int] = set()
-    for lineno, u, v in _pairs(lines):
+    for lineno, u, v in _pairs(text, lines):
         if not 0 <= u < n:
             raise _out_of_range(u, n, lineno)
         if not 0 <= v < n:
@@ -104,7 +114,7 @@ def parse_base(text: str) -> BaseGraph:
     (n,) = _header(lines, "graph", 1)
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
-    for lineno, u, v in _pairs(lines):
+    for lineno, u, v in _pairs(text, lines):
         if not 0 <= u < n:
             raise _out_of_range(u, n, lineno)
         if not 0 <= v < n:
@@ -125,7 +135,7 @@ def parse_coloring(text: str) -> Coloring:
     if len(lines) - 1 != n:
         raise FormatError(f"expected {n} vertex lines, got {len(lines) - 1}", 1)
     assignment: list[int | None] = [None] * n
-    for lineno, v, c in _pairs(lines):
+    for lineno, v, c in _pairs(text, lines):
         if not 0 <= v < n:
             raise _out_of_range(v, n, lineno)
         if assignment[v] is not None:

@@ -1,4 +1,6 @@
+import contextlib
 import json
+import re
 import tracemalloc
 
 import pytest
@@ -227,15 +229,16 @@ def test_random_coloring_roundtrip(raw):
 
 # The body-line checks as they were before one generator read all three
 # formats: a _pair call with two _int calls per line, and tuple keys for
-# a digraph's seen arcs.  The parsers must match them record for record
+# a digraph's seen arcs; a token is a number when it is ASCII digits
+# after an optional "-".  The parsers must match them record for record
 # and message for message.
 
 
 def _ref_int(token, lineno):
-    try:
-        return int(token)
-    except ValueError:
-        raise FormatError(f"non-integer token {token!r}", lineno) from None
+    if re.fullmatch(r"-?[0-9]+", token):
+        with contextlib.suppress(ValueError):  # past int()'s digit limit
+            return int(token)
+    raise FormatError(f"non-integer token {token!r}", lineno)
 
 
 def _ref_pair(raw, lineno):
@@ -316,8 +319,9 @@ def _outcome(parse, text):
         return str(exc), exc.line
 
 
-# int() takes signs, underscores between digits and non-ASCII digits;
-# the rest are no integers, or out of range for any n here
+# int() takes signs, underscores between digits and non-ASCII digits,
+# which the formats refuse; the rest are no integers, or out of range
+# for any n here
 _ODD_TOKENS = st.sampled_from(
     ["+1", "-0", "1_0", "0_1", "\u0663", "\uff12", "-1", "6", "x", "1.0", "0x1", "_1", "1__0"]
 )
@@ -368,6 +372,51 @@ def test_parsers_match_the_reference_line_checker(text):
         (parse_coloring, _ref_coloring),
     ):
         assert _outcome(parse, text) == _outcome(reference, text), (parse.__name__, text)
+
+
+# int() reads each of these respellings of a number as that number
+_ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+_RESPELLINGS = [
+    lambda t: "+" + t,
+    lambda t: f"{t[0]}_{t[1:]}" if len(t) > 1 else t,
+    lambda t: t.translate(_ARABIC_INDIC),
+]
+
+
+@st.composite
+def _respelled(draw):
+    """A valid digraph, base or coloring text with some of its numbers
+    respelt as int() also reads them."""
+    text = draw(
+        st.sampled_from(
+            [
+                emit_digraph(tournament(5)),
+                emit_base(cycle_base(12)),
+                emit_coloring(Coloring([0, 1, 0, 2], 3)),
+            ]
+        )
+    )
+    lines = []
+    for line in text.splitlines():
+        words = line.split()
+        for i, word in enumerate(words):
+            if word.isdigit() and draw(st.integers(0, 3)) == 0:
+                words[i] = draw(st.sampled_from(_RESPELLINGS))(word)
+        lines.append(" ".join(words) + "\n")
+    return "".join(lines)
+
+
+@settings(max_examples=500)
+@given(st.one_of(_texts(), _respelled()))
+def test_every_token_of_an_accepted_text_is_ascii_digits_after_an_optional_minus(text):
+    for parse in (parse_digraph, parse_base, parse_coloring):
+        try:
+            parse(text)
+        except FormatError:
+            continue
+        # past the header's tag, every token is a number
+        for token in text.split()[1:]:
+            assert re.fullmatch(r"-?[0-9]+", token), (parse.__name__, text)
 
 
 def test_no_parser_allocates_by_the_header_vertex_count():
