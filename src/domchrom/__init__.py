@@ -55,6 +55,7 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "orient",
         "out_degree_sequence",
         "path_base",
+        "star_base",
         "underlying",
     ),
     "invariants": (

@@ -6,7 +6,10 @@
  * predicate, the forced open and the class-packing rule documented in
  * _kernel_py.py, on uint64_t masks; with no vertex required it is a
  * proper-coloring search.  required lists each vertex once, in the
- * order the packing rule walks, which the solver sets.
+ * order the packing rule walks, which the solver sets.  adj must be outs
+ * plus the in-neighbors of a digraph with no arc both ways, so that
+ * adj[u] & ~outs[u] are the in-neighbors of u; the proper search passes
+ * outs = adj with nothing required.
  * Any change here must be mirrored in the pure-Python module and vice
  * versa; the test suite compiles this file and asserts that the two
  * backends agree exactly.  Limited to 64 vertices by the mask width.
@@ -117,7 +120,6 @@ solve_fixed_k_dominator(PyObject *self, PyObject *args)
     if (read_masks(adj_o, n, adj) < 0 || read_masks(outs_o, n, outs) < 0)
         return NULL;
 
-    memset(into, 0, sizeof into);
     memset(due_at, 0, sizeof due_at);
     PyObject *required = PySequence_Fast(required_o, "required must be a sequence");
     if (required == NULL)
@@ -140,12 +142,13 @@ solve_fixed_k_dominator(PyObject *self, PyObject *args)
         req |= bit;
         order[count++] = (int)v;
         due_at[om ? 63 - __builtin_clzll(om) : 0] |= bit;
-        for (; om; om &= om - 1)
-            into[__builtin_ctzll(om)] |= bit;
     }
     Py_DECREF(required);
     for (int i = 1; i < n; i++)
         due_at[i] |= due_at[i - 1];
+    /* no arc runs both ways, so adj[u] & ~outs[u] are u's in-neighbors */
+    for (int u = 0; u < n; u++)
+        into[u] = adj[u] & ~outs[u] & req;
 
     memset(class_masks, 0, sizeof class_masks);
     memset(inside, 0, sizeof inside);
@@ -159,8 +162,8 @@ solve_fixed_k_dominator(PyObject *self, PyObject *args)
         int limit = used < k ? used : k - 1;
         u64 am = adj[i];
         u64 into_i = into[i];
-        u64 due_join = used == k ? req : due_at[i];
-        u64 due_open = used + 1 == k ? req : due_at[i];
+        u64 due_open = due_at[i];
+        u64 due_join = used == k ? req : due_open;
         u64 cover = cover_stack[i];
         u64 above = -((u64)2 << i);
         int placed = 0;

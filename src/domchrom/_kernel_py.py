@@ -20,8 +20,8 @@ rather than by a loop over requirements and classes:
 
 - into[u]: the required v with u in out(v);
 - due_at[i]: the required v whose highest out-neighbor is <= i (from
-  i = 0 for an empty out-set); every required v is due once all k
-  classes are open;
+  i = 0 for an empty out-set); every required v is due for a join once
+  all k classes are open;
 - inside[j]: the required v whose out-neighborhood contains class j,
   req & into[u] when u opens j, narrowed by & into[u] for each later
   member, and restored from a per-depth copy on backtrack;
@@ -52,6 +52,9 @@ the placement once more than spare are taken.  Any walk gives a valid
 count; the solver passes required by (out-degree, vertex), as small
 out-sets first tend to take more of them.
 
+Opening the last class needs no larger due set: it leaves spare = 0,
+so the packing rule refutes any required vertex left outside the cover.
+
 Both rules cut only subtrees that hold no coloring, and the search
 order is unchanged, so the first coloring found, and with it every
 value and witness, is the one the search finds without them; only the
@@ -79,24 +82,25 @@ def solve_fixed_k_dominator(
     """Dominator coloring with at most k classes, plus nodes explored.
 
     adj[i]: undirected adjacency mask of i.  outs[v]: out-neighborhood
-    mask of v.  required: the vertices that must dominate a class, each
-    once, in the order the packing rule walks.  A node is counted for
-    each tentative placement that passes the properness check.
+    mask of v.  adj must be outs plus the in-neighbors of a digraph with
+    no arc both ways, so adj[u] & ~outs[u] are the in-neighbors of u;
+    the proper search passes outs = adj with nothing required, where
+    into is empty either way.  required: the vertices that must dominate
+    a class, each once, in the order the packing rule walks.  A node is
+    counted for each tentative placement that passes the properness
+    check.
     """
     if n == 0:
         return [], 0
     req = 0
-    into = [0] * n
     due_at = [0] * n
     for v in required:
         bit = 1 << v
         req |= bit
         om = outs[v]
         due_at[max(om.bit_length() - 1, 0)] |= bit
-        while om:
-            low = om & -om
-            into[low.bit_length() - 1] |= bit
-            om ^= low
+    # no arc runs both ways, so adj[u] & ~outs[u] are u's in-neighbors
+    into = [a & ~o & req for a, o in zip(adj, outs)]
     for i in range(1, n):
         due_at[i] |= due_at[i - 1]
     # the packing walk, in the order given, as (bit, out-set)
@@ -117,8 +121,8 @@ def solve_fixed_k_dominator(
         am = adj[i]
         bit = 1 << i
         into_i = into[i]
-        due_join = req if used == k else due_at[i]
-        due_open = req if used + 1 == k else due_at[i]
+        due_open = due_at[i]
+        due_join = req if used == k else due_open
         cover = cover_stack[i]
         if c < used and due_join & ~cover:
             # forced open: no join can bring a due vertex into the cover

@@ -319,9 +319,11 @@ def _cmd_family(args: argparse.Namespace) -> int:
 
 def _cmd_formulas(args: argparse.Namespace) -> int:
     ns = _range_from(args)
-    if len(ns) > FORMULAS_MAX_SIZES:
+    # len() of a range longer than sys.maxsize raises OverflowError
+    sizes = ns.stop - ns.start
+    if sizes > FORMULAS_MAX_SIZES:
         raise GuardExceeded(
-            f"formulas over {len(ns)} sizes exceeds the guard of {FORMULAS_MAX_SIZES}"
+            f"formulas over {sizes} sizes exceeds the guard of {FORMULAS_MAX_SIZES}"
         )
     fn = _min_formula(args.base)
     rows = [{"n": n, "value": fn(n)} for n in ns]

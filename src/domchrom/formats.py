@@ -1,14 +1,19 @@
 """Text formats for digraphs, base graphs, and colorings, plus the
 machine-readable result envelope used by the command line.
 
-All three text formats are line-based with LF endings and single
-spaces: a header line naming the object and its sizes, then one line
-per arc, edge, or vertex.  Every number is ASCII digits after an
-optional "-"; any other token, "+1", "1_0" or a non-ASCII digit among
-them, is a non-integer token.  parse and emit are exact inverses on
-valid files.  A parser checks each line once, in order, and the first
-check that fails names the error and its line number; _pairs reads the
-body lines of all three.  No list is sized by a header's count alone.
+All three text formats are line-based with LF endings: a header line
+naming the object and its sizes, then one line per arc, edge, or
+vertex.  emit_* separate fields with single spaces; the parsers split
+a line with str.split(), so any run of whitespace (tabs, NBSP and
+vertical tabs among it) separates fields, and whitespace at either end
+of a line is ignored.  Every number is ASCII digits after an optional
+"-", so "01" reads as 1 and "-0" as 0; any other token, "+1", "1_0" or
+a non-ASCII digit among them, is a non-integer token.  parse(emit(x)) is
+x for every valid object, but emit(parse(text)) gives back text byte
+for byte only for a text that emit_* writes.  A parser checks each line
+once, in order, and the first check that fails names the error and its
+line number; _pairs reads the body lines of all three.  No list is
+sized by a header's count alone.
 """
 
 from __future__ import annotations
@@ -62,23 +67,33 @@ def _int(token: str, lineno: int) -> int:
     raise FormatError(f"non-integer token {token!r}", lineno)
 
 
+# label -> int for the canonical spellings of 0..63, the kernel's vertex
+# limit: _pairs reads a token found here without int()
+_LABELS = {str(i): i for i in range(64)}
+
+
 def _pairs(text: str, lines: list[str]) -> Iterator[tuple[int, int, int]]:
     """(lineno, u, v) for each body line of text, the two integers it
-    holds; a line's first bad field names the error.  int() reads a
-    token as _int does when text is ASCII and holds no "_" or "+", so
+    holds; a line's first bad field names the error.  A line whose two
+    tokens are both in _LABELS needs no int().  On any other, int() reads
+    a token as _int does when text is ASCII and holds no "_" or "+", so
     only another text has each token checked by _int."""
     plain = text.isascii() and "_" not in text and "+" not in text
+    label = _LABELS.get
     for lineno, raw in enumerate(lines[1:], start=2):
         parts = raw.split()
         if len(parts) != 2:
             raise FormatError(f"expected 2 fields, got {len(parts)}", lineno)
         a, b = parts
-        try:
-            u, v = int(a), int(b)
-        except ValueError:
-            plain = False  # _int names the bad token
-        if not plain:
-            u, v = _int(a, lineno), _int(b, lineno)
+        u = label(a)
+        v = label(b)
+        if u is None or v is None:
+            try:
+                u, v = int(a), int(b)
+            except ValueError:
+                plain = False  # _int names the bad token
+            if not plain:
+                u, v = _int(a, lineno), _int(b, lineno)
         yield lineno, u, v
 
 

@@ -757,6 +757,16 @@ def test_family_and_formulas_guards_admit_their_limits(monkeypatch, capsys):
     assert "6 sizes exceeds the guard of 5" in capsys.readouterr().err
 
 
+def test_formulas_refuses_a_range_longer_than_maxsize(capsys):
+    # len() of this range raises OverflowError; the guard must not take it
+    n_max = 10**20 - 1
+    assert n_max > sys.maxsize
+    assert run(["formulas", "path", "--n-min", "1", "--n-max", str(n_max)]) == 3
+    captured = capsys.readouterr()
+    assert f"formulas over {n_max} sizes exceeds the guard of" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_sweep_kinds_give_the_size_of_the_base_they_build():
     for kind, (build, past_n) in cli._SWEEP_KINDS.items():
         for n in range(1, 31):

@@ -1,7 +1,7 @@
 """The package surface and what a process loads to reach it.
 
 Package names load on first use and the CLI loads only what its command
-runs, so these tests pin the 51 public names and their owners, and the
+runs, so these tests pin the 52 public names and their owners, and the
 modules that `import domchrom.cli` and the common commands leave out.
 """
 
@@ -78,6 +78,7 @@ PUBLIC = {
         "orient",
         "out_degree_sequence",
         "path_base",
+        "star_base",
         "underlying",
     ],
     "invariants": [
@@ -124,7 +125,7 @@ def _in_fresh_process(code: str):
 
 def test_all_is_frozen():
     names = sorted(name for names in PUBLIC.values() for name in names)
-    assert len(names) == 51
+    assert len(names) == 52
     assert domchrom.__all__ == names
 
 
