@@ -8,8 +8,12 @@ odd tilde cycle among them, whose bound needs chi = 4 from the proper
 search), orientation sweeps, and in-process `domchrom solve --json` and
 `verify --json` requests on fig4 and its witness; both backends must
 return identical values, node counts and verdicts, which the harness
-asserts before reporting.  The sweeps that compare the backends take
-bases with their edges listed last first, which no automaton
+asserts before reporting.  A ladder row solves a fixed, seeded set of
+random digraphs with 8 to 16 vertices in both modes, and prints the
+budgets its ladders tried, the refuted ones among them, and the kernel
+nodes next to its times: the one row that refutes budgets on random
+input, as perfbench's solve-batch does.  The sweeps that compare the
+backends take bases with their edges listed last first, which no automaton
 recognises, so each code is solved: two of them without a kernel call
 (a star, whose packing bounds are all attained, and a strict path,
 whose orientations all have a sink).  The automaton rows, a star, a
@@ -28,6 +32,7 @@ import io
 import json
 import os
 import platform
+import random
 import statistics
 import subprocess
 import sys
@@ -39,7 +44,7 @@ from . import cli, kernel
 from .coloring import Coloring, DominationMode
 from .families import fig4_digraph, tilde_cycle, tournament
 from .formats import emit_coloring, emit_digraph
-from .graphs import BaseGraph, cycle_base, path_base, star_base
+from .graphs import BaseGraph, Digraph, cycle_base, path_base, star_base
 from .solver import dominator_chromatic_number, sweep
 
 
@@ -92,6 +97,53 @@ def _reversed(base: BaseGraph) -> BaseGraph:
     return BaseGraph(base.n, reversed(base.edges))
 
 
+LADDER_ROW = "solve random n=8..16 x40 both modes"
+
+
+def _random_digraphs() -> list[Digraph]:
+    """40 digraphs with 8 to 16 vertices, each pair an arc with
+    probability 0.25, 0.4 or 0.55, oriented by a coin; the same ones on
+    every run."""
+    rng = random.Random(20191)
+    digraphs = []
+    for _ in range(40):
+        n = rng.randint(8, 16)
+        density = rng.choice((0.25, 0.4, 0.55))
+        arcs = [
+            (u, v) if rng.random() < 0.5 else (v, u)
+            for u in range(n)
+            for v in range(u + 1, n)
+            if rng.random() < density
+        ]
+        digraphs.append(Digraph(n, arcs))
+    return digraphs
+
+
+def _solve_all(digraphs: list[Digraph]) -> list:
+    return [dominator_chromatic_number(d, mode) for d in digraphs for mode in DominationMode]
+
+
+def _ladder_note(thunk) -> str:
+    """The budgets, refuted budgets and kernel nodes of one run of a
+    ladder row, counted around the active kernel."""
+    real = kernel.solve_fixed_k_dominator
+    budgets = 0
+
+    def counted(*args):
+        nonlocal budgets
+        budgets += 1
+        return real(*args)
+
+    kernel.solve_fixed_k_dominator = counted
+    try:
+        outcomes = thunk()
+    finally:
+        kernel.solve_fixed_k_dominator = real
+    refuted = budgets - sum(outcome.feasible for outcome in outcomes)
+    nodes = sum(outcome.nodes_explored for outcome in outcomes)
+    return f"budgets {budgets} (refuted {refuted}), nodes {nodes}"
+
+
 def _workloads(fig4_path: str, fig4_coloring: str):
     """(label, thunk, whether the thunk calls a kernel) per workload."""
     yield "solve tournament n=9", lambda: dominator_chromatic_number(tournament(9, 5)), True
@@ -99,6 +151,8 @@ def _workloads(fig4_path: str, fig4_coloring: str):
     # an odd wheel underneath: chi(G - U) = 4 takes the proper search
     yield "solve tilde-cycle n=25", lambda: dominator_chromatic_number(tilde_cycle(25)), True
     yield "solve fig4", lambda: dominator_chromatic_number(fig4_digraph()), True
+    random_digraphs = _random_digraphs()
+    yield LADDER_ROW, lambda: _solve_all(random_digraphs), True
     yield "sweep path n=10 reversed", lambda: _sweep(_reversed(path_base(10))), True
     yield "sweep cycle n=10 reversed", lambda: _sweep(_reversed(cycle_base(10))), True
     yield (
@@ -141,6 +195,8 @@ def _run_backend(name: str, workloads, repeat: int):
 
 
 def _fingerprint(value):
+    if isinstance(value, list):
+        return [_fingerprint(item) for item in value]
     if hasattr(value, "distribution"):
         return (
             value.distribution,
@@ -178,6 +234,9 @@ def main() -> None:
         for name in available:
             per_backend[name] = _run_backend(name, workloads, args.repeat)
         kernel.use_backend(None)
+        ladder_note = _ladder_note(
+            next(thunk for label, thunk, _ in workloads if label == LADDER_ROW)
+        )
 
     baseline_results, baseline_times = per_backend["python"]
     for name, (results, _) in per_backend.items():
@@ -192,6 +251,8 @@ def main() -> None:
     for label, _, calls_kernel in workloads:
         row = f"{label:<{width}}  "
         row += "  ".join(f"{per_backend[n][1][label] * 1000:>8.3f}ms" for n in available)
+        if label == LADDER_ROW:
+            row += f"  {ladder_note}"
         if "c" in available and calls_kernel:
             ratio = baseline_times[label] / per_backend["c"][1][label]
             row += f"  {ratio:>7.1f}x"

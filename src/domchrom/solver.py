@@ -3,32 +3,40 @@
 The dominator chromatic number of a digraph is found by trying class
 budgets k in ascending order and stopping at n (giving every vertex its
 own class always verifies under the sink-exempt requirement).  The
-ladder starts at the packing bound P + chi(G - U): P required vertices
-with independent, pairwise disjoint out-sets, whose union is U, each
-dominate a distinct class inside U, and the other classes properly
-color G - U.  Out-degree 1 is taken first, so the bound is never below
-|S| + chi(G - S), S the sole out-neighbors of such vertices, nor below
-chi(G); and as P <= |U| it is at most n, so every ladder ends in a
-kernel call.  A required vertex with an empty out-set (a strict-mode
-sink) dominates no class, so no budget succeeds: its bound is n, and
-the ladder's one kernel call, at k = n, refutes it on one node.  Each
-budget runs the backtracking search selected in the kernel module; its
-class-packing rule walks the required vertices in the bound's order,
-which _required_vertices alone defines.
+ladder starts at the packing bound.  Each required vertex holds a whole
+class inside its out-set, so P required vertices with pairwise disjoint
+out-sets, whose union is U, hold P distinct classes inside U, and the
+other classes properly color G - U: P + chi(G - U) is a lower bound, for
+which disjointness is enough.  A first pass takes out-sets that are also
+independent, as the certificate below needs.  Out-degree 1 is taken
+first, so the bound is never below |S| + chi(G - S), S the sole
+out-neighbors of such vertices, nor below chi(G); and as P <= |U| it is
+at most n, as is the second bound below, so every ladder ends in a
+kernel call.  When the first pass gives no certificate, a second pass
+adds the skipped out-sets that miss the growing union U'', and the
+ladder starts at the larger of the two bounds, the second taking a cheap
+lower bound on chi(G - U'').  A required vertex with an empty out-set (a
+strict-mode sink) dominates no class, so no budget succeeds: its bound
+is n, and the ladder's one kernel call, at k = n, refutes it on one
+node.  Each budget runs the backtracking search selected in the kernel
+module; its class-packing rule walks the required vertices in the
+bound's order, which _required_vertices alone defines.
 
 chi(G - U) starts from one BFS 2-coloring, which settles 0, 1 and 2.
-An odd G - U goes to the same search with no vertex required, climbing
-budgets from a greedy clique on G - U relabelled highest degree first;
-that order keeps odd wheels, such as the tilde cycle's underlying
-graph, linear where index order is exponential.
+An odd G - U is colored greedily, highest degree first; when that meets
+max(3, a greedy clique), it is chi.  Only otherwise does the same search
+with no vertex required climb the budgets between the two, on G - U
+relabelled highest degree first; that order keeps odd wheels, such as
+the tilde cycle's underlying graph, linear where index order is
+exponential.
 
 The same 2-coloring gives a certificate, which a sweep uses, as it
-needs values only, not witnesses.  The taken out-sets are independent
-and pairwise disjoint; with the 2-coloring's sides (when chi(G - U) <=
-2) they form a proper coloring with exactly P + chi(G - U) classes, in
-which each taken vertex dominates its own class.  When every required
-vertex the packing skipped also contains one of its classes, it is a
-dominator coloring, and the bound is the value: no kernel call.  A
+needs values only, not witnesses.  The first pass's out-sets are
+independent and pairwise disjoint; with the 2-coloring's sides (when
+chi(G - U) <= 2) they form a proper coloring with exactly P + chi(G - U)
+classes, in which each taken vertex dominates its own class.  When every
+required vertex the packing skipped also contains one of its classes, it
+is a dominator coloring, and the bound is the value: no kernel call.  A
 strict-mode sink makes the orientation infeasible, also with no kernel
 call.  Only the other orientations climb the ladder, from the bound
 already computed.
@@ -134,16 +142,33 @@ def _odd_chromatic(adj: list[int], keep: int) -> int:
     """Chromatic number of the subgraph that the vertex mask keep
     induces, given that _two_coloring found an odd cycle in it.
 
-    The subgraph is relabelled onto 0..r-1, highest degree in it first
-    (a stable sort, so ties go by vertex index), and the proper search
-    climbs from max(3, a greedy clique).  Left in, the vertices outside
-    keep would be branched over on every refuted budget.  The order does
-    not change chi but decides the cost: on an odd wheel in index order,
-    hub last, each refuted budget tries every coloring of the rim, while
-    the hub first leaves each rim vertex one class at a time.
+    A greedy coloring, highest degree in the subgraph first (a stable
+    sort, so ties go by vertex index), is an upper bound, and 3, or past
+    it a greedy clique, a lower one; when they meet, that is chi, and no
+    search runs.  Else the subgraph is relabelled onto 0..r-1 in the same
+    order, and the proper search climbs the budgets between the two; the
+    greedy count is chi when every one is refuted.  Left in, the vertices
+    outside keep would be branched over on every refuted budget.  The
+    order does not change chi but decides the cost: on an odd wheel in
+    index order, hub last, each refuted budget tries every coloring of
+    the rim, while the hub first leaves each rim vertex one class at a
+    time.
     """
     members = [u for u in range(len(adj)) if keep >> u & 1]
     members.sort(key=lambda u: -(adj[u] & keep).bit_count())
+    classes: list[int] = []
+    for u in members:
+        near = adj[u] & keep
+        for c, colored in enumerate(classes):
+            if not colored & near:
+                classes[c] |= 1 << u
+                break
+        else:
+            classes.append(1 << u)
+    greedy = len(classes)
+    least = 3 if greedy == 3 else max(3, _greedy_clique_size(adj, keep))
+    if least == greedy:
+        return greedy
     index = {u: j for j, u in enumerate(members)}
     sub = []
     for u in members:
@@ -154,11 +179,10 @@ def _odd_chromatic(adj: list[int], keep: int) -> int:
             mask |= 1 << index[low.bit_length() - 1]
             rest ^= low
         sub.append(mask)
-    r = len(members)
-    for k in range(max(3, _greedy_clique_size(sub)), r + 1):
-        if kernel.solve_fixed_k_proper(r, sub, k) is not None:
+    for k in range(least, greedy):
+        if kernel.solve_fixed_k_proper(len(sub), sub, k) is not None:
             return k
-    raise AssertionError("unreachable: n classes always color n vertices")
+    return greedy
 
 
 def _two_coloring(adj: list[int], keep: int) -> list[int] | None:
@@ -189,13 +213,14 @@ def _two_coloring(adj: list[int], keep: int) -> list[int] | None:
     return [side for side in sides if side]
 
 
-def _greedy_clique_size(adj: list[int]) -> int:
-    """Size of a clique grown by taking, at each step, the candidate with
-    the most candidate neighbors (the lowest such vertex on a tie); a
-    lower bound on the chromatic number, and at least 2 once any edge
-    exists."""
+def _greedy_clique_size(adj: list[int], keep: int | None = None) -> int:
+    """Size of a clique grown inside keep (every vertex by default) by
+    taking, at each step, the candidate with the most candidate neighbors
+    (the lowest such vertex on a tie); a lower bound on the chromatic
+    number of the subgraph keep induces, and at least 2 once it has an
+    edge."""
     size = 0
-    candidates = (1 << len(adj)) - 1
+    candidates = (1 << len(adj)) - 1 if keep is None else keep
     while candidates:
         best, most = 0, -1
         for u in range(len(adj)):
@@ -259,9 +284,14 @@ def dominator_chromatic_number(
 def _lower_bound(
     n: int, adj: list[int], outs: list[int], required: list[int]
 ) -> tuple[int, list[int] | None]:
-    """The packing bound P + chi(G - U), and the classes of a dominator
-    coloring that attains it, when the packing's own classes form one
-    (else None).
+    """The packing bound, and the classes of a dominator coloring that
+    attains it, when the packing's own classes form one (else None).
+
+    In every dominator coloring each required vertex holds a whole class
+    inside its out-set, so the classes of vertices with pairwise disjoint
+    out-sets are distinct and lie inside the union U of those out-sets,
+    and the other classes properly color G - U: P such vertices give the
+    bound P + chi(G - U).  Disjointness is all the bound needs.
 
     Walk required, by (out-degree, vertex), and take v when outs[v] is
     independent and misses U, the union of the out-sets taken so far; P
@@ -274,6 +304,12 @@ def _lower_bound(
     sides form a proper coloring with exactly P + chi(G - U) classes;
     each taken vertex dominates its own.  It is the certificate when
     every vertex the walk skipped contains one of its classes.
+
+    Without a certificate, a second pass takes, in the same order, each
+    skipped out-set that misses the growing union U'' (an out-set the
+    walk skipped only for an edge inside it), and the bound is the larger
+    of P + chi(G - U) and P'' + a lower bound on chi(G - U''): the count
+    of its 2-coloring's sides, or else max(3, a greedy clique).
     """
     if required and not outs[required[0]]:
         return n, None
@@ -295,18 +331,34 @@ def _lower_bound(
                 classes.append(om)
                 continue
         skipped.append(om)
+    packed = len(classes)
     keep = ((1 << n) - 1) & ~taken
     sides = _two_coloring(adj, keep)
     if sides is None:
-        return len(classes) + _odd_chromatic(adj, keep), None
-    classes += sides
-    for om in skipped:
-        for members in classes:
-            if not members & ~om:
+        bound = packed + _odd_chromatic(adj, keep)
+    else:
+        classes += sides
+        bound = len(classes)
+        for om in skipped:
+            for members in classes:
+                if not members & ~om:
+                    break
+            else:
+                # om contains no class: no certificate
                 break
         else:
-            return len(classes), None
-    return len(classes), classes
+            return bound, classes
+    union = taken
+    for om in skipped:
+        if not om & union:
+            union |= om
+            packed += 1
+    if union != taken:
+        keep = ((1 << n) - 1) & ~union
+        sides = _two_coloring(adj, keep)
+        chi = max(3, _greedy_clique_size(adj, keep)) if sides is None else len(sides)
+        bound = max(bound, packed + chi)
+    return bound, None
 
 
 def _solve_masks(

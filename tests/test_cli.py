@@ -10,11 +10,13 @@ import io
 import json
 import subprocess
 import sys
+import time
 from collections import Counter
 from math import comb
+from unittest.mock import patch
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from domchrom import (
@@ -1038,3 +1040,94 @@ def test_line_endings_and_bad_files_give_the_same_runs(tmp_path, capsys):
         assert runs["bom", command][0] == 2
     assert run(["verify", str(tmp_path / "absent.txt"), str(coloring)]) == 2
     assert capsys.readouterr().err == f"error: {_text_mode(str(tmp_path / 'absent.txt'))[1]}\n"
+
+
+# the integers drawn for every integer argument: both sides of the
+# kernel's 64-vertex limit and of the 1000-vertex family and sweep
+# guards, small sizes, a negative one and one past sys.maxsize
+BOUNDARY_INTS = [-1, 0, 1, 2, 3, 4, 5, 6, 63, 64, 65, 200, 1000, 1001, 10**20]
+# the most seconds any drawn call may take: a guard refuses before the
+# work it bounds starts
+CALL_SECONDS = 5.0
+
+
+@pytest.fixture(scope="module")
+def argv_corpus(tmp_path_factory):
+    """Paths drawn for every file argument: a valid digraph, base and
+    coloring file (each drawn for every file slot, so also for the wrong
+    one), a malformed file, a missing path and a directory."""
+    root = tmp_path_factory.mktemp("argv")
+    files = {
+        "digraph.txt": emit_digraph(directed_path(4)),
+        "base.txt": emit_base(cycle_base(5)),
+        "coloring.txt": emit_coloring(Coloring([0, 1, 2, 3], 4)),
+        "malformed.txt": "digraph 3\n0 one\n",
+    }
+    for name, text in files.items():
+        (root / name).write_text(text)
+    return [str(root / name) for name in files] + [str(root / "missing.txt"), str(root)]
+
+
+# the size options that _add_range declares: drawn together, as --n
+# alone, as --n-min with --n-max, or each present by a coin
+RANGE_OPTIONS = ("--n", "--n-min", "--n-max")
+
+
+@st.composite
+def _argvs(draw, name, corpus):
+    """An argv for command name, drawn from the actions its parser
+    declares: each option present or not, a value of its kind for each
+    present option and each positional."""
+    actions = [
+        action
+        for action in cli._command_parser(name)._actions
+        if not isinstance(action, argparse._HelpAction)
+    ]
+    present = {
+        flag: draw(st.booleans())
+        for action in actions
+        for flag in action.option_strings[:1]
+    }
+    if set(RANGE_OPTIONS) <= set(present):
+        shape = draw(st.sampled_from(["n", "range", "any"]))
+        if shape != "any":
+            present.update(zip(RANGE_OPTIONS, (shape == "n", shape == "range", shape == "range")))
+    argv = [name]
+    ints = st.sampled_from(BOUNDARY_INTS).map(str)
+    for action in actions:
+        if action.choices is not None:
+            values = st.sampled_from([*action.choices, "unknown"])
+        elif action.type is int:
+            values = ints
+        else:
+            values = st.sampled_from(corpus)
+        if action.option_strings:
+            if present[action.option_strings[0]]:
+                argv.append(action.option_strings[0])
+                if action.nargs != 0:
+                    argv.append(draw(values))
+        elif action.nargs == "*":
+            argv += draw(st.lists(values, max_size=3))
+        elif action.nargs != "?" or draw(st.booleans()):
+            argv.append(draw(values))
+    return argv
+
+
+@pytest.mark.parametrize("name", list(cli._COMMANDS))
+@settings(max_examples=500)
+@given(data=st.data())
+def test_every_drawn_argv_ends_cleanly_and_in_time(argv_corpus, name, data):
+    # the automaton sweeps that the 1000-vertex guard admits take seconds
+    # each (the cycle's counting pass is bound by big-integer shifts), so
+    # here that guard sits at 200, a drawn size, and 1000 and 1001 probe
+    # it from above; every other guard is as shipped
+    argv = data.draw(_argvs(name, argv_corpus))
+    out, err = io.StringIO(), io.StringIO()
+    t0 = time.perf_counter()
+    with patch.object(solver, "AUTOMATON_MAX_VERTICES", 200):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+    seconds = time.perf_counter() - t0
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue(), argv
+    assert seconds < CALL_SECONDS, (argv, seconds)

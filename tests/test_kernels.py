@@ -437,7 +437,12 @@ def test_bench_runs_once_per_workload():
         "cli verify --json fig4",
     )
     compared = "backends available: python, c" in proc.stdout
-    assert len(rows) == 14
+    assert len(rows) == 15
+    # the ladder row prints its budgets and kernel nodes before any speedup
+    assert re.search(
+        r"ms  budgets \d+ \(refuted \d+\), nodes \d+(  +\d+\.\dx)?$",
+        rows["solve random n=8..16 x40 both modes"],
+    ), proc.stdout
     for label, row in rows.items():
         has_ratio = re.search(r"\dx$", row) is not None
         assert has_ratio == (compared and label not in no_kernel), row

@@ -159,6 +159,29 @@ def _singleton_bound(n, adj, outs, required):
     return forced.bit_count() + _chi_by_climb(adj, ((1 << n) - 1) & ~forced)
 
 
+def _single_pass_bound(n, adj, outs, required):
+    """P + chi(G - U) of the packing walk alone: U the union of the
+    independent out-sets taken in required's order when they miss it.
+    The second pass may only raise the bound above it."""
+    if required and not outs[required[0]]:
+        return n
+    taken = packed = 0
+    for v in required:
+        om = outs[v]
+        independent = not any(adj[u] & om for u in range(n) if om >> u & 1)
+        if independent and not om & taken:
+            taken |= om
+            packed += 1
+    return packed + _chi_by_climb(adj, ((1 << n) - 1) & ~taken)
+
+
+# vertex 0's out-set {2, 3} holds the edge (2, 3) but misses U = {0, 5}:
+# the second pass takes it, and the bound rises from 4 to the value 5
+SECOND_PASS_DIGRAPH = Digraph(
+    6, [(0, 2), (0, 3), (5, 0), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5), (4, 5)]
+)
+
+
 def _ladder_from(start, n, adj, outs, required):
     nodes = 0
     for k in range(start, n + 1):
@@ -175,6 +198,7 @@ def _ladder_from(start, n, adj, outs, required):
 @example(Digraph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]))
 # 0 and 3 share the out-set {1, 2}: taking both would exceed the value
 @example(Digraph(4, [(0, 1), (0, 2), (3, 1), (3, 2)]))
+@example(SECOND_PASS_DIGRAPH)
 def test_ladder_bound_lies_between_chromatic_number_and_value(d):
     # chi(G) <= |S| + chi(G - S) <= the packing bound <= the oracle's
     # value; started there, the ladder ends at the same budget and the
@@ -185,6 +209,7 @@ def test_ladder_bound_lies_between_chromatic_number_and_value(d):
         reference = _singleton_bound(d.n, adj, outs, required)
         bound, _ = solver._lower_bound(d.n, adj, outs, required)
         assert chi <= reference <= bound
+        assert _single_pass_bound(d.n, adj, outs, required) <= bound
         value = dominator_chromatic_number_oracle(d, mode)
         assert bound <= (d.n if value is None else value)
         assignment, got, nodes = solver._solve_masks(d.n, adj, outs, required, bound)
@@ -193,6 +218,15 @@ def test_ladder_bound_lies_between_chromatic_number_and_value(d):
         assert nodes <= want[2]
         assert got == value
         assert dominator_chromatic_number(d, mode).value == value
+
+
+def test_the_second_pass_raises_the_bound_to_the_value():
+    d = SECOND_PASS_DIGRAPH
+    adj, outs, required = solver._kernel_inputs(d, SINK_EXEMPT)
+    assert _single_pass_bound(d.n, adj, outs, required) == 4
+    assert solver._lower_bound(d.n, adj, outs, required) == (5, None)
+    assert dominator_chromatic_number_oracle(d) == 5
+    assert dominator_chromatic_number(d).value == 5
 
 
 def _spy_on(monkeypatch, name):
@@ -215,7 +249,9 @@ def test_ladder_computes_one_chromatic_number(monkeypatch):
     # U takes every vertex: the directed cycle's answer is the bound
     # n + chi(empty); never for a strict-mode sink, whose bound is n at
     # once; the proper search only for an odd G - U, as the tilde
-    # 5-cycle's wheel
+    # 5-cycle's wheel.  A second 2-coloring, of G - U'' for the larger
+    # union U'' of the second pass, runs only on a ladder with no
+    # certificate whose skipped out-sets miss U: of these, the wheel's
     wheel = tilde_cycle(5)
     for d in (directed_cycle(5), directed_path(4), star_oriented(3, 1), wheel):
         for mode in DominationMode:
@@ -223,14 +259,17 @@ def test_ladder_computes_one_chromatic_number(monkeypatch):
             odd.clear()
             dominator_chromatic_number(d, mode)
             sink = mode is STRICT and not all(solver._kernel_inputs(d, mode)[1])
-            assert len(sides) == (0 if sink else 1), (d, mode)
-            assert odd == (sides if d is wheel else []), (d, mode)
+            second = d is wheel and not sink
+            assert len(sides) == (0 if sink else 1 + second), (d, mode)
+            assert odd == (sides[:1] if d is wheel else []), (d, mode)
     sides.clear()
     dominator_chromatic_number(directed_cycle(5))
     assert sides == [0]
     sides.clear()
     dominator_chromatic_number(wheel)
-    assert sides == [(1 << wheel.n) - 1]
+    # U is empty; the second pass's U'' is not
+    full = (1 << wheel.n) - 1
+    assert len(sides) == 2 and sides[0] == full and sides[1] != full
 
 
 @given(digraphs(max_n=9))
@@ -344,7 +383,7 @@ def test_odd_chromatic_matches_an_exhaustive_count(monkeypatch):
     searches = []
 
     def spy(n, adj, k):
-        searches.append(adj)
+        searches.append((adj, k))
         return real(n, adj, k)
 
     monkeypatch.setattr(kernel, "solve_fixed_k_proper", spy)
@@ -355,7 +394,8 @@ def test_odd_chromatic_matches_an_exhaustive_count(monkeypatch):
         6, [(0, 1)] + [(1 + u, 1 + v) for u, v in cycle_base(5).edges]
     )
     bases = [BaseGraph(4, []), path_base(6), cycle_base(6), cycle_base(7)]
-    bases += [pendant_pentagon, complete_base(4), underlying(tilde_cycle(7))]
+    wheel = underlying(tilde_cycle(7))
+    bases += [pendant_pentagon, complete_base(4), wheel]
     rng = random.Random(11)
     for _ in range(60):
         n = rng.randint(1, 8)
@@ -376,13 +416,36 @@ def test_odd_chromatic_matches_an_exhaustive_count(monkeypatch):
                 continue
             searches.clear()
             assert solver._odd_chromatic(adj, keep) == expected, (base, keep)
-            # the search runs on the subgraph relabelled onto 0..r-1,
-            # highest degree first
-            degrees = [mask.bit_count() for mask in searches[0]]
-            assert len(degrees) == keep.bit_count(), (base, keep)
-            assert degrees == sorted(degrees, reverse=True), (base, keep)
+            # the search runs only when a greedy coloring, highest degree
+            # first, needs more classes than max(3, a greedy clique), on
+            # the subgraph relabelled onto 0..r-1, highest degree first,
+            # and never at a budget above chi
+            greedy, clique = _greedy_by_degree(adj, keep)
+            assert bool(searches) == (greedy > max(3, clique)), (base, keep)
+            for sub, k in searches:
+                degrees = [mask.bit_count() for mask in sub]
+                assert len(degrees) == keep.bit_count(), (base, keep)
+                assert degrees == sorted(degrees, reverse=True), (base, keep)
+                assert 3 <= k <= expected, (base, keep)
+            if base is wheel and keep == full:
+                assert searches
             seen.add(expected)
     assert {3, 4} <= seen
+
+
+def _greedy_by_degree(adj, keep):
+    """The class count of a greedy coloring of the subgraph induced by
+    keep, highest degree first (ties by vertex), and the size of the
+    solver's greedy clique in it."""
+    order = sorted(
+        (u for u in range(len(adj)) if keep >> u & 1),
+        key=lambda u: -(adj[u] & keep).bit_count(),
+    )
+    label = {}
+    for u in order:
+        taken = {label[w] for w in label if adj[u] >> w & 1}
+        label[u] = min(c for c in range(len(order)) if c not in taken)
+    return len(set(label.values())), solver._greedy_clique_size(adj, keep)
 
 
 def test_odd_tilde_cycles_solve_up_to_the_kernel_limit():
