@@ -71,14 +71,16 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
     "solver": (
         "GuardExceeded",
         "SolveOutcome",
-        "SweepReport",
         "chromatic_number",
         "dominator_chromatic_number",
         "dominator_chromatic_number_oracle",
         "find_dominator_coloring",
+        "sweep",
+    ),
+    "sweeping": (
+        "SweepReport",
         "max_over_orientations",
         "min_over_orientations",
-        "sweep",
     ),
     "automaton": (),
     "bench": (),

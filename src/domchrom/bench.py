@@ -20,8 +20,10 @@ whose orientations all have a sink).  The automaton rows, a star, a
 path and a cycle, call no kernel at all, nor does verify.
 Those six rows run the same Python on both backends, so they print no
 speedup.  A cold-start line first gives the median wall of --repeat
-fresh `import domchrom.cli` interpreters and of as many bare ones, the
-fixed cost every CLI call pays before any work.
+fresh `import domchrom.cli` interpreters, the fixed cost every CLI call
+pays before any work, of as many fresh `domchrom solve --json`
+processes on fig4, and of as many bare ones, with the KB of domchrom
+source that the import loads.
 """
 
 from __future__ import annotations
@@ -58,27 +60,53 @@ def _cli(*argv: str) -> dict:
     return json.loads(out.getvalue())["outputs"]
 
 
-def _cold_start(repeat: int) -> str:
+# prints the bytes of the .py files of the domchrom modules that
+# `import domchrom.cli` loads: the source each fresh import compiles when
+# no bytecode is cached
+_CLI_SOURCE_BYTES = (
+    "import os, sys, domchrom.cli\n"
+    "print(sum(os.path.getsize(module.__file__) for name, module in list(sys.modules.items())"
+    " if name.partition('.')[0] == 'domchrom' and module.__file__.endswith('.py')))"
+)
+
+
+def _cold_start(repeat: int, fig4_path: str) -> str:
     """One line: the median wall of fresh interpreters that import
-    domchrom.cli and of bare ones, spawned alternately after one untimed
-    import, and whether PYTHONDONTWRITEBYTECODE makes each compile."""
+    domchrom.cli, of fresh `domchrom solve --json` processes on fig4,
+    and of bare interpreters, spawned in turn after one untimed solve;
+    the domchrom source that the import loads; and whether
+    PYTHONDONTWRITEBYTECODE makes each process compile it."""
     package_root = str(Path(__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
+    solve = ("from domchrom.cli import main; main()", "solve", fig4_path, "--json")
 
-    def spawn(code: str) -> float:
+    def spawn(code: str, *argv: str) -> float:
         t0 = time.perf_counter()
-        subprocess.run([sys.executable, "-c", code], env=env, check=True)
+        subprocess.run(
+            [sys.executable, "-c", code, *argv], env=env, check=True, stdout=subprocess.DEVNULL
+        )
         return time.perf_counter() - t0
 
-    spawn("import domchrom.cli")
-    bare, cli_import = [], []
+    spawn(*solve)
+    bare, cli_import, cli_solve = [], [], []
     for _ in range(repeat):
         bare.append(spawn("pass"))
         cli_import.append(spawn("import domchrom.cli"))
+        cli_solve.append(spawn(*solve))
+    source = subprocess.run(
+        [sys.executable, "-c", _CLI_SOURCE_BYTES],
+        env=env,
+        check=True,
+        capture_output=True,
+        text=True,
+    )
+    kb = int(source.stdout) / 1000
     bytecode = "set" if os.environ.get("PYTHONDONTWRITEBYTECODE") else "unset"
     return (
-        f"cold start: import domchrom.cli {statistics.median(cli_import) * 1000:.1f} ms, "
+        f"cold start: import domchrom.cli {statistics.median(cli_import) * 1000:.1f} ms "
+        f"({kb:.1f} KB of domchrom source), "
+        f"solve --json fig4 {statistics.median(cli_solve) * 1000:.1f} ms, "
         f"bare interpreter {statistics.median(bare) * 1000:.1f} ms "
         f"(median of {repeat} spawns each; PYTHONDONTWRITEBYTECODE {bytecode})"
     )
@@ -222,11 +250,10 @@ def main() -> None:
     print(f"backends available: {', '.join(available)}")
     if "c" not in available:
         print("compiled kernel not built; benchmarking python only")
-    print(_cold_start(args.repeat))
-
     with tempfile.TemporaryDirectory() as tmp:
         fig4_path = str(Path(tmp) / "fig4.txt")
         Path(fig4_path).write_text(emit_digraph(fig4_digraph()))
+        print(_cold_start(args.repeat, fig4_path))
         fig4_coloring = str(Path(tmp) / "fig4.col")
         Path(fig4_coloring).write_text(emit_coloring(Coloring([0, 1, 0, 2, 3, 4], 5)))
         workloads = list(_workloads(fig4_path, fig4_coloring))

@@ -22,17 +22,19 @@ disagreement stays visible.
 from __future__ import annotations
 
 from operator import index
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .coloring import DominationMode
 from .graphs import BaseGraph, Digraph, _Record, is_connected, underlying
 from .solver import (
-    SweepReport,
     UndefinedInvariant,
     chromatic_number,
     dominator_chromatic_number,
     sweep,
 )
+
+if TYPE_CHECKING:
+    from .sweeping import SweepReport
 
 
 class GapReport(_Record):

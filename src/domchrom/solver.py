@@ -41,14 +41,11 @@ strict-mode sink makes the orientation infeasible, also with no kernel
 call.  Only the other orientations climb the ladder, from the bound
 already computed.
 
-A sweep covers every orientation code of a base graph, aggregating the
-value distribution and the extremal code sets.  A path, a cycle with at
-least 5 vertices and a star, each as its builder in graphs lists its
-edges, sweep through a minimised automaton (the automaton module): no
-orientation is solved, and the kernel is not called.  The bases of one
-family that sweeps() is given share one counting pass, and a report
-walks for its extremal codes only when they are read.  Any other base
-solves every code, in this process.
+sweep and sweeps are the entry points of an orientation sweep; the
+sweeping module, which holds SweepReport, the sweep itself and the
+extremes over orientations, loads on their first call, so a process
+that only solves or verifies never compiles it.  The size guards of a
+sweep stay here, so a caller can refuse a sweep before it loads.
 
 Results are deterministic: fixed vertex order, ascending class trials,
 ties between codes broken by ascending numeric value.
@@ -57,14 +54,14 @@ ties between codes broken by ascending numeric value.
 from __future__ import annotations
 
 import os
-from array import array
-from collections import Counter
-from functools import cached_property, partial
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from . import kernel
 from .coloring import Coloring, DominationMode
-from .graphs import BaseGraph, Digraph, _family, _Record, orient
+from .graphs import BaseGraph, Digraph, _Record
+
+if TYPE_CHECKING:
+    from .sweeping import SweepReport
 
 DEFAULT_MAX_SWEEP_EDGES = 24
 SWEEP_EDGES_ENV = "DOMCHROM_MAX_SWEEP_EDGES"
@@ -72,8 +69,6 @@ SWEEP_EDGES_ENV = "DOMCHROM_MAX_SWEEP_EDGES"
 AUTOMATON_MAX_VERTICES = 1000
 ORACLE_MAX_VERTICES = 10
 KERNEL_MAX_VERTICES = 64
-# the most codes an extremal list of a sweep report holds
-ARG_LIMIT = 64
 
 
 class GuardExceeded(ValueError):
@@ -442,146 +437,6 @@ def _oracle_accepts(arcs, not_outs: list[int], assignment, k: int) -> bool:
     return True
 
 
-class SweepReport(_Record):
-    """Aggregate of dominator chromatic values over every orientation.
-
-    distribution maps value to orientation count; together with
-    infeasible_count it accounts for all 2^|edges| codes.  The extremal
-    code lists hold orientation codes, the integers that orient takes
-    (orient(report.base, c) is the orientation of c), ascending and
-    capped at ARG_LIMIT codes each, with overflow flags telling whether
-    codes were dropped.  A report from a sweep walks each list on its
-    first read, so a caller that reads only the distribution never pays
-    for them.  kernel_solves counts the codes whose value took the
-    kernel ladder, 0 on an automaton sweep; it is not part of the
-    answer, so report equality ignores it.
-    """
-
-    base: BaseGraph
-    mode: DominationMode
-    orientations: int
-    distribution: dict[int, int]
-    infeasible_count: int
-    min_value: int | None
-    max_value: int | None
-    argmin_codes: tuple[int, ...]
-    argmax_codes: tuple[int, ...]
-    argmin_overflow: bool
-    argmax_overflow: bool
-    kernel_solves: int = 0
-
-    _uncompared = ("kernel_solves",)
-
-    # A report that _report builds has no code lists until one is read:
-    # these walk for it then.  A list given to __init__ sits in the
-    # instance dict, which a cached_property never overrides.
-    @cached_property
-    def argmin_codes(self) -> tuple[int, ...]:
-        return self._codes_with(self.min_value)
-
-    @cached_property
-    def argmax_codes(self) -> tuple[int, ...]:
-        return self._codes_with(self.max_value)
-
-    def __getstate__(self):
-        # the walk is a closure: a pickle carries the codes it gives
-        return {name: getattr(self, name) for name in self._fields}
-
-
-def _solve_codes(base: BaseGraph, mode: DominationMode) -> tuple[array, int]:
-    """Values of every orientation of base, indexed by code, 0 marking
-    an infeasible one; and how many took the kernel ladder.
-
-    A strict-mode sink leaves an orientation infeasible, and a bound
-    its certificate attains is its value: neither runs the kernel.
-    """
-    n = base.n
-    edges = base.edges
-    m = len(edges)
-    adj = _adjacency_masks(n, edges)
-    strict = mode is DominationMode.STRICT
-    values = array("B")
-    climbed = 0
-    for code in range(1 << m):
-        outs = [0] * n
-        for i in range(m):
-            u, v = edges[i]
-            if (code >> (m - 1 - i)) & 1:
-                outs[v] |= 1 << u
-            else:
-                outs[u] |= 1 << v
-        if strict and 0 in outs:
-            values.append(0)
-            continue
-        required = _required_vertices(n, outs, mode)
-        value, classes = _lower_bound(n, adj, outs, required)
-        if classes is None:
-            # the bound is only where the ladder starts
-            value = _solve_masks(n, adj, outs, required, value)[1] or 0
-            climbed += 1
-        values.append(value)
-    return values, climbed
-
-
-def _report(
-    base: BaseGraph,
-    mode: DominationMode,
-    dist: dict[int, int],
-    infeasible: int,
-    first_codes: Callable[[int, int], list[int]],
-    kernel_solves: int,
-) -> SweepReport:
-    """The report of a sweep from its count per feasible value, its
-    infeasible count, and first_codes(value, limit), which gives the
-    first limit codes with a value, ascending; the report calls it only
-    when its code lists are read."""
-    min_v = min(dist) if dist else None
-    max_v = max(dist) if dist else None
-    # read now: the codes may be walked long after this call
-    limit = ARG_LIMIT
-
-    def codes_with(target: int | None) -> tuple[int, ...]:
-        return () if target is None else tuple(first_codes(target, limit))
-
-    report = object.__new__(SweepReport)
-    report.__dict__.update(
-        base=base,
-        mode=mode,
-        orientations=1 << len(base.edges),
-        distribution=dict(sorted(dist.items())),
-        infeasible_count=infeasible,
-        min_value=min_v,
-        max_value=max_v,
-        argmin_overflow=min_v is not None and dist[min_v] > limit,
-        argmax_overflow=max_v is not None and dist[max_v] > limit,
-        kernel_solves=kernel_solves,
-        _codes_with=codes_with,
-    )
-    return report
-
-
-def _scan(values: array, target: int, limit: int) -> list[int]:
-    """The first limit codes whose value in values, indexed by code, is
-    target."""
-    codes: list[int] = []
-    at = -1
-    while len(codes) < limit:
-        try:
-            at = values.index(target, at + 1)
-        except ValueError:
-            break
-        codes.append(at)
-    return codes
-
-
-def _automaton_family(base: BaseGraph) -> str | None:
-    """The family whose automaton sweeps base, or None: a path, a star,
-    or a cycle with at least 5 vertices (on fewer, a pair of classes the
-    automaton counts is an edge or has two centres)."""
-    family = _family(base)
-    return None if family == "cycle" and base.n < 5 else family
-
-
 def check_automaton_size(n: int) -> None:
     """Refuse an automaton sweep over a base of n vertices, which need
     not be built yet: GuardExceeded past AUTOMATON_MAX_VERTICES."""
@@ -625,69 +480,8 @@ def sweeps(
 ) -> list[SweepReport]:
     """The report of sweep(base, mode) for each base, in order.  The
     bases that one automaton sweeps share one counting pass over all
-    their edge counts; every base is checked before any is swept."""
-    families = [_automaton_family(base) for base in bases]
-    for base, family in zip(bases, families):
-        if family is not None:
-            check_automaton_size(base.n)
-        else:
-            check_sweep_size(base.n, len(base.edges))
-    reports: list[SweepReport | None] = [None] * len(bases)
-    by_family: dict[str, list[int]] = {}
-    for i, family in enumerate(families):
-        if family is None:
-            reports[i] = _sweep_codes(bases[i], mode)
-        else:
-            by_family.setdefault(family, []).append(i)
-    if by_family:
-        # the engine and its tables load only here
-        from .automaton import sweep_values
-    for family, members in by_family.items():
-        ms = sorted({len(bases[i].edges) for i in members})
-        values, first_codes = sweep_values(family, mode, ms)
-        by_m = dict(zip(ms, values))
-        for i in members:
-            m = len(bases[i].edges)
-            dist, infeasible = by_m[m]
-            reports[i] = _report(
-                bases[i], mode, dist, infeasible, partial(first_codes, m), 0
-            )
-    return reports
+    their edge counts; every base is checked before any is swept.  The
+    sweeping module, which runs them, is imported on the first call."""
+    from . import sweeping
 
-
-def _sweep_codes(base: BaseGraph, mode: DominationMode) -> SweepReport:
-    """The report of a sweep that solves every code of base."""
-    values, kernel_solves = _solve_codes(base, mode)
-    dist = Counter(values)
-    infeasible = dist.pop(0, 0)
-    return _report(base, mode, dist, infeasible, partial(_scan, values), kernel_solves)
-
-
-def _extreme_over_orientations(
-    base: BaseGraph, mode: DominationMode, take_max: bool
-) -> tuple[int, int, Coloring]:
-    # the witness solve needs the kernel: refuse its size before sweeping
-    check_solvable_size(base.n)
-    report = sweep(base, mode)
-    value = report.max_value if take_max else report.min_value
-    if value is None:
-        raise ValueError("no orientation is feasible under the strict requirement")
-    code = (report.argmax_codes if take_max else report.argmin_codes)[0]
-    outcome = dominator_chromatic_number(orient(base, code), mode)
-    assert outcome.witness is not None
-    return value, code, outcome.witness
-
-
-def min_over_orientations(
-    base: BaseGraph, mode: DominationMode = DominationMode.SINK_EXEMPT
-) -> tuple[int, int, Coloring]:
-    """Smallest dominator chromatic value over all orientations, with
-    the first achieving code (ascending) and its witness."""
-    return _extreme_over_orientations(base, mode, take_max=False)
-
-
-def max_over_orientations(
-    base: BaseGraph, mode: DominationMode = DominationMode.SINK_EXEMPT
-) -> tuple[int, int, Coloring]:
-    """Largest dominator chromatic value over all orientations."""
-    return _extreme_over_orientations(base, mode, take_max=True)
+    return sweeping.sweeps(bases, mode)

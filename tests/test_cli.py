@@ -31,7 +31,9 @@ from domchrom import (
     path_base,
     solver,
     star_oriented,
+    sweeping,
 )
+from domchrom import _commands
 from domchrom.graphs import BaseGraph, cycle_base, star_base
 from domchrom.cli import run
 from domchrom.formats import emit_base, emit_coloring, emit_digraph, parse_coloring, parse_digraph
@@ -311,13 +313,14 @@ def test_run_reuses_one_parser_without_leaking_state(dpath3, monkeypatch, capsys
         return code, out, err
 
     built = []
-    for name, (help_line, handler, add_arguments, table) in list(cli._COMMANDS.items()):
+    for handlers in (cli._HANDLERS, _commands.HANDLERS):
+        for name, (handler, add_arguments) in list(handlers.items()):
 
-        def counted(p, name=name, add_arguments=add_arguments):
-            built.append(name)
-            add_arguments(p)
+            def counted(p, name=name, add_arguments=add_arguments):
+                built.append(name)
+                add_arguments(p)
 
-        monkeypatch.setitem(cli._COMMANDS, name, (help_line, handler, counted, table))
+            monkeypatch.setitem(handlers, name, (handler, counted))
     cli._command_parser.cache_clear()
     shared = [outcome(argv) for argv in calls]
     # each command's parser is built once, on its first call
@@ -419,7 +422,7 @@ def test_csv_and_text_sweeps_walk_for_no_codes(monkeypatch, capsys):
         raise AssertionError("walked for codes")
 
     monkeypatch.setattr(automaton, "_first_codes", refuse)
-    monkeypatch.setattr(solver, "_scan", refuse)
+    monkeypatch.setattr(sweeping, "_scan", refuse)
     for kind, (lo, _) in RANGE_SWEEPS.items():
         for flags in (["--csv"], [], ["--json", "--csv"]):
             argv = ["sweep", kind, "--n-min", str(lo), "--n-max", "30", *flags]
@@ -702,9 +705,9 @@ def _refuse_builds(monkeypatch):
     def refuse(*args):
         raise AssertionError("a graph was built")
 
-    for kind, (_, past_n) in list(cli._SWEEP_KINDS.items()):
-        monkeypatch.setitem(cli._SWEEP_KINDS, kind, (refuse, past_n))
-    monkeypatch.setattr(cli, "_min_formula", refuse)
+    for kind, (_, past_n) in list(_commands._SWEEP_KINDS.items()):
+        monkeypatch.setitem(_commands._SWEEP_KINDS, kind, (refuse, past_n))
+    monkeypatch.setattr(_commands, "_min_formula", refuse)
     for name in ("tilde_cycle", "directed_cycle", "directed_path", "family_witness"):
         monkeypatch.setattr(families, name, refuse)
 
@@ -735,6 +738,12 @@ def _refuse_builds(monkeypatch):
         (["family", "cycle", "1001", "--directed"], 3, "guard"),
         (["formulas", "path", "--n-min", "1", "--n-max", "1000000"], 3, "guard"),
         (["formulas", "cycle", "--n-min", "3", "--n-max", "100003"], 3, "100001 sizes"),
+        # --workers is refused before any of the 998 bases is built
+        (
+            ["sweep", "cycle", "--n-min", "3", "--n-max", "1000", "--workers", "0"],
+            2,
+            "workers must be at least 1",
+        ),
     ],
 )
 def test_sizes_are_checked_before_any_graph_is_built(argv, code, message, monkeypatch, capsys):
@@ -748,8 +757,8 @@ def test_sizes_are_checked_before_any_graph_is_built(argv, code, message, monkey
 def test_family_and_formulas_guards_admit_their_limits(monkeypatch, capsys):
     # a member of exactly FAMILY_MAX_VERTICES vertices, and a table of
     # exactly FORMULAS_MAX_SIZES sizes, pass; one more is refused
-    monkeypatch.setattr(cli, "FAMILY_MAX_VERTICES", 10)
-    monkeypatch.setattr(cli, "FORMULAS_MAX_SIZES", 5)
+    monkeypatch.setattr(_commands, "FAMILY_MAX_VERTICES", 10)
+    monkeypatch.setattr(_commands, "FORMULAS_MAX_SIZES", 5)
     assert run(["family", "star", "9", "0"]) == 0
     assert "vertices: 10," in capsys.readouterr().out
     assert run(["family", "star", "10", "0"]) == 3
@@ -770,7 +779,7 @@ def test_formulas_refuses_a_range_longer_than_maxsize(capsys):
 
 
 def test_sweep_kinds_give_the_size_of_the_base_they_build():
-    for kind, (build, past_n) in cli._SWEEP_KINDS.items():
+    for kind, (build, past_n) in _commands._SWEEP_KINDS.items():
         for n in range(1, 31):
             try:
                 base = build(n)
@@ -779,14 +788,14 @@ def test_sweep_kinds_give_the_size_of_the_base_they_build():
                 continue
             assert n + past_n == base.n, (kind, n)
             # the automaton sweeps every base but a few tiny ones
-            assert solver._automaton_family(base) or base.n <= 4, (kind, n)
+            assert sweeping._automaton_family(base) or base.n <= 4, (kind, n)
 
 
 def test_a_size_range_stays_lazy():
     # the guards read the ends of the range, so a range ending at
     # 10**12 costs nothing before it is refused
     args = argparse.Namespace(n=None, n_min=3, n_max=5)
-    assert cli._range_from(args) == range(3, 6)
+    assert _commands._range_from(args) == range(3, 6)
 
 
 def test_module_entry_point_runs():

@@ -447,7 +447,8 @@ def test_bench_runs_once_per_workload():
         has_ratio = re.search(r"\dx$", row) is not None
         assert has_ratio == (compared and label not in no_kernel), row
     assert re.search(
-        r"^cold start: import domchrom\.cli \d+\.\d ms, bare interpreter \d+\.\d ms "
+        r"^cold start: import domchrom\.cli \d+\.\d ms \(\d+\.\d KB of domchrom source\), "
+        r"solve --json fig4 \d+\.\d ms, bare interpreter \d+\.\d ms "
         r"\(median of 1 spawns each; PYTHONDONTWRITEBYTECODE (un)?set\)$",
         proc.stdout,
         re.MULTILINE,

@@ -94,23 +94,28 @@ PUBLIC = {
     "solver": [
         "GuardExceeded",
         "SolveOutcome",
-        "SweepReport",
         "chromatic_number",
         "dominator_chromatic_number",
         "dominator_chromatic_number_oracle",
         "find_dominator_coloring",
+        "sweep",
+    ],
+    "sweeping": [
+        "SweepReport",
         "max_over_orientations",
         "min_over_orientations",
-        "sweep",
     ],
 }
 
-# what the common commands never need
+# what solve and verify never need: the five other commands and the
+# sweep engine are among them
 DEFERRED = (
     "concurrent.futures",
     "multiprocessing",
+    "domchrom._commands",
     "domchrom.families",
     "domchrom.invariants",
+    "domchrom.sweeping",
     "dataclasses",
     "inspect",
 )
@@ -209,20 +214,26 @@ def test_cli_import_and_common_commands_skip_the_pool_families_and_invariants(tm
         "import domchrom.cli\n"
         f"deferred = {DEFERRED!r}\n"
         "def loaded(): return [m for m in deferred if m in sys.modules]\n"
-        "report = [[None, loaded()]]\n"
+        "def mine(): return sorted(m for m in sys.modules if m.startswith('domchrom'))\n"
+        "report = [[None, loaded(), mine()]]\n"
         f"for argv in {calls!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        code = domchrom.cli.run(argv)\n"
-        "    report.append([code, loaded()])\n"
+        "    report.append([code, loaded(), mine()])\n"
         "print(json.dumps(report))\n"
     )
-    assert report == [
+    commands_and_engine = ["domchrom._commands", "domchrom.sweeping"]
+    assert [step[:2] for step in report] == [
         [None, []],
         [0, []],
         [0, []],
-        [0, []],
-        [0, ["domchrom.families"]],
+        [0, commands_and_engine],
+        [0, ["domchrom._commands", "domchrom.families", "domchrom.sweeping"]],
     ]
+    # solve and verify load no domchrom module past those the import loads
+    imported = report[0][2]
+    assert "domchrom.solver" in imported
+    assert report[1][2] == report[2][2] == imported
 
 
 def test_only_a_sweep_loads_the_automaton_and_nothing_loads_its_builder(tmp_path):

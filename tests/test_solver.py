@@ -14,7 +14,7 @@ from conftest import (
     random_connected_digraph,
     relabelled_code,
 )
-from domchrom import kernel, solver
+from domchrom import kernel, solver, sweeping
 from domchrom import (
     BaseGraph,
     Coloring,
@@ -514,7 +514,7 @@ def test_sweep_strict_cycles_leave_only_the_directed_ones():
 def test_sweep_argmin_cap_and_overflow(monkeypatch):
     full = sweep(cycle_base(6))
     assert not full.argmin_overflow
-    monkeypatch.setattr(solver, "ARG_LIMIT", 1)
+    monkeypatch.setattr(sweeping, "ARG_LIMIT", 1)
     rep = sweep(cycle_base(6))
     assert len(rep.argmin_codes) == 1
     assert rep.argmin_overflow
@@ -531,7 +531,7 @@ CHORDED_CYCLE = BaseGraph(
 
 
 def test_per_code_sweep_counts_its_ladders_and_caps_its_lists(monkeypatch):
-    monkeypatch.setattr(solver, "ARG_LIMIT", 3)
+    monkeypatch.setattr(sweeping, "ARG_LIMIT", 3)
     report = sweep(CHORDED_CYCLE)
     assert report.kernel_solves == 616
     assert report.argmin_overflow and report.argmax_overflow
@@ -651,7 +651,7 @@ def assert_sweep_matches_reference(base):
         values = per_code_values(base, mode)
         for arg_limit in (1, 3, 64):
             want = reference_report(base, mode, values, arg_limit)
-            with patch.object(solver, "ARG_LIMIT", arg_limit):
+            with patch.object(sweeping, "ARG_LIMIT", arg_limit):
                 got = sweep(base, mode)
             assert got == want, (base, mode, arg_limit)
             assert list(got.distribution) == list(want.distribution)
@@ -750,7 +750,7 @@ def test_star_sweep_at_the_edge_guard(mode):
     # 2^24 codes through the automaton, against one solve per popcount
     # class (leaf permutations keep the value) and the classes enumerated
     # directly
-    m, limit = 24, solver.ARG_LIMIT
+    m, limit = 24, sweeping.ARG_LIMIT
     base = star_base(m)
     assert len(base.edges) == solver.DEFAULT_MAX_SWEEP_EDGES
     report = sweep(base, mode)
