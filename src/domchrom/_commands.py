@@ -6,9 +6,11 @@ build_parser builds the full parser, so a solve or verify process never
 compiles it.  HANDLERS gives cli each command's handler and the function
 that adds its own arguments; cli adds --json and --csv.
 
-The handlers call the solver entry points and the file formats through
-cli's bindings of them, the names perfbench's tracer wraps, as solve and
-verify do.
+The handlers call each library function from the module that defines
+it.  Only a one-size sweep goes through cli, calling cli.sweep, the
+binding perfbench's tracer wraps.  A range of sizes imports
+sweeping.sweeps where it calls it, so family, formulas,
+mine-discrepancy and invariants without --star never load sweeping.
 """
 
 from __future__ import annotations
@@ -21,12 +23,14 @@ from typing import Any, Callable
 from . import cli
 from .cli import EXIT_OK, _add_mode, _ms, _print_result, _read
 from .coloring import Coloring, DominationMode
+from .formats import emit_coloring, emit_digraph, parse_base, parse_digraph
 from .graphs import cycle_base, path_base, star_base
 from .solver import (
     GuardExceeded,
     UndefinedInvariant,
     check_automaton_size,
     check_solvable_size,
+    dominator_chromatic_number,
 )
 
 # the most vertices of a family member that family builds, as many as an
@@ -95,11 +99,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     bases = [build(n) for n in ns]
     if len(bases) == 1:
-        # through sweep, the one-base case, which perfbench's tracer wraps
+        # through cli.sweep, the one-base case, which perfbench's tracer wraps
         reports = [cli.sweep(bases[0], mode)]
     else:
+        from .sweeping import sweeps
+
         # the sizes one automaton covers share one counting pass
-        reports = cli.sweeps(bases, mode)
+        reports = sweeps(bases, mode)
     rows = []
     min_formula = _min_formula(args.base)
     for n, rep in zip(ns, reports):
@@ -169,9 +175,9 @@ def _cmd_family(args: argparse.Namespace) -> int:
         w = family_witness(spec)
     if args.emit_digraph or args.emit_witness:
         if args.emit_digraph:
-            sys.stdout.write(cli.emit_digraph(w.digraph))
+            sys.stdout.write(emit_digraph(w.digraph))
         if args.emit_witness:
-            sys.stdout.write(cli.emit_coloring(w.coloring))
+            sys.stdout.write(emit_coloring(w.coloring))
         return EXIT_OK
     outputs = {
         "kind": spec.kind,
@@ -224,7 +230,7 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
     if args.star:
         if args.base is None:
             raise ValueError("--star needs --base <base-file>")
-        base = cli.parse_base(_read(args.base))
+        base = parse_base(_read(args.base))
         t0 = time.perf_counter()
         rep = orientation_gap(base, mode)
         outputs = {
@@ -250,7 +256,7 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
         return EXIT_OK
     if args.digraph is None:
         raise ValueError("need a digraph file, or --base with --star")
-    d = cli.parse_digraph(_read(args.digraph))
+    d = parse_digraph(_read(args.digraph))
     t0 = time.perf_counter()
     rep = dominator_gap(d, mode)
     outputs = {
@@ -288,8 +294,8 @@ def _cmd_mine(args: argparse.Namespace) -> int:
         # dominator_discrepancy, with each digraph solved once: the
         # directed cycle is the first n arcs of the tilde cycle, so the
         # vertex map range(n) needs no check
-        host_value = cli.dominator_chromatic_number(tilde_cycle(n), mode).value
-        sub_value = cli.dominator_chromatic_number(directed_cycle(n), mode).value
+        host_value = dominator_chromatic_number(tilde_cycle(n), mode).value
+        sub_value = dominator_chromatic_number(directed_cycle(n), mode).value
         if host_value is None or sub_value is None:
             raise UndefinedInvariant(
                 "discrepancy undefined: infeasible instance in this mode"

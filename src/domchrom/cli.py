@@ -20,14 +20,16 @@ that adds its own arguments sit in _HANDLERS here for solve and verify,
 and in _commands.HANDLERS for the other five.  _add_arguments builds
 both the full parser's subcommand and the command's own parser from
 those: the own arguments, then --json, then --csv for a table, then the
-handler.
+handler.  Every handler calls the library functions it uses from the
+modules that define them; only a one-size sweep goes through this
+module's sweep.
 
 Only the modules a command runs are loaded, and each command's parser
 is built on its first use in the process.  solve and verify run from
 this module and load nothing past its imports: _commands loads with
 the first parser of another command, sweeping, the sweep engine, with
-the first solver.sweep call, and families and invariants only with the
-commands that use them.
+the first sweep, and families and invariants only with the commands
+that use them.
 """
 
 from __future__ import annotations
@@ -40,27 +42,11 @@ from typing import Any, Callable, Iterable
 
 from . import kernel
 from .coloring import DominationMode, verify
-from .formats import (
-    emit_coloring,
-    emit_csv,
-    emit_digraph,
-    emit_json,
-    parse_base,
-    parse_coloring,
-    parse_digraph,
-)
-from .solver import (
-    GuardExceeded,
-    UndefinedInvariant,
-    dominator_chromatic_number,
-    sweep,
-    sweeps,
-)
+from .formats import emit_csv, emit_json, parse_coloring, parse_digraph
+from .solver import GuardExceeded, UndefinedInvariant, dominator_chromatic_number, sweep
 
-# parse_base, emit_coloring, emit_digraph, sweep and sweeps serve only
-# _commands' handlers, which call them, as solve and verify call theirs,
-# through this module: perfbench's tracer wraps every solver entry point
-# and every parse_ and emit_ name here.
+# sweep serves only _commands' one-size sweep: perfbench's tracer wraps
+# this binding.
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -345,4 +331,7 @@ def main() -> None:
 
 
 if __name__ == "__main__":
+    # under python -m this module runs as __main__: _commands' import of
+    # domchrom.cli must find it, not compile and run this file again
+    sys.modules["domchrom.cli"] = sys.modules[__name__]
     main()

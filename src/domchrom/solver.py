@@ -41,11 +41,11 @@ strict-mode sink makes the orientation infeasible, also with no kernel
 call.  Only the other orientations climb the ladder, from the bound
 already computed.
 
-sweep and sweeps are the entry points of an orientation sweep; the
-sweeping module, which holds SweepReport, the sweep itself and the
-extremes over orientations, loads on their first call, so a process
-that only solves or verifies never compiles it.  The size guards of a
-sweep stay here, so a caller can refuse a sweep before it loads.
+sweep is the entry point of an orientation sweep of one base; the
+sweeping module, which holds SweepReport, the sweep itself, sweeps of
+several bases and the extremes over orientations, loads on its first
+call, so a process that only solves or verifies never compiles it.  The
+size guards of a sweep stay here, so a caller can refuse one first.
 
 Results are deterministic: fixed vertex order, ascending class trials,
 ties between codes broken by ascending numeric value.
@@ -54,7 +54,7 @@ ties between codes broken by ascending numeric value.
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 from . import kernel
 from .coloring import Coloring, DominationMode
@@ -472,16 +472,6 @@ def sweep(
     in the order of its builder, sweeps through its automaton and solves
     no orientation.  Any other base solves every code.
     """
-    return sweeps([base], mode)[0]
-
-
-def sweeps(
-    bases: Sequence[BaseGraph], mode: DominationMode = DominationMode.SINK_EXEMPT
-) -> list[SweepReport]:
-    """The report of sweep(base, mode) for each base, in order.  The
-    bases that one automaton sweeps share one counting pass over all
-    their edge counts; every base is checked before any is swept.  The
-    sweeping module, which runs them, is imported on the first call."""
     from . import sweeping
 
-    return sweeping.sweeps(bases, mode)
+    return sweeping.sweeps([base], mode)[0]

@@ -11,10 +11,11 @@ solves every code, in this process, on the solver's path: a strict-mode
 sink or the packing bound's certificate settles a code with no kernel
 call, and only the other codes climb the budget ladder.
 
-solver.sweep and solver.sweeps are the entry points: they import this
-module on their first call, so a process that only solves never
-compiles it.  The solve path's helpers are read from the solver module
-at each call, so one binding of each serves both a solve and a sweep.
+solver.sweep, of one base, imports this module on its first call, so a
+process that only solves never compiles it; sweeps() takes several.  The
+sweep command calls sweeps() for a range of sizes, cli.sweep for one.
+The solve path's helpers are read from the solver module at each call,
+so one binding of each serves both a solve and a sweep.
 """
 
 from __future__ import annotations
@@ -172,9 +173,12 @@ def _automaton_family(base: BaseGraph) -> str | None:
     return None if family == "cycle" and base.n < 5 else family
 
 
-def sweeps(bases: Sequence[BaseGraph], mode: DominationMode) -> list[SweepReport]:
-    """The body of solver.sweeps: the report of each base, in order,
-    every base checked before any is swept."""
+def sweeps(
+    bases: Sequence[BaseGraph], mode: DominationMode = DominationMode.SINK_EXEMPT
+) -> list[SweepReport]:
+    """The report of solver.sweep(base, mode) for each base, in order.
+    The bases that one automaton sweeps share one counting pass over all
+    their edge counts; every base is checked before any is swept."""
     families = [_automaton_family(base) for base in bases]
     for base, family in zip(bases, families):
         if family is not None:

@@ -92,6 +92,10 @@ def test_directed_path_and_cycle_shapes():
     assert directed_cycle(3).arcs == ((0, 1), (1, 2), (2, 0))
     assert out_degree_sequence(directed_path(4)) == (1, 1, 1, 0)
     assert out_degree_sequence(directed_cycle(5)) == (1, 1, 1, 1, 1)
+    with pytest.raises(ValueError):
+        directed_path(0)
+    with pytest.raises(ValueError):
+        directed_cycle(2)
 
 
 def test_star_oriented_shape():
@@ -118,6 +122,8 @@ def test_one_way_complete_bipartite_value_two():
         d = one_way_complete_bipartite(m, n)
         assert len(d.arcs) == m * n
         assert dominator_chromatic_number(d).value == 2
+    with pytest.raises(ValueError):
+        one_way_complete_bipartite(0, 1)
 
 
 def test_tournament_choosers():

@@ -54,6 +54,8 @@ def test_digraph_rejects_loops_duplicates_digons():
         Digraph(2, [(0, 1), (1, 0)])
     with pytest.raises(ValueError):
         Digraph(2, [(0, 2)])
+    with pytest.raises(ValueError, match="vertex count must be nonnegative"):
+        Digraph(-1, [])
 
 
 def test_digraph_trivial_sizes():

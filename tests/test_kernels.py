@@ -215,6 +215,9 @@ def test_kernel_matches_reference_predicate():
     assert reordered > 0
     # the degree walk and the forced open cut more than an ascending walk
     assert nodes < ascending_nodes < unpruned_nodes
+    # no vertex: the empty coloring, on no node
+    for impl in backends:
+        assert impl.solve_fixed_k_dominator(0, [], [], [], 1) == ([], 0), impl.__name__
 
 
 def test_proper_search_finds_the_first_canonical_coloring():
@@ -293,6 +296,7 @@ def test_compiled_source_matches_python_kernel(compiled_twin):
         shuffled = rng.sample(required, len(required))
         assert _same_dominator(compiled_twin, n, adj, outs, shuffled, k) == found
         _same_proper(compiled_twin, n, adj, k)
+    assert _same_dominator(compiled_twin, 0, [], [], [], 1) == []
 
 
 def test_compiled_source_matches_python_kernel_on_64_vertices(compiled_twin):

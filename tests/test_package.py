@@ -36,6 +36,7 @@ from domchrom import (
     path_base,
     sweep,
 )
+from domchrom import cli
 from domchrom.formats import emit_coloring, emit_digraph
 from domchrom.graphs import Digraph
 
@@ -260,6 +261,30 @@ def test_only_a_sweep_loads_the_automaton_and_nothing_loads_its_builder(tmp_path
         "print(json.dumps(report))\n"
     )
     assert report == [[None, []], [0, []], [0, []], [0, engine]]
+
+
+@pytest.mark.parametrize("argv", [["formulas", "path", "--n", "4"], ["-h"]])
+def test_module_entry_loads_one_cli(argv, capsys, monkeypatch):
+    # argparse wraps help to COLUMNS, here and in the fresh process
+    monkeypatch.setenv("COLUMNS", "80")
+    assert cli.run(argv) == 0
+    expected = capsys.readouterr().out
+    # run_module with alter_sys runs domchrom.cli as python -m does
+    ran = _in_fresh_process(
+        "import contextlib, io, json, runpy, sys\n"
+        f"sys.argv = ['domchrom', *{argv!r}]\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        "    try:\n"
+        "        runpy.run_module('domchrom.cli', run_name='__main__', alter_sys=True)\n"
+        "    except SystemExit as exc:\n"
+        "        code = exc.code\n"
+        "module = sys.modules['domchrom.cli']\n"
+        "bound = sys.modules['domchrom._commands'].cli is module\n"
+        "print(json.dumps([code, out.getvalue(), module.__name__, bound]))\n"
+    )
+    # _commands imported the module that ran, not a second copy of it
+    assert ran == [0, expected, "__main__", True]
 
 
 # per value type: a builder of one value, called twice for two equal

@@ -360,12 +360,12 @@ def test_sweeps_report_each_base_as_sweep_does(mode):
         path_base(12),
         cycle_base(6),
     ]
-    reports = solver.sweeps(bases, mode)
+    reports = sweeping.sweeps(bases, mode)
     singles = [sweep(base, mode) for base in bases]
     assert reports == singles
     # equality ignores kernel_solves
     assert [r.kernel_solves for r in reports] == [s.kernel_solves for s in singles]
-    assert solver.sweeps([], mode) == []
+    assert sweeping.sweeps([], mode) == []
 
 
 def test_a_strict_sink_costs_one_kernel_call_at_n(monkeypatch):
@@ -476,6 +476,8 @@ def test_size_guards():
         dominator_chromatic_number(Digraph(65, []))
     with pytest.raises(GuardExceeded):
         dominator_chromatic_number_oracle(Digraph(11, []))
+    with pytest.raises(ValueError):
+        dominator_chromatic_number_oracle(Digraph(0, []))
 
 
 def test_sweep_path_four():
